@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .construct import LabelingKind, ceil_div
 from .errors import InvalidParameterError
-from .grid import Graph, make_grid, GridSpec, require_window_scope
+from .grid import Graph, require_window_scope
 
 
 @dataclass(frozen=True)
@@ -86,14 +86,18 @@ def closed_form_strength(kind: LabelingKind, m: int, n: int, c: int) -> int:
 
 
 def grid_bound_report(kind: LabelingKind, m: int, c: int, n: int) -> BoundReport:
-    """Bounds for the m-by-n grid covered by its width-c windows."""
+    """Bounds for the m-by-n grid covered by its width-c windows.
+
+    The grid has mn vertices and 2mn - m - n edges, so the upper exponent
+    is mn - 1 (vertex kind) or 2mn - m - n - 1 (edge and total kinds).
+    """
     require_window_scope(m, c, n)
     t = n - c + 1
     vH = m * c
     eH = 2 * m * c - m - c
-    host = make_grid(GridSpec(m, n))
+    elements = m * n if kind is LabelingKind.VERTEX else 2 * m * n - m - n
     return BoundReport(
         kind=kind,
         lower=lower_bound(kind, t, vH, eH),
-        upper_exponent=upper_bound_exponent(kind, host),
+        upper_exponent=elements - 1,
     )

@@ -13,7 +13,7 @@ import sys
 from typing import Optional
 
 from . import io as gio
-from .bounds import closed_form_strength, lower_bound, upper_bound_exponent
+from .bounds import closed_form_strength, grid_bound_report, lower_bound
 from .construct import LabelingKind, TotalVariant, construct_total_labeling
 from .covering import CoverFamily, enumerate_windows
 from .errors import GridirrError, ResourceLimitError
@@ -132,14 +132,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
-    kind = _parse_kind(args.kind)
-    require_window_scope(args.m, args.c, args.n)
-    t = args.n - args.c + 1
-    vH = args.m * args.c
-    eH = 2 * args.m * args.c - args.m - args.c
-    host = make_grid(GridSpec(args.m, args.n))
-    print(f"lower_bound={lower_bound(kind, t, vH, eH)}")
-    print(f"upper_bound=2^{upper_bound_exponent(kind, host)}")
+    report = grid_bound_report(_parse_kind(args.kind), args.m, args.c, args.n)
+    print(f"lower_bound={report.lower}")
+    print(f"upper_bound=2^{report.upper_exponent}")
     return EXIT_OK
 
 

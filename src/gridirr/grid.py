@@ -13,8 +13,8 @@ user-supplied hosts round-trip unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Union
+from dataclasses import dataclass, field
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import InvalidEdgeError, InvalidParameterError, ScopeError
 
@@ -84,10 +84,18 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable simple graph: a vertex set and an edge set."""
+    """Immutable simple graph: a vertex set and an edge set.
+
+    ``spec`` is set only by :func:`make_grid`, so a graph that carries one
+    is exactly that full grid; hand-built and transposed graphs carry None
+    even when they equal a grid.  It takes no part in equality or hashing.
+    """
 
     vertices: frozenset[Vertex]
     edges: frozenset[Edge]
+    spec: Optional[GridSpec] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def sorted_vertices(self) -> list[Vertex]:
         return sorted(self.vertices)
@@ -118,6 +126,8 @@ def make_grid(spec: GridSpec) -> Graph:
 
     The result has m*n vertices and 2mn - m - n edges: vertical edges
     (i, j)-(i+1, j) for i < m, horizontal edges (i, j)-(i, j+1) for j < n.
+    The graph records ``spec``, which lets window families over it take
+    the fast paths in :mod:`gridirr.covering` and :mod:`gridirr.verify`.
     """
     m, n = spec.m, spec.n
     vertices = [Vertex(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
@@ -128,7 +138,9 @@ def make_grid(spec: GridSpec) -> Graph:
     for i in range(1, m + 1):
         for j in range(1, n):
             edges.append(Edge(Vertex(i, j), Vertex(i, j + 1)))
-    return Graph(vertices=frozenset(vertices), edges=frozenset(edges))
+    graph = Graph(vertices=frozenset(vertices), edges=frozenset(edges))
+    object.__setattr__(graph, "spec", spec)
+    return graph
 
 
 def grid_dims(graph: Graph) -> tuple[int, int]:

@@ -190,7 +190,10 @@ def graph_from_json_dict(data: Any, where: str = "host") -> Graph:
         if (
             not isinstance(shape, list)
             or len(shape) != 2
-            or not all(isinstance(x, int) and x >= 1 for x in shape)
+            or not all(
+                isinstance(x, int) and not isinstance(x, bool) and x >= 1
+                for x in shape
+            )
         ):
             raise FormatError(
                 f"{where}: 'grid' must be [m, n] with positive integers"

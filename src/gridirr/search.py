@@ -20,13 +20,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .construct import Labeling, LabelingKind, ceil_div
-from .covering import CoverFamily, is_edge_covering
-from .errors import (
-    InvalidParameterError,
-    MalformedFamilyError,
-    ResourceLimitError,
-)
-from .grid import Element, Graph, format_element, grid_dims
+from .covering import CoverFamily, require_covering
+from .errors import InvalidParameterError, ResourceLimitError
+from .grid import Element, Graph, grid_dims
 from .verify import _relevant_elements, verify_irregular
 
 DEFAULT_MAX_ELEMENTS = 24
@@ -73,13 +69,16 @@ def _labeled_elements(kind: LabelingKind, host: Graph) -> list[Element]:
     return list(host.sorted_vertices()) + list(host.sorted_edges())
 
 
-def _check_family(host: Graph, family: CoverFamily) -> None:
-    check = is_edge_covering(host, family)
-    if not check.covers:
-        missed = check.uncovered[0]
-        raise MalformedFamilyError(
-            f"family does not cover the host: edge "
-            f"{format_element(missed)} belongs to no member"
+def _check_size(
+    kind: LabelingKind, host: Graph, max_elements: Optional[int]
+) -> None:
+    """Refuse instances with more labeled elements than the size cap."""
+    cap = configured_max_elements() if max_elements is None else max_elements
+    count = len(_labeled_elements(kind, host))
+    if count > cap:
+        raise ResourceLimitError(
+            f"instance has {count} labeled elements, above the cap of {cap}; "
+            f"refusing to search (this is not a negative answer)"
         )
 
 
@@ -182,14 +181,8 @@ def exists_irregular(
     """
     if k < 1:
         raise InvalidParameterError(f"budget must be >= 1, got {k}")
-    _check_family(host, family)
-    cap = configured_max_elements() if max_elements is None else max_elements
-    count = len(_labeled_elements(kind, host))
-    if count > cap:
-        raise ResourceLimitError(
-            f"instance has {count} labeled elements, above the cap of {cap}; "
-            f"refusing to search (this is not a negative answer)"
-        )
+    require_covering(host, family)
+    _check_size(kind, host, max_elements)
     assignment, _ = _search(host, family, kind, k)
     if assignment is None:
         return None
@@ -250,14 +243,8 @@ def min_strength(
     """
     if k_max < 1:
         raise InvalidParameterError(f"budget cap must be >= 1, got {k_max}")
-    _check_family(host, family)
-    cap = configured_max_elements() if max_elements is None else max_elements
-    count = len(_labeled_elements(kind, host))
-    if count > cap:
-        raise ResourceLimitError(
-            f"instance has {count} labeled elements, above the cap of {cap}; "
-            f"refusing to search (this is not a negative answer)"
-        )
+    require_covering(host, family)
+    _check_size(kind, host, max_elements)
     start = family_lower_bound(kind, family) if start_k is None else start_k
     start = max(1, start)
     total_nodes = 0

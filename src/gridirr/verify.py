@@ -8,6 +8,15 @@ member weights are pairwise distinct.
 Weights are plain Python integers, so there is no overflow to guard
 against; magnitudes at the supported scales stay tiny anyway (at most
 k * (3mc - m - c) per member).
+
+A window family over its own :func:`gridirr.grid.make_grid` host (see
+:attr:`gridirr.covering.CoverFamily.window`) is weighed in one pass over
+the labels: a window's weight is the sum of c consecutive column sums
+(vertex and vertical-edge labels) and the c - 1 gap sums between them
+(horizontal-edge labels).  This gives exactly the generic path's profile,
+because both sum the same integers; labels on elements outside the host or
+of another kind are weighed by neither.  The generic path remains the
+reference for every other family.
 """
 
 from __future__ import annotations
@@ -16,8 +25,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .construct import Labeling, LabelingKind
-from .covering import CoverFamily, Subgraph, is_edge_covering
-from .errors import IncompleteLabelingError, MalformedFamilyError
+from .covering import CoverFamily, Subgraph, require_covering
+from .errors import IncompleteLabelingError
 from .grid import Edge, Element, Vertex, format_element
 
 WeightProfile = list[int]
@@ -94,17 +103,64 @@ def subgraph_weight(labeling: Labeling, member: Subgraph) -> int:
 
 def weight_profile(labeling: Labeling, family: CoverFamily) -> WeightProfile:
     """Member weights in family order."""
+    window = family.window
+    if window is not None:
+        profile = _window_profile(labeling, *window)
+        if profile is not None:
+            return profile
     return [subgraph_weight(labeling, member) for member in family.members]
 
 
+def _window_profile(
+    labeling: Labeling, m: int, c: int, n: int
+) -> Optional[WeightProfile]:
+    """Window weights from column and gap sums of the m-by-n grid, or None
+    when some element the kind weighs has no label (the generic path then
+    raises the error naming the first one)."""
+    weigh_vertices = labeling.kind is not LabelingKind.EDGE
+    weigh_edges = labeling.kind is not LabelingKind.VERTEX
+    columns = [0] * (n + 1)  # [j]: labels of column j's vertices and vertical edges
+    gaps = [0] * n  # [j]: labels of the horizontal edges from column j to j+1
+    found = 0
+    for element, label in labeling.labels.items():
+        if isinstance(element, Vertex):
+            if weigh_vertices and 1 <= element.i <= m and 1 <= element.j <= n:
+                columns[element.j] += label
+                found += 1
+        elif weigh_edges and isinstance(element, Edge):
+            (i, j), (p, q) = element.a, element.b
+            if not (1 <= i <= m and 1 <= j <= n):
+                continue
+            if q == j and p == i + 1 <= m:
+                columns[j] += label
+                found += 1
+            elif p == i and q == j + 1 <= n:
+                gaps[j] += label
+                found += 1
+    needed = (m * n if weigh_vertices else 0) + (
+        2 * m * n - m - n if weigh_edges else 0
+    )
+    if found < needed:
+        return None
+    weight = sum(columns[1 : c + 1]) + sum(gaps[1:c])
+    profile = [weight]
+    for l in range(1, n - c + 1):
+        weight += columns[l + c] - columns[l] + gaps[l + c - 1] - gaps[l]
+        profile.append(weight)
+    return profile
+
+
 def _first_range_violation(labeling: Labeling) -> Optional[RangeViolation]:
-    vertices = sorted(e for e in labeling.labels if isinstance(e, Vertex))
-    edges = sorted(e for e in labeling.labels if isinstance(e, Edge))
-    for element in [*vertices, *edges]:
-        label = labeling.labels[element]
-        if not 1 <= label <= labeling.k:
-            return RangeViolation(element=element, label=label, k=labeling.k)
-    return None
+    """The out-of-range label on the least element in canonical order
+    (vertices before edges), found by one scan; only violators are sorted."""
+    k = labeling.k
+    breaches = [e for e, label in labeling.labels.items() if not 1 <= label <= k]
+    vertices = [e for e in breaches if isinstance(e, Vertex)]
+    edges = [e for e in breaches if isinstance(e, Edge)]
+    if not vertices and not edges:
+        return None
+    element = min(vertices) if vertices else min(edges)
+    return RangeViolation(element=element, label=labeling.labels[element], k=k)
 
 
 def _first_collision(profile: WeightProfile) -> Optional[WeightCollision]:
@@ -131,13 +187,7 @@ def verify_irregular(labeling: Labeling, family: CoverFamily) -> Verdict:
     :class:`MalformedFamilyError` is raised (irregularity is undefined
     without a covering).
     """
-    check = is_edge_covering(family.host, family)
-    if not check.covers:
-        missed = check.uncovered[0]
-        raise MalformedFamilyError(
-            f"family does not cover the host: edge "
-            f"{format_element(missed)} belongs to no member"
-        )
+    require_covering(family.host, family)
     breach = _first_range_violation(labeling)
     if breach is not None:
         return Verdict(accepted=False, violation=breach)

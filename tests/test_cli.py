@@ -252,3 +252,26 @@ def test_malformed_labeling_json_exits_1(tmp_path, capsys):
     )
     assert code == 1
     assert "JSON" in stderr or "json" in stderr
+
+
+def test_bool_grid_size_in_family_file_exits_1(tmp_path, capsys):
+    # A 1x3 path covered by itself: were [true, 3] read as [1, 3], this
+    # family and labeling would verify and exit 0.
+    lab = tmp_path / "lab.json"
+    lab.write_text(json.dumps({
+        "kind": "vertex", "k": 1, "m": 1, "n": 3,
+        "labels": [{"element": {"v": [1, j]}, "label": 1} for j in (1, 2, 3)],
+    }))
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps({
+        "host": {"grid": [True, 3]},
+        "members": [{
+            "vertices": [[1, 1], [1, 2], [1, 3]],
+            "edges": [[[1, 1], [1, 2]], [[1, 2], [1, 3]]],
+        }],
+    }))
+    code, _, stderr = run(
+        capsys, "verify", "--labeling", str(lab), "--family", str(fam)
+    )
+    assert code == 1
+    assert "'grid' must be [m, n] with positive integers" in stderr

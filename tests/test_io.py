@@ -155,6 +155,9 @@ def test_graph_shorthand_parses():
         {"host": {"grid": [2, 3]}, "members": []},
         {"host": {"grid": [2, 3]}, "members": [{"vertices": []}]},
         {"host": {}, "members": [{"vertices": [], "edges": []}]},
+        # bools are not grid sizes, though Python counts them as ints
+        {"host": {"grid": [True, 3]},
+         "members": [{"vertices": [[1, 1]], "edges": []}]},
     ],
 )
 def test_malformed_family_files_rejected(data):

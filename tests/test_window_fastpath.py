@@ -1,0 +1,263 @@
+"""Window families over make_grid hosts against the generic path.
+
+``enumerate_windows`` over a ``make_grid`` host returns an implicit family:
+its covering check and weights come from (m, c, n) and column sums.  The
+same members as an explicit tuple take the generic path, which is the
+reference: every result must be equal, or both paths must raise the same
+exception with the same message.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import gridirr.covering
+from gridirr import (
+    CoverFamily,
+    Edge,
+    Graph,
+    GridSpec,
+    Labeling,
+    LabelingKind,
+    MalformedFamilyError,
+    RangeViolation,
+    TotalVariant,
+    Vertex,
+    construct_for_kind,
+    construct_total_labeling,
+    enumerate_windows,
+    is_edge_covering,
+    make_grid,
+    transpose,
+    verify_irregular,
+    weight_profile,
+    window_subgraph,
+)
+from gridirr.search import min_strength
+from strategies import scope_params
+
+
+def outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except Exception as exc:
+        return ("raised", type(exc), str(exc))
+
+
+def assert_same_results(labeling, implicit, explicit):
+    assert explicit.window is None
+    for fn in (weight_profile, verify_irregular):
+        assert outcome(fn, labeling, implicit) == outcome(fn, labeling, explicit)
+
+
+def column_one_element(kind, m):
+    """An element of the kind that lies in window 1 only."""
+    if kind is LabelingKind.EDGE:
+        return Edge(Vertex(1, 1), Vertex(2, 1))
+    return Vertex(m, 1)
+
+
+def stray_element(kind, m, n, which, rnd):
+    if which == "off_host_vertex":
+        return Vertex(m + 1, n)
+    if which == "off_host_edge":
+        return rnd.choice([
+            Edge(Vertex(1, n), Vertex(1, n + 1)),
+            Edge(Vertex(m, 1), Vertex(m + 1, 1)),
+        ])
+    if which == "diagonal_edge":
+        return Edge(Vertex(1, 1), Vertex(2, 2))
+    # wrong kind: an element the host has but this kind does not label
+    if kind is LabelingKind.VERTEX:
+        return Edge(Vertex(1, n - 1), Vertex(1, n))
+    if kind is LabelingKind.EDGE:
+        return Vertex(1, 1)
+    return Edge(Vertex(1, 1), Vertex(1, 3))  # total labels every host element
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    scope_params(max_m=4, max_c=6, max_n=40),
+    st.sampled_from(["vertex", "edge", "total", "as_printed"]),
+    st.sampled_from(
+        ["none", "zero", "over", "value", "collide", "delete",
+         "off_host_vertex", "off_host_edge", "diagonal_edge", "wrong_kind"]
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_window_family_matches_explicit_family(params, variant, change, rnd):
+    m, c, n = params
+    if variant == "as_printed":
+        labeling = construct_total_labeling(m, n, c, TotalVariant.AS_PRINTED)
+    else:
+        labeling = construct_for_kind(LabelingKind(variant), m, n, c)
+    kind, k = labeling.kind, labeling.k
+    elements = sorted(labeling.labels, key=repr)
+    target = rnd.choice(elements)
+    if change == "zero":
+        labeling = labeling.with_label(target, 0)
+    elif change == "over":
+        labeling = labeling.with_label(target, k + 1)
+    elif change == "value":
+        labeling = labeling.with_label(target, rnd.randint(1, k))
+    elif change == "collide":
+        # window 1 gains one: it meets window 2's weight, or leaves 1..k
+        element = column_one_element(kind, m)
+        labeling = labeling.with_label(element, labeling.label(element) + 1)
+    elif change == "delete":
+        labels = dict(labeling.labels)
+        del labels[target]
+        labeling = Labeling(kind=kind, k=k, labels=labels, m=m, n=n)
+    elif change != "none":
+        stray = stray_element(kind, m, n, change, rnd)
+        labeling = labeling.with_label(stray, rnd.choice([0, 1, k, k + 1]))
+
+    grid = make_grid(GridSpec(m, n))
+    implicit = enumerate_windows(grid, c)
+    assert implicit.window == (m, c, n)
+    explicit = CoverFamily(host=grid, members=tuple(implicit.members))
+    assert_same_results(labeling, implicit, explicit)
+
+
+def reference_range_violation(labeling):
+    """The sort-everything scan the linear one replaces."""
+    vertices = sorted(e for e in labeling.labels if isinstance(e, Vertex))
+    edges = sorted(e for e in labeling.labels if isinstance(e, Edge))
+    for element in [*vertices, *edges]:
+        label = labeling.labels[element]
+        if not 1 <= label <= labeling.k:
+            return RangeViolation(element=element, label=label, k=labeling.k)
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    scope_params(max_n=20),
+    st.sampled_from(list(LabelingKind)),
+    st.randoms(use_true_random=False),
+)
+def test_first_range_violation_matches_sorted_scan(params, kind, rnd):
+    m, c, n = params
+    labeling = construct_for_kind(kind, m, n, c)
+    elements = sorted(labeling.labels, key=repr)
+    for element in rnd.sample(elements, rnd.randint(0, 4)):
+        labeling = labeling.with_label(
+            element, rnd.choice([0, -3, labeling.k + 1, labeling.k + 7])
+        )
+    grid = make_grid(GridSpec(m, n))
+    verdict = verify_irregular(labeling, enumerate_windows(grid, c))
+    expected = reference_range_violation(labeling)
+    if expected is None:
+        assert not isinstance(verdict.violation, RangeViolation)
+    else:
+        assert verdict.violation == expected
+
+
+def test_transposed_and_hand_built_hosts_take_the_generic_path():
+    m, c, n = 3, 4, 9
+    grid = make_grid(GridSpec(m, n))
+    labeling = construct_for_kind(LabelingKind.TOTAL, m, n, c)
+    implicit = enumerate_windows(grid, c)
+    for host in (
+        transpose(make_grid(GridSpec(n, m))),
+        Graph(vertices=grid.vertices, edges=grid.edges),
+    ):
+        assert host == grid and host.spec is None
+        family = enumerate_windows(host, c)
+        assert family.window is None
+        assert family == implicit
+        assert_same_results(labeling, implicit, family)
+
+
+def test_truncated_and_reversed_families_take_the_generic_path():
+    grid = make_grid(GridSpec(2, 6))
+    implicit = enumerate_windows(grid, 3)
+    labeling = construct_for_kind(LabelingKind.EDGE, 2, 6, 3)
+    truncated = CoverFamily(host=grid, members=implicit.members[:-1])
+    reversed_ = CoverFamily(host=grid, members=tuple(reversed(implicit.members)))
+    assert truncated.window is None and reversed_.window is None
+    assert not is_edge_covering(grid, truncated).covers
+    with pytest.raises(MalformedFamilyError, match="belongs to no member"):
+        verify_irregular(labeling, truncated)
+    assert weight_profile(labeling, reversed_) == list(
+        reversed(weight_profile(labeling, implicit))
+    )
+    # the window members of a 2-row grid do not cover a 3-row host
+    taller = make_grid(GridSpec(3, 6))
+    borrowed = CoverFamily(host=taller, members=implicit.members)
+    assert borrowed.window is None
+    with pytest.raises(MalformedFamilyError, match="belongs to no member"):
+        verify_irregular(labeling, borrowed)
+
+
+def test_covering_is_checked_generically_against_another_host():
+    grid = make_grid(GridSpec(2, 5))
+    family = enumerate_windows(grid, 2)
+    other = make_grid(GridSpec(2, 5))  # equal, but not the family's host
+    assert is_edge_covering(other, family) == is_edge_covering(
+        other, CoverFamily(host=grid, members=tuple(family.members))
+    )
+    with pytest.raises(MalformedFamilyError, match="not in the host"):
+        is_edge_covering(make_grid(GridSpec(2, 4)), family)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Count window Subgraphs built through the covering module."""
+    count = []
+
+    def counting(m, c, l):
+        count.append(l)
+        return window_subgraph(m, c, l)
+
+    monkeypatch.setattr(gridirr.covering, "window_subgraph", counting)
+    return count
+
+
+def test_counting_and_verifying_build_no_member(builds):
+    grid = make_grid(GridSpec(3, 12))
+    family = enumerate_windows(grid, 4)
+    assert len(family.members) == 9 and family.t == 9
+    assert is_edge_covering(grid, family).covers
+    labeling = construct_for_kind(LabelingKind.TOTAL, 3, 12, 4)
+    assert verify_irregular(labeling, family).accepted
+    assert builds == []
+
+
+def test_members_behave_as_their_tuple_and_build_once(builds):
+    m, c, n = 2, 3, 8
+    family = enumerate_windows(make_grid(GridSpec(m, n)), c)
+    members = family.members
+    expected = tuple(window_subgraph(m, c, l) for l in range(1, n - c + 2))
+    assert members[-1] == expected[-1] and members[2] == expected[2]
+    assert members[1:4] == expected[1:4] and isinstance(members[1:4], tuple)
+    assert members == expected and expected == members
+    for m2, c2, n2 in ((m, c, n + 1), (m, c + 1, n), (m + 1, c, n)):
+        other = enumerate_windows(make_grid(GridSpec(m2, n2)), c2)
+        assert members != other.members
+    assert list(reversed(members)) == list(reversed(expected))
+    assert hash(members) == hash(expected)
+    with pytest.raises(IndexError):
+        members[len(expected)]
+    list(members)
+    assert sorted(builds) == list(range(1, n - c + 2))
+
+
+def test_make_grid_records_its_spec_outside_equality():
+    spec = GridSpec(2, 4)
+    grid = make_grid(spec)
+    assert grid.spec == spec
+    plain = Graph(vertices=grid.vertices, edges=grid.edges)
+    assert plain.spec is None
+    assert plain == grid and hash(plain) == hash(grid)
+    with pytest.raises(TypeError):
+        Graph(vertices=grid.vertices, edges=grid.edges, spec=spec)
+
+
+def test_search_on_window_family_is_unchanged():
+    grid = make_grid(GridSpec(2, 5))
+    implicit = enumerate_windows(grid, 2)
+    explicit = CoverFamily(host=grid, members=tuple(implicit.members))
+    for kind in LabelingKind:
+        fast = min_strength(grid, implicit, kind, k_max=3, start_k=1)
+        slow = min_strength(grid, explicit, kind, k_max=3, start_k=1)
+        assert fast == slow
