@@ -11,19 +11,26 @@ witness found is the lexicographically smallest label vector and identical
 inputs always yield identical results.  A branch is cut as soon as two
 members whose elements are all assigned carry equal weights; window
 families complete left to right, which makes the cut bite early.
+
+The search runs on integer tables built once per call (:func:`_prepare`).
+A member is complete exactly when its last position is labeled, so
+checking only the members that position finishes cuts the same branches
+at the same nodes as counting unlabeled elements; ``nodes_explored`` is
+unchanged.  Completed weights stay pairwise distinct, so one byte per
+weight marks them; the walk keeps a label per position, not a frame.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 from .construct import Labeling, LabelingKind, ceil_div
-from .covering import CoverFamily, require_covering
+from .covering import CoverFamily, Subgraph, require_covering
 from .errors import InvalidParameterError, ResourceLimitError
 from .grid import Element, Graph, grid_dims
-from .verify import _relevant_elements, verify_irregular
+from .verify import verify_irregular
 
 DEFAULT_MAX_ELEMENTS = 24
 MAX_ELEMENTS_ENV_VAR = "GRIDIRR_ORACLE_MAX_ELEMENTS"
@@ -61,12 +68,22 @@ def configured_max_elements() -> int:
     return value
 
 
-def _labeled_elements(kind: LabelingKind, host: Graph) -> list[Element]:
+def _parts(kind: LabelingKind, graph: Union[Graph, Subgraph]) -> tuple:
+    """The element sets of a host or member that the kind labels."""
     if kind is LabelingKind.VERTEX:
-        return list(host.sorted_vertices())
+        return (graph.vertices,)
     if kind is LabelingKind.EDGE:
-        return list(host.sorted_edges())
-    return list(host.sorted_vertices()) + list(host.sorted_edges())
+        return (graph.edges,)
+    return (graph.vertices, graph.edges)
+
+
+def _require_positive(what: str, value: object) -> None:
+    """The one check of the integer parameters: bools, other non-integers
+    and values below 1 are invalid, never clamped or read as a limit hit."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidParameterError(f"{what} must be an integer, got {value!r}")
+    if value < 1:
+        raise InvalidParameterError(f"{what} must be >= 1, got {value}")
 
 
 def _check_size(
@@ -74,7 +91,7 @@ def _check_size(
 ) -> None:
     """Refuse instances with more labeled elements than the size cap."""
     cap = configured_max_elements() if max_elements is None else max_elements
-    count = len(_labeled_elements(kind, host))
+    count = sum(map(len, _parts(kind, host)))
     if count > cap:
         raise ResourceLimitError(
             f"instance has {count} labeled elements, above the cap of {cap}; "
@@ -82,87 +99,68 @@ def _check_size(
         )
 
 
-def _search(
-    host: Graph, family: CoverFamily, kind: LabelingKind, k: int
-) -> tuple[Optional[dict[Element, int]], int]:
+def _prepare(host: Graph, family: CoverFamily, kind: LabelingKind) -> tuple:
+    """Integer tables of one instance, shared by every budget k:
+    (elements, touch, finish, members, largest, empty).
+
+    Position p stands for ``elements[p]``, in canonical order.  ``touch[p]``
+    holds the members containing it and ``finish[p]`` the members whose
+    last position it is, both in member order.  ``largest`` is the most
+    relevant elements in one member; ``empty`` counts members with none.
+    """
+    elements = [e for part in _parts(kind, host) for e in sorted(part)]
+    index = {e: pos for pos, e in enumerate(elements)}
+    touch, finish = [[] for _ in elements], [[] for _ in elements]
+    largest = empty = 0
+    for mi, member in enumerate(family.members):
+        positions = [index[e] for part in _parts(kind, member) for e in part]
+        if not positions:
+            empty += 1
+            continue
+        for pos in positions:
+            touch[pos].append(mi)
+        finish[max(positions)].append(mi)
+        largest = max(largest, len(positions))
+    touch, finish = [tuple(mis) for mis in touch], [tuple(mis) for mis in finish]
+    return elements, touch, finish, len(family.members), largest, empty
+
+
+def _search(tables: tuple, k: int) -> tuple[Optional[dict[Element, int]], int]:
     """Backtracking core: (lex-least valid assignment or None, node count)."""
-    elements = _labeled_elements(kind, host)
-    member_elements = [
-        set(_relevant_elements(kind, member)) for member in family.members
-    ]
-    touching: dict[Element, list[int]] = {e: [] for e in elements}
-    for mi, elems in enumerate(member_elements):
-        for e in elems:
-            touching[e].append(mi)
-
-    remaining = [len(elems) for elems in member_elements]
-    weight = [0] * len(family.members)
-    completed: dict[int, int] = {}
-
-    # Members with no relevant elements are complete (weight 0) up front;
-    # two of them collide at every budget.
-    for mi, count in enumerate(remaining):
-        if count == 0:
-            if 0 in completed:
-                return None, 0
-            completed[0] = completed.get(0, 0) + 1
-
-    nodes = 0
-
-    def assign(e: Element, label: int) -> Optional[list[int]]:
-        """Apply one assignment; return newly completed members, or None
-        on a weight collision (with all bookkeeping rolled back)."""
-        finished: list[int] = []
-        for mi in touching[e]:
-            weight[mi] += label
-            remaining[mi] -= 1
-            if remaining[mi] == 0:
-                finished.append(mi)
-        for pos, mi in enumerate(finished):
-            w = weight[mi]
-            if completed.get(w, 0) > 0:
-                for done in finished[:pos]:
-                    rollback_completed(done)
-                unassign(e, label)
-                return None
-            completed[w] = completed.get(w, 0) + 1
-        return finished
-
-    def rollback_completed(mi: int) -> None:
-        w = weight[mi]
-        completed[w] -= 1
-        if completed[w] == 0:
-            del completed[w]
-
-    def unassign(e: Element, label: int) -> None:
-        for mi in touching[e]:
-            weight[mi] -= label
-            remaining[mi] += 1
-
-    assignment: dict[Element, int] = {}
-
-    def backtrack(pos: int) -> bool:
-        nonlocal nodes
-        if pos == len(elements):
-            return True
-        e = elements[pos]
-        for label in range(1, k + 1):
-            nodes += 1
-            finished = assign(e, label)
-            if finished is None:
-                continue
-            assignment[e] = label
-            if backtrack(pos + 1):
-                return True
-            del assignment[e]
-            for mi in finished:
-                rollback_completed(mi)
-            unassign(e, label)
-        return False
-
-    if backtrack(0):
-        return dict(assignment), nodes
-    return None, nodes
+    elements, touch, finish, members, largest, empty = tables
+    if empty > 1:  # two weight-0 members collide at every budget; one alone
+        return None, 0  # never does, as every other weight is at least 1
+    size = len(elements)
+    weight = [0] * members
+    taken = bytearray(largest * k + 1)  # taken[w]: some completed weight is w
+    labels = [0] * size  # labels[pos]: the label tried last, 0 for none
+    nodes = pos = 0
+    while pos < size:
+        label = labels[pos]
+        if label == k:  # exhausted: clear it, then undo the position before
+            labels[pos] = 0
+            for mi in touch[pos]:
+                weight[mi] -= k
+            pos -= 1
+            if pos < 0:
+                return None, nodes
+            for mi in finish[pos]:
+                taken[weight[mi]] = 0
+            continue
+        labels[pos] = label + 1
+        nodes += 1
+        for mi in touch[pos]:
+            weight[mi] += 1
+        done = finish[pos]
+        for marked, mi in enumerate(done):
+            if taken[weight[mi]]:  # collision: cut, unmark this node's marks
+                for mj in done[:marked]:
+                    taken[weight[mj]] = 0
+                break
+            taken[weight[mi]] = 1
+        else:
+            pos += 1
+    return dict(zip(elements, labels)), nodes
 
 
 def exists_irregular(
@@ -179,11 +177,12 @@ def exists_irregular(
     elements than the size cap, and :class:`MalformedFamilyError` when the
     family does not cover the host.
     """
-    if k < 1:
-        raise InvalidParameterError(f"budget must be >= 1, got {k}")
+    _require_positive("budget", k)
+    if max_elements is not None:
+        _require_positive("element cap", max_elements)
     require_covering(host, family)
     _check_size(kind, host, max_elements)
-    assignment, _ = _search(host, family, kind, k)
+    assignment, _ = _search(_prepare(host, family, kind), k)
     if assignment is None:
         return None
     return _as_verified_labeling(host, family, kind, k, assignment)
@@ -215,9 +214,7 @@ def family_lower_bound(kind: LabelingKind, family: CoverFamily) -> int:
     For families with equal-sized members this is exactly the
     :func:`gridirr.bounds.lower_bound` value.
     """
-    counts = [
-        len(_relevant_elements(kind, member)) for member in family.members
-    ]
+    counts = [sum(map(len, _parts(kind, m))) for m in family.members]
     t = len(counts)
     if t <= 1:
         return 1
@@ -241,15 +238,17 @@ def min_strength(
     skipped; pass ``start_k`` to disable the skip and search them anyway
     (the searches come back empty, which is itself a useful check).
     """
-    if k_max < 1:
-        raise InvalidParameterError(f"budget cap must be >= 1, got {k_max}")
+    _require_positive("budget cap", k_max)
+    for what, value in (("start budget", start_k), ("element cap", max_elements)):
+        if value is not None:
+            _require_positive(what, value)
     require_covering(host, family)
     _check_size(kind, host, max_elements)
     start = family_lower_bound(kind, family) if start_k is None else start_k
-    start = max(1, start)
+    tables = _prepare(host, family, kind)
     total_nodes = 0
     for k in range(start, k_max + 1):
-        assignment, nodes = _search(host, family, kind, k)
+        assignment, nodes = _search(tables, k)
         total_nodes += nodes
         if assignment is not None:
             witness = _as_verified_labeling(host, family, kind, k, assignment)

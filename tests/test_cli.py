@@ -132,6 +132,17 @@ def test_size_cap_env_override(capsys, monkeypatch):
     assert "cap" in stderr
 
 
+def test_oracle_runs_deeper_than_the_recursion_limit(capsys, monkeypatch):
+    # 1,200 labeled elements: a search one frame per element would overflow
+    monkeypatch.setenv("GRIDIRR_ORACLE_MAX_ELEMENTS", "2000")
+    code, stdout, stderr = run(
+        capsys, "strength", "--kind", "vertex", "-m", "2", "-c", "600",
+        "-n", "600", "--oracle",
+    )
+    assert code == 0, stderr
+    assert "oracle_k=1" in stdout.splitlines()
+
+
 def test_sweep_is_byte_identical(tmp_path, capsys):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"

@@ -4,16 +4,20 @@ import pytest
 
 from gridirr import (
     CoverFamily,
+    Edge,
     GridSpec,
+    InvalidParameterError,
     Labeling,
     LabelingKind,
     MalformedFamilyError,
     ResourceLimitError,
     Subgraph,
+    Vertex,
     closed_form_strength,
     enumerate_windows,
     exists_irregular,
     family_lower_bound,
+    graph_from_elements,
     lower_bound,
     make_grid,
     min_strength,
@@ -187,3 +191,146 @@ def test_nodes_explored_accumulates():
     full = min_strength(host, fam, LabelingKind.VERTEX, k_max=2, start_k=1)
     assert full.nodes_explored > skip.nodes_explored
     assert full.minimal_k == skip.minimal_k == 2
+
+
+def reversed_family(family):
+    return CoverFamily(host=family.host, members=tuple(reversed(family.members)))
+
+
+# nodes_explored from k=1 to the closed form; these pin the search tree
+# (element order, label order and cut rule), not just its answer
+@pytest.mark.parametrize(
+    "kind,m,c,n,reverse,nodes",
+    [
+        (LabelingKind.VERTEX, 2, 2, 8, False, 11_307),
+        (LabelingKind.VERTEX, 2, 3, 10, False, 89_598),
+        (LabelingKind.EDGE, 2, 2, 6, False, 249),
+        (LabelingKind.EDGE, 2, 2, 7, False, 174_997),
+        (LabelingKind.TOTAL, 2, 3, 5, False, 47),
+        (LabelingKind.VERTEX, 2, 2, 8, True, 11_307),
+        (LabelingKind.EDGE, 2, 2, 6, True, 249),
+    ],
+)
+def test_search_tree_size_is_pinned(kind, m, c, n, reverse, nodes):
+    host = make_grid(GridSpec(m, n))
+    family = enumerate_windows(host, c)
+    if reverse:
+        family = reversed_family(family)
+    cf = closed_form_strength(kind, m, n, c)
+    result = min_strength(host, family, kind, k_max=cf, start_k=1)
+    assert result.minimal_k == cf
+    assert result.nodes_explored == nodes
+
+
+def hand_built_family():
+    """A non-grid host (a 5-cycle in one row) and an explicit covering in
+    which one member has no vertex and another no edge.  At k=2 it has no
+    vertex or edge witness, and a total witness that is not all ones."""
+    v = [Vertex(1, j) for j in range(1, 6)]
+    e = [Edge(v[i], v[(i + 1) % 5]) for i in range(5)]
+
+    def member(vs, es):
+        return Subgraph(
+            vertices=frozenset(v[i] for i in vs),
+            edges=frozenset(e[i] for i in es),
+        )
+
+    members = (
+        member([0, 1, 2], [0]),
+        member([2, 3], [1]),
+        member([3, 4], [2]),
+        member([0], [3]),
+        member([], [4, 0]),
+        member([1, 4], []),
+    )
+    return CoverFamily(host=graph_from_elements(v, e), members=members)
+
+
+# recorded like the grid counts above; vertex position 4 finishes two
+# members, so a cut there must unmark the weight the first one marked
+@pytest.mark.parametrize(
+    "kind,minimal_k,nodes",
+    [
+        (LabelingKind.VERTEX, 3, 89),
+        (LabelingKind.EDGE, 4, 217),
+        (LabelingKind.TOTAL, 2, 276),
+    ],
+)
+def test_hand_built_search_tree_is_pinned(kind, minimal_k, nodes):
+    family = hand_built_family()
+    result = min_strength(family.host, family, kind, k_max=4, start_k=1)
+    assert result.minimal_k == minimal_k
+    assert result.nodes_explored == nodes
+
+
+def test_two_members_without_relevant_elements_collide_at_every_budget():
+    host = make_grid(GridSpec(2, 2))
+    family = CoverFamily(
+        host=host,
+        members=(
+            Subgraph(vertices=host.vertices, edges=frozenset()),
+            Subgraph(vertices=frozenset(), edges=host.edges),
+            Subgraph(vertices=frozenset([Vertex(1, 1)]), edges=frozenset()),
+        ),
+    )
+    kind = LabelingKind.EDGE
+    result = min_strength(host, family, kind, k_max=3, start_k=1)
+    assert (result.minimal_k, result.nodes_explored) == (None, 0)
+    assert brute_force_exists(host, family, kind, 2) is None
+
+
+def differential_cases():
+    for kind, n_max in (
+        (LabelingKind.VERTEX, 4),
+        (LabelingKind.EDGE, 4),
+        (LabelingKind.TOTAL, 3),
+    ):
+        for n in range(2, n_max + 1):
+            for c in range(2, n + 1):
+                family = enumerate_windows(make_grid(GridSpec(2, n)), c)
+                yield kind, family
+                yield kind, reversed_family(family)
+        yield kind, hand_built_family()
+
+
+def test_witness_or_none_equals_brute_force():
+    for kind, family in differential_cases():
+        for k in (1, 2):
+            ours = exists_irregular(family.host, family, kind, k)
+            reference = brute_force_exists(family.host, family, kind, k)
+            if reference is None:
+                assert ours is None, (kind, family, k)
+            else:
+                assert ours is not None and ours.labels == reference.labels
+
+
+@pytest.mark.parametrize("bad", [True, False, 0, -5, 1.0, "2"])
+def test_integer_parameters_are_validated(bad):
+    host = make_grid(GridSpec(2, 3))
+    fam = enumerate_windows(host, 2)
+    kind = LabelingKind.VERTEX
+    calls = [
+        lambda: exists_irregular(host, fam, kind, bad),
+        lambda: exists_irregular(host, fam, kind, 2, max_elements=bad),
+        lambda: min_strength(host, fam, kind, k_max=bad),
+        lambda: min_strength(host, fam, kind, k_max=2, start_k=bad),
+        lambda: min_strength(host, fam, kind, k_max=2, max_elements=bad),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidParameterError):
+            call()
+
+
+def test_parameter_messages():
+    host = make_grid(GridSpec(2, 3))
+    fam = enumerate_windows(host, 2)
+    kind = LabelingKind.VERTEX
+    with pytest.raises(InvalidParameterError, match=r"^budget must be >= 1, got 0$"):
+        exists_irregular(host, fam, kind, 0)
+    with pytest.raises(InvalidParameterError, match=r"^budget cap must be >= 1, got 0$"):
+        min_strength(host, fam, kind, k_max=0)
+    with pytest.raises(InvalidParameterError, match="start budget must be an integer, got True"):
+        min_strength(host, fam, kind, k_max=2, start_k=True)
+    # a zero cap is a bad argument (exit 1), not a limit hit (exit 3)
+    with pytest.raises(InvalidParameterError, match="element cap must be >= 1"):
+        min_strength(host, fam, kind, k_max=2, max_elements=0)
