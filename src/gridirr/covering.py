@@ -8,15 +8,22 @@ enumerated windows.
 The family :func:`enumerate_windows` returns over a :func:`make_grid` host
 is implicit: it keeps (m, c, n) and builds a window's element sets only
 when a caller asks for that member.  Its covering check is answered from
-(m, c, n), and :mod:`gridirr.verify` weighs it from column sums.  Every
-other family, including truncated, reordered or loaded copies of a window
-family, is explicit and takes the generic paths, which stay the reference.
+(m, c, n), and :mod:`gridirr.verify` weighs it from column sums.
+
+Every other family is explicit: truncated, reordered, loaded and
+hand-built families alike.  An explicit family's members are sorted tuples
+of indices into its host's :attr:`~gridirr.grid.Graph.elements`
+(:attr:`CoverFamily.indices`).  A loaded family arrives in that form
+(:class:`IndexedMembers`); a tuple of :class:`Subgraph` is indexed once,
+on first need.  The covering check marks covered edges by index.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 from .errors import MalformedFamilyError
@@ -24,6 +31,7 @@ from .grid import (
     Edge,
     Graph,
     Vertex,
+    element_key,
     format_element,
     grid_dims,
     require_window_scope,
@@ -44,19 +52,14 @@ class Subgraph:
         return sorted(self.edges)
 
 
-class WindowMembers(Sequence):
-    """The n - c + 1 width-c windows of an m-row, n-column grid, in order.
+class _LazyMembers(Sequence):
+    """A read-only sequence standing for a tuple of :class:`Subgraph`:
+    length, indexing, slicing (which returns a tuple), iteration and
+    equality behave as on that tuple.  A member is built on first access,
+    by the subclass's ``_build(pos)``, and kept: at most once per object."""
 
-    A read-only sequence standing for the tuple of
-    ``window_subgraph(m, c, l)`` for l = 1 .. n - c + 1: length, indexing,
-    slicing (which returns a tuple), iteration and equality behave as on
-    that tuple.  Taking the length builds nothing; a window is built on
-    first access and kept, so at most once per object.
-    """
-
-    def __init__(self, m: int, c: int, n: int) -> None:
-        self.m, self.c, self.n = m, c, n
-        self._built: list[Optional[Subgraph]] = [None] * (n - c + 1)
+    def __init__(self, count: int) -> None:
+        self._built: list[Optional[Subgraph]] = [None] * count
 
     def __len__(self) -> int:
         return len(self._built)
@@ -69,23 +72,58 @@ class WindowMembers(Sequence):
         pos = range(len(self))[index]  # normalizes negatives, checks bounds
         member = self._built[pos]
         if member is None:
-            member = window_subgraph(self.m, self.c, pos + 1)
+            member = self._build(pos)
             self._built[pos] = member
         return member
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, WindowMembers):
-            # Windows of different shapes differ as element sets.
-            return (self.m, self.c, self.n) == (other.m, other.c, other.n)
-        if isinstance(other, tuple):
-            return tuple(self) == other
+        if isinstance(other, (tuple, _LazyMembers)):
+            return tuple(self) == tuple(other)
         return NotImplemented
 
     def __hash__(self) -> int:
         return hash(tuple(self))
 
+
+class WindowMembers(_LazyMembers):
+    """The n - c + 1 width-c windows of an m-row, n-column grid, in order:
+    ``window_subgraph(m, c, l)`` for l = 1 .. n - c + 1.  Taking the length
+    builds nothing."""
+
+    def __init__(self, m: int, c: int, n: int) -> None:
+        self.m, self.c, self.n = m, c, n
+        super().__init__(n - c + 1)
+
+    def _build(self, pos: int) -> Subgraph:
+        return window_subgraph(self.m, self.c, pos + 1)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, WindowMembers):
+            # Windows of different shapes differ as element sets.
+            return (self.m, self.c, self.n) == (other.m, other.c, other.n)
+        return super().__eq__(other)
+
+    __hash__ = _LazyMembers.__hash__
+
     def __repr__(self) -> str:
         return f"WindowMembers(m={self.m}, c={self.c}, n={self.n})"
+
+
+class IndexedMembers(_LazyMembers):
+    """Members as sorted tuples of indices into ``host.elements``, the
+    form the family loader makes."""
+
+    def __init__(self, host: Graph, indices: tuple[tuple[int, ...], ...]) -> None:
+        self.host, self.indices = host, indices
+        super().__init__(len(indices))
+
+    def _build(self, pos: int) -> Subgraph:
+        elements, member = self.host.elements, self.indices[pos]
+        split = bisect_left(member, len(self.host.vertices))
+        return Subgraph(
+            vertices=frozenset(map(elements.__getitem__, member[:split])),
+            edges=frozenset(map(elements.__getitem__, member[split:])),
+        )
 
 
 @dataclass(frozen=True)
@@ -102,11 +140,13 @@ class CoverFamily:
     members: Sequence[Subgraph]
 
     def __post_init__(self) -> None:
-        if not self.members:
+        members = self.members
+        if not members:
             raise MalformedFamilyError("a covering family needs >= 1 member")
-        if isinstance(self.members, WindowMembers):
+        if isinstance(members, WindowMembers):
             return  # distinct by construction; checking would build them all
-        if len(set(self.members)) != len(self.members):
+        keys = members.indices if isinstance(members, IndexedMembers) else members
+        if len(set(keys)) != len(keys):
             raise MalformedFamilyError(
                 "family members must be pairwise distinct element sets"
             )
@@ -127,6 +167,41 @@ class CoverFamily:
         ):
             return members.m, members.c, members.n
         return None
+
+    @cached_property
+    def indices(self) -> tuple[tuple[int, ...], ...]:
+        """:func:`index_members` of the host, computed once."""
+        members = self.members
+        if isinstance(members, IndexedMembers) and members.host is self.host:
+            return members.indices
+        return index_members(self.host, members)
+
+
+def index_members(
+    host: Graph, members: Sequence[Subgraph]
+) -> tuple[tuple[int, ...], ...]:
+    """Each member's elements as sorted indices into ``host.elements``.
+
+    A member with an element outside the host raises
+    :class:`MalformedFamilyError`, naming the first such member and, in
+    it, the least such vertex, or else the least such edge.
+    """
+    index = host.index
+    out = []
+    for pos, member in enumerate(members, start=1):
+        found = [index.get(element_key(e)) for e in (*member.vertices, *member.edges)]
+        if None in found:
+            outside = [v for v in member.vertices if v not in index] or [
+                e for e in member.edges if element_key(e) not in index
+            ]
+            element = min(outside)
+            what = "vertex" if isinstance(element, Vertex) else "edge"
+            raise MalformedFamilyError(
+                f"member {pos} contains {what} {format_element(element)} "
+                f"not in the host"
+            )
+        out.append(tuple(sorted(found)))
+    return tuple(out)
 
 
 def window_subgraph(m: int, c: int, l: int) -> Subgraph:
@@ -178,28 +253,26 @@ def is_edge_covering(host: Graph, family: CoverFamily) -> CoveringCheck:
     """Decide whether the family's edge sets jointly cover the host's.
 
     Raises :class:`MalformedFamilyError` if any member contains an element
-    absent from the host.  A window family checked against its own host
-    covers it by construction, which is answered without building members.
+    absent from the host (see :func:`index_members`).  A window family
+    checked against its own host covers it by construction, which is
+    answered without building members.
     """
-    if host is family.host and family.window is not None:
+    if host is not family.host:
+        indices = index_members(host, family.members)
+    elif family.window is not None:
         return CoveringCheck(covers=True, uncovered=())
-    for idx, member in enumerate(family.members, start=1):
-        for v in member.vertices:
-            if v not in host.vertices:
-                raise MalformedFamilyError(
-                    f"member {idx} contains vertex {format_element(v)} "
-                    f"not in the host"
-                )
-        for e in member.edges:
-            if e not in host.edges:
-                raise MalformedFamilyError(
-                    f"member {idx} contains edge {format_element(e)} "
-                    f"not in the host"
-                )
-    covered: set[Edge] = set()
-    for member in family.members:
-        covered.update(member.edges)
-    uncovered = tuple(sorted(host.edges - covered))
+    else:
+        indices = family.indices
+    elements, first_edge = host.elements, len(host.vertices)
+    covered = bytearray(len(elements))
+    for member in indices:
+        for pos in member[bisect_left(member, first_edge) :]:
+            covered[pos] = 1
+    uncovered = tuple(
+        elements[pos]
+        for pos in range(first_edge, len(elements))
+        if not covered[pos]
+    )
     return CoveringCheck(covers=not uncovered, uncovered=uncovered)
 
 

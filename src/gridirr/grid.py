@@ -14,6 +14,7 @@ user-supplied hosts round-trip unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import InvalidEdgeError, InvalidParameterError, ScopeError
@@ -57,6 +58,12 @@ class Edge:
 Element = Union[Vertex, Edge]
 
 
+def element_key(element: Element) -> tuple:
+    """Hashable key of an element, equal to that of its plain coordinates:
+    (i, j) for a vertex, ((i, j), (p, q)) for an edge, endpoints in order."""
+    return (element.a, element.b) if isinstance(element, Edge) else element
+
+
 def format_element(element: Element) -> str:
     """Compact rendering: ``(i,j)`` for vertices, ``(i,j)-(i,j)`` for edges."""
     if isinstance(element, Vertex):
@@ -89,6 +96,10 @@ class Graph:
     ``spec`` is set only by :func:`make_grid`, so a graph that carries one
     is exactly that full grid; hand-built and transposed graphs carry None
     even when they equal a grid.  It takes no part in equality or hashing.
+
+    Every element has one integer index, its position in :attr:`elements`
+    (vertices row-major, then edges in canonical order); :attr:`index`
+    maps element keys back to it.
     """
 
     vertices: frozenset[Vertex]
@@ -97,11 +108,23 @@ class Graph:
         default=None, init=False, repr=False, compare=False
     )
 
+    @cached_property
+    def elements(self) -> tuple[Element, ...]:
+        """All elements in canonical order: sorted vertices, sorted edges."""
+        return (*sorted(self.vertices), *sorted(self.edges))
+
+    @cached_property
+    def index(self) -> dict:
+        """Element key -> index in :attr:`elements`.  A vertex's key is its
+        (i, j) pair, an edge's the pair of its endpoints' pairs, so keys can
+        be looked up from plain coordinates without building elements."""
+        return {element_key(e): pos for pos, e in enumerate(self.elements)}
+
     def sorted_vertices(self) -> list[Vertex]:
-        return sorted(self.vertices)
+        return list(self.elements[: len(self.vertices)])
 
     def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
+        return list(self.elements[len(self.vertices) :])
 
     def degree(self, v: Vertex) -> int:
         return sum(1 for e in self.edges if v in e.endpoints())
@@ -128,18 +151,22 @@ def make_grid(spec: GridSpec) -> Graph:
     (i, j)-(i+1, j) for i < m, horizontal edges (i, j)-(i, j+1) for j < n.
     The graph records ``spec``, which lets window families over it take
     the fast paths in :mod:`gridirr.covering` and :mod:`gridirr.verify`.
+    Edges are made in canonical order, which gives :attr:`Graph.elements`
+    without sorting: from each vertex in row-major order, the horizontal
+    edge (whose far end sorts first), then the vertical one.
     """
     m, n = spec.m, spec.n
     vertices = [Vertex(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
     edges: list[Edge] = []
-    for i in range(1, m):
-        for j in range(1, n + 1):
-            edges.append(Edge(Vertex(i, j), Vertex(i + 1, j)))
-    for i in range(1, m + 1):
-        for j in range(1, n):
-            edges.append(Edge(Vertex(i, j), Vertex(i, j + 1)))
+    for v in vertices:
+        i, j = v
+        if j < n:
+            edges.append(Edge(v, Vertex(i, j + 1)))
+        if i < m:
+            edges.append(Edge(v, Vertex(i + 1, j)))
     graph = Graph(vertices=frozenset(vertices), edges=frozenset(edges))
     object.__setattr__(graph, "spec", spec)
+    object.__setattr__(graph, "elements", (*vertices, *edges))
     return graph
 
 

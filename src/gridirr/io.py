@@ -33,6 +33,14 @@ Family files::
     vertex ids in the same (i, j) scheme, conventionally in a single row
     (i = 1, j = ordinal).
 
+    Members are loaded as sorted index tuples into the host's canonical
+    element order (:class:`gridirr.covering.IndexedMembers`): each
+    coordinate goes straight to its index through ``host.index``, and no
+    element object is built per occurrence.  A member naming an element
+    outside the host keeps it: such a file loads as a family of
+    :class:`~gridirr.covering.Subgraph` members, and the covering check
+    reports the element.
+
 DOT output is export-only (never parsed back): element labels become
 ``label`` attributes; anything else rides in comments.
 """
@@ -43,10 +51,11 @@ import json
 from typing import Any, IO, Optional
 
 from .construct import Labeling, LabelingKind
-from .covering import CoverFamily, Subgraph
+from .covering import CoverFamily, IndexedMembers, Subgraph
 from .errors import FormatError
 from .grid import (
     Edge,
+    Element,
     Graph,
     GridSpec,
     Vertex,
@@ -66,9 +75,9 @@ def _edge_to_json(e: Edge) -> list[list[int]]:
 
 def _vertex_from_json(data: Any, where: str) -> Vertex:
     if (
-        not isinstance(data, list)
+        type(data) is not list
         or len(data) != 2
-        or not all(isinstance(x, int) and not isinstance(x, bool) for x in data)
+        or not all(type(x) is int for x in data)  # bools are not indices
     ):
         raise FormatError(f"{where}: expected a vertex as [i, j], got {data!r}")
     if data[0] < 1 or data[1] < 1:
@@ -77,7 +86,7 @@ def _vertex_from_json(data: Any, where: str) -> Vertex:
 
 
 def _edge_from_json(data: Any, where: str) -> Edge:
-    if not isinstance(data, list) or len(data) != 2:
+    if type(data) is not list or len(data) != 2:
         raise FormatError(
             f"{where}: expected an edge as [[i, j], [i, j]], got {data!r}"
         )
@@ -206,13 +215,19 @@ def graph_from_json_dict(data: Any, where: str = "host") -> Graph:
         )
     vertices = [
         _vertex_from_json(v, f"{where}.vertices[{i}]")
-        for i, v in enumerate(data["vertices"])
+        for i, v in enumerate(_json_list(data["vertices"], f"{where}.vertices"))
     ]
     edges = [
         _edge_from_json(e, f"{where}.edges[{i}]")
-        for i, e in enumerate(data["edges"])
+        for i, e in enumerate(_json_list(data["edges"], f"{where}.edges"))
     ]
     return graph_from_elements(vertices, edges)
+
+
+def _json_list(data: Any, where: str) -> list:
+    if type(data) is not list:
+        raise FormatError(f"{where}: expected a list")
+    return data
 
 
 def family_to_json_dict(family: CoverFamily) -> dict[str, Any]:
@@ -237,27 +252,59 @@ def family_from_json_dict(data: Any) -> CoverFamily:
     host = graph_from_json_dict(data["host"])
     if not isinstance(data["members"], list) or not data["members"]:
         raise FormatError("'members' must be a nonempty list")
-    members = []
+    index = host.index
+    indices, outside = [], []
     for pos, raw in enumerate(data["members"]):
-        where = f"members[{pos}]"
-        if (
-            not isinstance(raw, dict)
-            or "vertices" not in raw
-            or "edges" not in raw
-        ):
-            raise FormatError(
-                f"{where}: expected 'vertices' and 'edges' lists"
+        found, missing = _member_from_json(raw, pos, index)
+        indices.append(tuple(sorted(set(found))))
+        outside.append(missing)
+    members = IndexedMembers(host, tuple(indices))
+    if any(outside):  # kept, for the covering check to name
+        members = tuple(
+            Subgraph(
+                vertices=m.vertices.union(e for e in extra if isinstance(e, Vertex)),
+                edges=m.edges.union(e for e in extra if isinstance(e, Edge)),
             )
-        vertices = frozenset(
-            _vertex_from_json(v, f"{where}.vertices[{i}]")
-            for i, v in enumerate(raw["vertices"])
+            for m, extra in zip(members, outside)
         )
-        edges = frozenset(
-            _edge_from_json(e, f"{where}.edges[{i}]")
-            for i, e in enumerate(raw["edges"])
-        )
-        members.append(Subgraph(vertices=vertices, edges=edges))
-    return CoverFamily(host=host, members=tuple(members))
+    return CoverFamily(host=host, members=members)
+
+
+def _member_from_json(raw: Any, pos: int, index: dict) -> tuple[list, list]:
+    """One member's host indices, and the elements it names that the host
+    lacks.  The checks inline those of :func:`_vertex_from_json` and
+    :func:`_edge_from_json`, which run only to raise the error."""
+    if not isinstance(raw, dict) or "vertices" not in raw or "edges" not in raw:
+        raise FormatError(f"members[{pos}]: expected 'vertices' and 'edges' lists")
+    found: list[int] = []
+    missing: list[Element] = []
+    for k, v in enumerate(_json_list(raw["vertices"], f"members[{pos}].vertices")):
+        if type(v) is list and len(v) == 2:
+            i, j = v
+            if type(i) is type(j) is int and i > 0 < j:
+                at = index.get(key := (i, j))
+                if at is None:
+                    missing.append(Vertex(*key))
+                else:
+                    found.append(at)
+                continue
+        _vertex_from_json(v, f"members[{pos}].vertices[{k}]")
+    for k, e in enumerate(_json_list(raw["edges"], f"members[{pos}].edges")):
+        if type(e) is list and len(e) == 2:
+            a, b = e
+            if type(a) is type(b) is list and len(a) == len(b) == 2:
+                (i, j), (p, q) = a, b
+                if type(i) is type(j) is type(p) is type(q) is int and (
+                    i > 0 < j and p > 0 < q and (a := (i, j)) != (b := (p, q))
+                ):
+                    at = index.get((a, b) if a < b else (b, a))
+                    if at is None:
+                        missing.append(Edge(Vertex(*a), Vertex(*b)))
+                    else:
+                        found.append(at)
+                    continue
+        _edge_from_json(e, f"members[{pos}].edges[{k}]")
+    return found, missing
 
 
 def dump_family(family: CoverFamily, fp: IO[str]) -> None:

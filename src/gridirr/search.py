@@ -40,8 +40,10 @@ MAX_ELEMENTS_ENV_VAR = "GRIDIRR_ORACLE_MAX_ELEMENTS"
 class SearchResult:
     """Outcome of :func:`min_strength`.
 
-    ``minimal_k`` is None when no labeling exists up to ``k_max`` (which is
-    a bounded negative, never a claim about larger budgets).  A reported
+    ``minimal_k`` is the least feasible budget in ``start_k .. k_max``
+    (``start_k`` defaults to the counting lower bound, below which no
+    budget is feasible).  It is None when no labeling exists in that range
+    (a bounded negative, never a claim about larger budgets).  A reported
     ``minimal_k`` comes with a verifier-accepted ``witness`` and a
     completed exhaustive search at every smaller searched budget.
     """
@@ -236,12 +238,18 @@ def min_strength(
 
     Budgets below the counting lower bound are provably infeasible and
     skipped; pass ``start_k`` to disable the skip and search them anyway
-    (the searches come back empty, which is itself a useful check).
+    (the searches come back empty, which is itself a useful check).  An
+    explicit ``start_k`` above ``k_max`` leaves nothing to search and is
+    rejected, so that None keeps meaning "searched and infeasible".
     """
     _require_positive("budget cap", k_max)
     for what, value in (("start budget", start_k), ("element cap", max_elements)):
         if value is not None:
             _require_positive(what, value)
+    if start_k is not None and start_k > k_max:
+        raise InvalidParameterError(
+            f"start budget {start_k} is above the budget cap {k_max}"
+        )
     require_covering(host, family)
     _check_size(kind, host, max_elements)
     start = family_lower_bound(kind, family) if start_k is None else start_k

@@ -13,10 +13,12 @@ A window family over its own :func:`gridirr.grid.make_grid` host (see
 :attr:`gridirr.covering.CoverFamily.window`) is weighed in one pass over
 the labels: a window's weight is the sum of c consecutive column sums
 (vertex and vertical-edge labels) and the c - 1 gap sums between them
-(horizontal-edge labels).  This gives exactly the generic path's profile,
-because both sum the same integers; labels on elements outside the host or
-of another kind are weighed by neither.  The generic path remains the
-reference for every other family.
+(horizontal-edge labels).  Every other family is weighed by index: the
+labels the kind weighs are laid out once in the order of the host's
+elements, and each member sums its index tuple
+(:attr:`gridirr.covering.CoverFamily.indices`).  Both paths sum the same
+integers; labels on elements outside the host or of another kind are
+weighed by neither.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Optional, Union
 from .construct import Labeling, LabelingKind
 from .covering import CoverFamily, Subgraph, require_covering
 from .errors import IncompleteLabelingError
-from .grid import Edge, Element, Vertex, format_element
+from .grid import Edge, Element, Graph, Vertex, element_key, format_element
 
 WeightProfile = list[int]
 
@@ -79,43 +81,61 @@ class Verdict:
     violation: Optional[Violation] = None
 
 
-def _relevant_elements(kind: LabelingKind, member: Subgraph) -> list[Element]:
-    if kind is LabelingKind.VERTEX:
-        return list(member.sorted_vertices())
-    if kind is LabelingKind.EDGE:
-        return list(member.sorted_edges())
-    return list(member.sorted_vertices()) + list(member.sorted_edges())
-
-
 def subgraph_weight(labeling: Labeling, member: Subgraph) -> int:
     """Sum of the member's labels relevant to the labeling's kind."""
-    total = 0
-    for element in _relevant_elements(labeling.kind, member):
-        try:
-            total += labeling.labels[element]
-        except KeyError:
-            raise IncompleteLabelingError(
-                f"no label for {format_element(element)} required by a "
-                f"{labeling.kind.value} labeling"
-            ) from None
-    return total
+    alone = Graph(vertices=member.vertices, edges=member.edges)
+    return weight_profile(labeling, CoverFamily(host=alone, members=(member,)))[0]
 
 
 def weight_profile(labeling: Labeling, family: CoverFamily) -> WeightProfile:
-    """Member weights in family order."""
+    """Member weights in family order.
+
+    Raises :class:`IncompleteLabelingError` naming the first element, in
+    member order and then canonical order, that the kind weighs and the
+    labeling leaves unlabeled, and :class:`MalformedFamilyError` for a
+    member with an element outside the host.
+    """
     window = family.window
     if window is not None:
         profile = _window_profile(labeling, *window)
         if profile is not None:
             return profile
-    return [subgraph_weight(labeling, member) for member in family.members]
+    indices = family.indices
+    values = _label_layout(labeling, family.host)
+    try:
+        return [sum(map(values.__getitem__, member)) for member in indices]
+    except TypeError:  # None marks an unlabeled element the kind weighs
+        for member in indices:
+            for pos in member:
+                if values[pos] is None:
+                    element = family.host.elements[pos]
+                    raise IncompleteLabelingError(
+                        f"no label for {format_element(element)} required "
+                        f"by a {labeling.kind.value} labeling"
+                    ) from None
+        raise
+
+
+def _label_layout(labeling: Labeling, host: Graph) -> list:
+    """Per element of ``host.elements``: its label if the kind weighs it,
+    None if the kind weighs it but it has no label, else 0."""
+    count, first_edge = len(host.elements), len(host.vertices)
+    lo = first_edge if labeling.kind is LabelingKind.EDGE else 0
+    hi = first_edge if labeling.kind is LabelingKind.VERTEX else count
+    values: list = [0] * lo + [None] * (hi - lo) + [0] * (count - hi)
+    index = host.index
+    for element, label in labeling.labels.items():
+        pos = index.get(element_key(element))
+        if pos is not None and lo <= pos < hi:
+            values[pos] = label
+    return values
 
 
 def _window_profile(
     labeling: Labeling, m: int, c: int, n: int
 ) -> Optional[WeightProfile]:
     """Window weights from column and gap sums of the m-by-n grid, or None
-    when some element the kind weighs has no label (the generic path then
+    when some element the kind weighs has no label (the indexed path then
     raises the error naming the first one)."""
     weigh_vertices = labeling.kind is not LabelingKind.EDGE
     weigh_edges = labeling.kind is not LabelingKind.VERTEX

@@ -286,3 +286,20 @@ def test_bool_grid_size_in_family_file_exits_1(tmp_path, capsys):
     )
     assert code == 1
     assert "'grid' must be [m, n] with positive integers" in stderr
+
+
+def test_family_member_vertices_not_a_list_exits_1(tmp_path, capsys):
+    lab = tmp_path / "lab.json"
+    construct_args = ["construct", "--kind", "vertex", "-m", "2", "-c", "2",
+                      "-n", "3", "--out", str(lab)]
+    assert run(capsys, *construct_args)[0] == 0
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps({
+        "host": {"grid": [2, 3]},
+        "members": [{"vertices": 5, "edges": []}],
+    }))
+    code, out, stderr = run(
+        capsys, "verify", "--labeling", str(lab), "--family", str(fam)
+    )
+    assert (code, out) == (1, "")
+    assert stderr == "error: members[0].vertices: expected a list\n"

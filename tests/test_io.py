@@ -158,6 +158,21 @@ def test_graph_shorthand_parses():
         # bools are not grid sizes, though Python counts them as ints
         {"host": {"grid": [True, 3]},
          "members": [{"vertices": [[1, 1]], "edges": []}]},
+        # element lists that are not lists
+        {"host": {"grid": [2, 3]}, "members": [{"vertices": 5, "edges": []}]},
+        {"host": {"grid": [2, 3]},
+         "members": [{"vertices": [[1, 1]], "edges": None}]},
+        {"host": {"grid": [2, 3]},
+         "members": [{"vertices": "ab", "edges": []}]},
+        {"host": {"vertices": 5, "edges": []},
+         "members": [{"vertices": [], "edges": []}]},
+        {"host": {"vertices": [[1, 1]], "edges": {}},
+         "members": [{"vertices": [], "edges": []}]},
+        # bools are not vertex indices either
+        {"host": {"grid": [2, 3]},
+         "members": [{"vertices": [[True, 1]], "edges": []}]},
+        {"host": {"grid": [2, 3]},
+         "members": [{"vertices": [], "edges": [[[1, 1], [1, False]]]}]},
     ],
 )
 def test_malformed_family_files_rejected(data):

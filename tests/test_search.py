@@ -334,3 +334,27 @@ def test_parameter_messages():
     # a zero cap is a bad argument (exit 1), not a limit hit (exit 3)
     with pytest.raises(InvalidParameterError, match="element cap must be >= 1"):
         min_strength(host, fam, kind, k_max=2, max_elements=0)
+
+
+def test_start_budget_above_cap_is_rejected():
+    # Nothing would be searched, and minimal_k=None would read as
+    # "infeasible up to k_max".
+    host = make_grid(GridSpec(2, 3))
+    fam = enumerate_windows(host, 2)
+    with pytest.raises(
+        InvalidParameterError,
+        match=r"^start budget 4 is above the budget cap 3$",
+    ):
+        min_strength(host, fam, LabelingKind.VERTEX, k_max=3, start_k=4)
+
+
+def test_minimal_k_is_least_feasible_from_start_budget():
+    host = make_grid(GridSpec(2, 3))
+    fam = enumerate_windows(host, 2)
+    kind = LabelingKind.VERTEX
+    assert min_strength(host, fam, kind, k_max=3).minimal_k == 2
+    # start_k == k_max stays valid: one budget, searched in full
+    one = min_strength(host, fam, kind, k_max=3, start_k=3)
+    assert one.minimal_k == 3 and one.witness is not None
+    below = min_strength(host, fam, kind, k_max=1, start_k=1)
+    assert below.minimal_k is None and below.nodes_explored > 0

@@ -1,16 +1,18 @@
-"""Window families over make_grid hosts against the generic path.
+"""Window families over make_grid hosts against explicit families.
 
 ``enumerate_windows`` over a ``make_grid`` host returns an implicit family:
 its covering check and weights come from (m, c, n) and column sums.  The
-same members as an explicit tuple take the generic path, which is the
-reference: every result must be equal, or both paths must raise the same
-exception with the same message.
+same members as an explicit tuple take the generic, indexed path (itself
+checked against the set-based reference in ``test_indexed_families``):
+every result must be equal, or both paths must raise the same exception
+with the same message.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import gridirr.covering
+import reference
 from gridirr import (
     CoverFamily,
     Edge,
@@ -118,17 +120,6 @@ def test_window_family_matches_explicit_family(params, variant, change, rnd):
     assert_same_results(labeling, implicit, explicit)
 
 
-def reference_range_violation(labeling):
-    """The sort-everything scan the linear one replaces."""
-    vertices = sorted(e for e in labeling.labels if isinstance(e, Vertex))
-    edges = sorted(e for e in labeling.labels if isinstance(e, Edge))
-    for element in [*vertices, *edges]:
-        label = labeling.labels[element]
-        if not 1 <= label <= labeling.k:
-            return RangeViolation(element=element, label=label, k=labeling.k)
-    return None
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     scope_params(max_n=20),
@@ -145,7 +136,7 @@ def test_first_range_violation_matches_sorted_scan(params, kind, rnd):
         )
     grid = make_grid(GridSpec(m, n))
     verdict = verify_irregular(labeling, enumerate_windows(grid, c))
-    expected = reference_range_violation(labeling)
+    expected = reference.range_violation(labeling)
     if expected is None:
         assert not isinstance(verdict.violation, RangeViolation)
     else:
