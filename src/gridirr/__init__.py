@@ -13,7 +13,6 @@ from .bounds import (
     grid_bound_report,
     lower_bound,
     upper_bound_exponent,
-    window_denominator,
 )
 from .construct import (
     Labeling,
@@ -21,8 +20,10 @@ from .construct import (
     TotalVariant,
     ceil_div,
     construct_edge_labeling,
+    construct_for_kind,
     construct_total_labeling,
     construct_vertex_labeling,
+    window_denominator,
 )
 from .covering import (
     CoverFamily,
@@ -57,7 +58,7 @@ from .grid import (
     require_window_scope,
     transpose,
 )
-from .report import StrengthReport, construct_for_kind, strength_report
+from .report import StrengthReport, strength_report
 from .search import (
     DEFAULT_MAX_ELEMENTS,
     SearchResult,

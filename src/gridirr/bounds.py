@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .construct import LabelingKind, ceil_div
+from .construct import LabelingKind, ceil_div, window_denominator
 from .errors import InvalidParameterError
 from .grid import Graph, require_window_scope
 
@@ -64,15 +64,6 @@ def upper_bound_exponent(kind: LabelingKind, host: Graph) -> int:
     if not host.edges:
         raise InvalidParameterError("host has no edges")
     return len(host.edges) - 1
-
-
-def window_denominator(kind: LabelingKind, m: int, c: int) -> int:
-    """Relevant element count of one m-by-c window for the given kind."""
-    if kind is LabelingKind.VERTEX:
-        return m * c
-    if kind is LabelingKind.EDGE:
-        return 2 * m * c - m - c
-    return 3 * m * c - m - c
 
 
 def closed_form_strength(kind: LabelingKind, m: int, n: int, c: int) -> int:

@@ -13,12 +13,12 @@ import sys
 from typing import Optional
 
 from . import io as gio
-from .bounds import closed_form_strength, grid_bound_report, lower_bound
-from .construct import LabelingKind, TotalVariant, construct_total_labeling
+from .bounds import grid_bound_report
+from .construct import Labeling, LabelingKind, TotalVariant, construct_for_kind
 from .covering import CoverFamily, enumerate_windows
 from .errors import GridirrError, ResourceLimitError
-from .grid import Graph, GridSpec, make_grid, require_window_scope
-from .report import construct_for_kind, strength_report
+from .grid import Graph, GridSpec, grid_dims, make_grid, require_window_scope
+from .report import strength_report
 from .verify import verify_irregular
 
 EXIT_OK = 0
@@ -86,7 +86,15 @@ def _parse_range(value: str, what: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _verdict_exit(labeling, family: CoverFamily) -> int:
+def _require_dims(labeling: Labeling, m: int, n: int) -> None:
+    """Reject a labeling file made for another grid than the m-by-n one."""
+    if (labeling.m, labeling.n) != (m, n):
+        raise _UsageError(
+            f"labeling is for a {labeling.m}x{labeling.n} grid, not {m}x{n}"
+        )
+
+
+def _verdict_exit(labeling: Labeling, family: CoverFamily) -> int:
     verdict = verify_irregular(labeling, family)
     if verdict.accepted:
         print(
@@ -102,16 +110,12 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     kind = _parse_kind(args.kind)
     if args.variant is not None and kind is not LabelingKind.TOTAL:
         raise _UsageError("--variant only applies to --kind total")
-    require_window_scope(args.m, args.c, args.n)
-    if kind is LabelingKind.TOTAL:
-        variant = (
-            TotalVariant.AS_PRINTED
-            if args.variant == "as-printed"
-            else TotalVariant.CORRECTED
-        )
-        labeling = construct_total_labeling(args.m, args.n, args.c, variant)
-    else:
-        labeling = construct_for_kind(kind, args.m, args.n, args.c)
+    variant = (
+        TotalVariant.AS_PRINTED
+        if args.variant == "as-printed"
+        else TotalVariant.CORRECTED
+    )
+    labeling = construct_for_kind(kind, args.m, args.n, args.c, variant)
     with open(args.out, "w", encoding="utf-8") as fp:
         gio.dump_labeling(labeling, fp)
     print(f"wrote {kind.value} labeling with k={labeling.k} to {args.out}")
@@ -124,9 +128,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.family is not None:
         with open(args.family, "r", encoding="utf-8") as fp:
             family = gio.load_family(fp)
+        _require_dims(labeling, *grid_dims(family.host))
     else:
         m, c, n = _parse_ints(args.grid, 3, "--grid")
         require_window_scope(m, c, n)
+        _require_dims(labeling, m, n)
         family = enumerate_windows(make_grid(GridSpec(m, n)), c)
     return _verdict_exit(labeling, family)
 
@@ -140,7 +146,6 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
 def _cmd_strength(args: argparse.Namespace) -> int:
     kind = _parse_kind(args.kind)
-    require_window_scope(args.m, args.c, args.n)
     report = strength_report(kind, args.m, args.c, args.n, oracle=args.oracle)
     for line in report.to_lines():
         print(line)
@@ -161,36 +166,6 @@ def _cmd_strength(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _sweep_row(kind: LabelingKind, m: int, c: int, n: int) -> list[str]:
-    host = make_grid(GridSpec(m, n))
-    family = enumerate_windows(host, c)
-    t = n - c + 1
-    lb = lower_bound(kind, t, m * c, 2 * m * c - m - c)
-    cf = closed_form_strength(kind, m, n, c)
-    labeling = construct_for_kind(kind, m, n, c)
-    verified = (
-        verify_irregular(labeling, family).accepted
-        and labeling.max_label() == cf
-    )
-    as_printed = ""
-    if kind is LabelingKind.TOTAL:
-        printed = construct_total_labeling(m, n, c, TotalVariant.AS_PRINTED)
-        as_printed = (
-            "true" if verify_irregular(printed, family).accepted else "false"
-        )
-    return [
-        kind.value,
-        str(m),
-        str(c),
-        str(n),
-        str(t),
-        str(lb),
-        str(cf),
-        "true" if verified else "false",
-        as_printed,
-    ]
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     kind = _parse_kind(args.kind)
     m_lo, m_hi = _parse_range(args.m_range, "--m-range")
@@ -201,7 +176,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for c in range(c_lo, c_hi + 1):
             for n in range(n_lo, n_hi + 1):
                 if 2 <= m <= c <= n:
-                    rows.append(_sweep_row(kind, m, c, n))
+                    rows.append(strength_report(kind, m, c, n).to_row())
     with open(args.csv, "w", encoding="utf-8", newline="") as fp:
         writer = csv.writer(fp, lineterminator="\n")
         writer.writerow(SWEEP_HEADER)
@@ -219,11 +194,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     if args.labeling is not None:
         with open(args.labeling, "r", encoding="utf-8") as fp:
             labeling = gio.load_labeling(fp)
-        if (labeling.m, labeling.n) != (m, n):
-            raise _UsageError(
-                f"labeling is for a {labeling.m}x{labeling.n} grid, "
-                f"not {m}x{n}"
-            )
+        _require_dims(labeling, m, n)
     if args.format == "dot":
         sys.stdout.write(gio.dot_export(host, labeling))
     else:

@@ -1,13 +1,23 @@
 """Constructive labelings whose window weights form a consecutive run.
 
-Each constructor assigns positive integer labels via ceilings of affine
-expressions in the element coordinates, chosen so that the t = n - c + 1
-window weights come out as base, base+1, ..., base + (n - c).  The budget
-k equals the closed-form strength for the kind (see :mod:`gridirr.bounds`),
-which is what makes the constructions optimal witnesses.
+All three constructors share one formula.  The labeled elements come in
+rows, vertex rows first (i = 1..m), then vertical-edge rows (i = 1..m-1),
+then horizontal-edge rows (i = 1..m), as the kind labels them; the
+element in column j of a row gets
+
+    label = 1 + ceil((j - offset) / D)
+
+where D = :func:`window_denominator` is the number of elements the kind
+labels in one m-by-c window, and ``offset`` counts the window elements in
+the labeled rows up to and including this one (c for a vertex or
+vertical-edge row, c - 1 for a horizontal-edge row).  The t = n - c + 1
+window weights then come out as base, base+1, ..., base + (n - c), and
+the budget k = 1 + ceil((n - c) / D) equals the closed-form strength for
+the kind (see :mod:`gridirr.bounds`), which is what makes the
+constructions optimal witnesses.
 
 All ceiling arithmetic is exact integer math.  The numerators are
-frequently negative (j - i*c with small j), where truncating division
+frequently negative (j - offset with small j), where truncating division
 would silently round the wrong way; :func:`ceil_div` is the single audited
 primitive every formula goes through.
 """
@@ -82,83 +92,96 @@ def ceil_div(p: int, q: int) -> int:
     return -(-p // q)
 
 
-def construct_vertex_labeling(m: int, n: int, c: int) -> Labeling:
-    """Vertex labeling of the m-by-n grid for width-c window coverings.
+def window_denominator(kind: LabelingKind, m: int, c: int) -> int:
+    """Relevant element count of one m-by-c window for the given kind."""
+    if kind is LabelingKind.VERTEX:
+        return m * c
+    if kind is LabelingKind.EDGE:
+        return 2 * m * c - m - c
+    return 3 * m * c - m - c
 
-    label(i, j) = 1 + ceil((j - i*c) / (m*c)); the maximum label, attained
-    at (1, n), equals the budget k = 1 + ceil((n - c) / (m*c)).
+
+def construct_for_kind(
+    kind: LabelingKind,
+    m: int,
+    n: int,
+    c: int,
+    variant: TotalVariant = TotalVariant.CORRECTED,
+) -> Labeling:
+    """The constructed labeling of the kind (``variant`` applies to total).
+
+    Dispatches to the public constructor of the kind, so that code wrapping
+    those constructors sees every construction.
     """
-    require_window_scope(m, c, n)
-    d = m * c
-    k = 1 + ceil_div(n - c, d)
-    labels: dict[Element, int] = {}
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            labels[Vertex(i, j)] = 1 + ceil_div(j - i * c, d)
-    return Labeling(kind=LabelingKind.VERTEX, k=k, labels=labels, m=m, n=n)
+    if kind is LabelingKind.VERTEX:
+        return construct_vertex_labeling(m, n, c)
+    if kind is LabelingKind.EDGE:
+        return construct_edge_labeling(m, n, c)
+    return construct_total_labeling(m, n, c, variant)
+
+
+def construct_vertex_labeling(m: int, n: int, c: int) -> Labeling:
+    """Vertex labeling: D = mc; vertex (i, j) has offset ic.  The maximum
+    label, at (1, n), is the budget."""
+    return _construct(LabelingKind.VERTEX, m, n, c, TotalVariant.CORRECTED)
 
 
 def construct_edge_labeling(m: int, n: int, c: int) -> Labeling:
-    """Edge labeling of the m-by-n grid for width-c window coverings.
-
-    With D = 2mc - m - c (the edge count of one window):
-
-        vertical   (i,j)-(i+1,j):  1 + ceil((j - i*c) / D)
-        horizontal (i,j)-(i,j+1):  1 + ceil((j - (m+i-1)*c + i) / D)
-
-    The maximum label, at the vertical edge (1,n)-(2,n), equals
-    k = 1 + ceil((n - c) / D).
-    """
-    require_window_scope(m, c, n)
-    d = 2 * m * c - m - c
-    k = 1 + ceil_div(n - c, d)
-    labels: dict[Element, int] = {}
-    for i in range(1, m):
-        for j in range(1, n + 1):
-            labels[Edge(Vertex(i, j), Vertex(i + 1, j))] = 1 + ceil_div(
-                j - i * c, d
-            )
-    for i in range(1, m + 1):
-        for j in range(1, n):
-            labels[Edge(Vertex(i, j), Vertex(i, j + 1))] = 1 + ceil_div(
-                j - (m + i - 1) * c + i, d
-            )
-    return Labeling(kind=LabelingKind.EDGE, k=k, labels=labels, m=m, n=n)
+    """Edge labeling: D = 2mc - m - c; the vertical edge below (i, j) has
+    offset ic, the horizontal edge right of (i, j) offset (m-1+i)c - i.
+    The maximum label, at the vertical edge (1,n)-(2,n), is the budget."""
+    return _construct(LabelingKind.EDGE, m, n, c, TotalVariant.CORRECTED)
 
 
 def construct_total_labeling(
     m: int, n: int, c: int, variant: TotalVariant = TotalVariant.CORRECTED
 ) -> Labeling:
-    """Total labeling of the m-by-n grid for width-c window coverings.
+    """Total labeling: D = 3mc - m - c; vertex (i, j) has offset ic, the
+    vertical edge below it (m+i)c, the horizontal edge right of it
+    (2m-1+i)c - i.
 
-    With D = 3mc - m - c (vertex plus edge count of one window):
-
-        vertex     (i,j):          1 + ceil((j - i*c) / D)
-        vertical   (i,j)-(i+1,j):  1 + ceil((j - (m+i)*c) / D)
-        horizontal (i,j)-(i,j+1):  1 + ceil((j - (2m+i-1)*c + i) / D')
-
-    where D' = D under ``TotalVariant.CORRECTED`` and D' = 2mc - m - c
-    under ``TotalVariant.AS_PRINTED``.  The budget is always
-    k = 1 + ceil((n - c) / D); under the corrected variant every label lies
-    in {1, ..., k} with the maximum at vertex (1, n), while the as-printed
-    variant can produce labels below 1 (left for the verifier to flag).
+    Horizontal edges divide by D' = D under ``TotalVariant.CORRECTED`` and
+    D' = 2mc - m - c under ``TotalVariant.AS_PRINTED``.  The budget is
+    always 1 + ceil((n - c) / D); under the corrected variant every label
+    lies in {1, ..., k} with the maximum at vertex (1, n), while the
+    as-printed variant can produce labels below 1 (left for the verifier
+    to flag).
     """
+    return _construct(LabelingKind.TOTAL, m, n, c, variant)
+
+
+def _construct(
+    kind: LabelingKind, m: int, n: int, c: int, variant: TotalVariant
+) -> Labeling:
+    """The one formula: label = 1 + ceil((j - offset) / D) on every row."""
     require_window_scope(m, c, n)
-    d = 3 * m * c - m - c
-    d_horizontal = d if variant is TotalVariant.CORRECTED else 2 * m * c - m - c
-    k = 1 + ceil_div(n - c, d)
+    d = window_denominator(kind, m, c)
+    d_horizontal = (
+        window_denominator(LabelingKind.EDGE, m, c)
+        if variant is TotalVariant.AS_PRINTED
+        else d
+    )
+    # per class: element (i, j), rows, columns, window elements a row adds, D
+    classes: list = []
+    if kind is not LabelingKind.EDGE:
+        classes.append((Vertex, m, n, c, d))
+    if kind is not LabelingKind.VERTEX:
+        classes.append((_vertical, m - 1, n, c, d))
+        classes.append((_horizontal, m, n - 1, c - 1, d_horizontal))
     labels: dict[Element, int] = {}
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            labels[Vertex(i, j)] = 1 + ceil_div(j - i * c, d)
-    for i in range(1, m):
-        for j in range(1, n + 1):
-            labels[Edge(Vertex(i, j), Vertex(i + 1, j))] = 1 + ceil_div(
-                j - (m + i) * c, d
-            )
-    for i in range(1, m + 1):
-        for j in range(1, n):
-            labels[Edge(Vertex(i, j), Vertex(i, j + 1))] = 1 + ceil_div(
-                j - (2 * m + i - 1) * c + i, d_horizontal
-            )
-    return Labeling(kind=LabelingKind.TOTAL, k=k, labels=labels, m=m, n=n)
+    offset = 0
+    for element, rows, columns, added, denominator in classes:
+        for i in range(1, rows + 1):
+            offset += added
+            for j in range(1, columns + 1):
+                labels[element(i, j)] = 1 + ceil_div(j - offset, denominator)
+    k = 1 + ceil_div(n - c, d)
+    return Labeling(kind=kind, k=k, labels=labels, m=m, n=n)
+
+
+def _vertical(i: int, j: int) -> Edge:
+    return Edge(Vertex(i, j), Vertex(i + 1, j))
+
+
+def _horizontal(i: int, j: int) -> Edge:
+    return Edge(Vertex(i, j), Vertex(i, j + 1))

@@ -5,6 +5,15 @@ l .. l+c-1, each an m-by-c grid.  User-supplied families carry explicit
 element sets and flow through the same verification and search paths as
 enumerated windows.
 
+There is one graph type: hosts and members are both
+:class:`~gridirr.grid.Graph` (``Subgraph`` is another name for it), and
+there is one integer indexing of elements, the host's canonical order
+:attr:`~gridirr.grid.Graph.elements`.  The covering check here, the
+weights in :mod:`gridirr.verify` and the oracle's tables in
+:mod:`gridirr.search` all read members as the same sorted index tuples,
+:attr:`CoverFamily.indices` (through :func:`member_indices` when the host
+is not the family's own).
+
 The family :func:`enumerate_windows` returns over a :func:`make_grid` host
 is implicit: it keeps (m, c, n) and builds a window's element sets only
 when a caller asks for that member.  Its covering check is answered from
@@ -14,8 +23,8 @@ Every other family is explicit: truncated, reordered, loaded and
 hand-built families alike.  An explicit family's members are sorted tuples
 of indices into its host's :attr:`~gridirr.grid.Graph.elements`
 (:attr:`CoverFamily.indices`).  A loaded family arrives in that form
-(:class:`IndexedMembers`); a tuple of :class:`Subgraph` is indexed once,
-on first need.  The covering check marks covered edges by index.
+(:class:`IndexedMembers`); a tuple of member graphs is indexed once, on
+first need.  The covering check marks covered edges by index.
 """
 
 from __future__ import annotations
@@ -38,35 +47,24 @@ from .grid import (
 )
 
 
-@dataclass(frozen=True)
-class Subgraph:
-    """Explicit vertex and edge sets of one covering-family member."""
-
-    vertices: frozenset[Vertex]
-    edges: frozenset[Edge]
-
-    def sorted_vertices(self) -> list[Vertex]:
-        return sorted(self.vertices)
-
-    def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
+Subgraph = Graph  # a family member is a plain Graph; the name stays public
 
 
 class _LazyMembers(Sequence):
-    """A read-only sequence standing for a tuple of :class:`Subgraph`:
+    """A read-only sequence standing for a tuple of member graphs:
     length, indexing, slicing (which returns a tuple), iteration and
     equality behave as on that tuple.  A member is built on first access,
     by the subclass's ``_build(pos)``, and kept: at most once per object."""
 
     def __init__(self, count: int) -> None:
-        self._built: list[Optional[Subgraph]] = [None] * count
+        self._built: list[Optional[Graph]] = [None] * count
 
     def __len__(self) -> int:
         return len(self._built)
 
     def __getitem__(
         self, index: Union[int, slice]
-    ) -> Union[Subgraph, tuple[Subgraph, ...]]:
+    ) -> Union[Graph, tuple[Graph, ...]]:
         if isinstance(index, slice):
             return tuple(self[pos] for pos in range(len(self))[index])
         pos = range(len(self))[index]  # normalizes negatives, checks bounds
@@ -94,7 +92,7 @@ class WindowMembers(_LazyMembers):
         self.m, self.c, self.n = m, c, n
         super().__init__(n - c + 1)
 
-    def _build(self, pos: int) -> Subgraph:
+    def _build(self, pos: int) -> Graph:
         return window_subgraph(self.m, self.c, pos + 1)
 
     def __eq__(self, other: object) -> bool:
@@ -117,10 +115,10 @@ class IndexedMembers(_LazyMembers):
         self.host, self.indices = host, indices
         super().__init__(len(indices))
 
-    def _build(self, pos: int) -> Subgraph:
+    def _build(self, pos: int) -> Graph:
         elements, member = self.host.elements, self.indices[pos]
         split = bisect_left(member, len(self.host.vertices))
-        return Subgraph(
+        return Graph(
             vertices=frozenset(map(elements.__getitem__, member[:split])),
             edges=frozenset(map(elements.__getitem__, member[split:])),
         )
@@ -137,7 +135,7 @@ class CoverFamily:
     """
 
     host: Graph
-    members: Sequence[Subgraph]
+    members: Sequence[Graph]
 
     def __post_init__(self) -> None:
         members = self.members
@@ -178,7 +176,7 @@ class CoverFamily:
 
 
 def index_members(
-    host: Graph, members: Sequence[Subgraph]
+    host: Graph, members: Sequence[Graph]
 ) -> tuple[tuple[int, ...], ...]:
     """Each member's elements as sorted indices into ``host.elements``.
 
@@ -204,7 +202,7 @@ def index_members(
     return tuple(out)
 
 
-def window_subgraph(m: int, c: int, l: int) -> Subgraph:
+def window_subgraph(m: int, c: int, l: int) -> Graph:
     """The window spanning columns l .. l+c-1 of an m-row grid.
 
     Contains all m*c vertices in those columns, the vertical edges of every
@@ -220,7 +218,7 @@ def window_subgraph(m: int, c: int, l: int) -> Subgraph:
     for j in range(l, l + c - 1):
         for i in range(1, m + 1):
             edges.append(Edge(Vertex(i, j), Vertex(i, j + 1)))
-    return Subgraph(vertices=frozenset(vertices), edges=frozenset(edges))
+    return Graph(vertices=frozenset(vertices), edges=frozenset(edges))
 
 
 def enumerate_windows(grid: Graph, c: int) -> CoverFamily:
@@ -231,8 +229,7 @@ def enumerate_windows(grid: Graph, c: int) -> CoverFamily:
     parameters must satisfy 2 <= m <= c <= n.  Members are built on demand
     (see :class:`WindowMembers`).
     """
-    spec = grid.spec
-    m, n = grid_dims(grid) if spec is None else (spec.m, spec.n)
+    m, n = grid_dims(grid)
     require_window_scope(m, c, n)
     return CoverFamily(host=grid, members=WindowMembers(m, c, n))
 
@@ -249,6 +246,17 @@ class CoveringCheck:
     uncovered: tuple[Edge, ...]
 
 
+def member_indices(
+    host: Graph, family: CoverFamily
+) -> tuple[tuple[int, ...], ...]:
+    """The family's members as sorted indices into ``host.elements``:
+    :attr:`CoverFamily.indices` when ``host`` is the family's own host,
+    else :func:`index_members` against ``host``."""
+    if host is family.host:
+        return family.indices
+    return index_members(host, family.members)
+
+
 def is_edge_covering(host: Graph, family: CoverFamily) -> CoveringCheck:
     """Decide whether the family's edge sets jointly cover the host's.
 
@@ -257,12 +265,9 @@ def is_edge_covering(host: Graph, family: CoverFamily) -> CoveringCheck:
     checked against its own host covers it by construction, which is
     answered without building members.
     """
-    if host is not family.host:
-        indices = index_members(host, family.members)
-    elif family.window is not None:
+    if host is family.host and family.window is not None:
         return CoveringCheck(covers=True, uncovered=())
-    else:
-        indices = family.indices
+    indices = member_indices(host, family)
     elements, first_edge = host.elements, len(host.vertices)
     covered = bytearray(len(elements))
     for member in indices:

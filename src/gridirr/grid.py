@@ -126,9 +126,6 @@ class Graph:
     def sorted_edges(self) -> list[Edge]:
         return list(self.elements[len(self.vertices) :])
 
-    def degree(self, v: Vertex) -> int:
-        return sum(1 for e in self.edges if v in e.endpoints())
-
 
 def graph_from_elements(
     vertices: Iterable[Vertex], edges: Iterable[Edge]
@@ -173,8 +170,11 @@ def make_grid(spec: GridSpec) -> Graph:
 def grid_dims(graph: Graph) -> tuple[int, int]:
     """Bounding dimensions (max row, max column) of a nonempty graph.
 
-    For graphs built by :func:`make_grid` this recovers (m, n) exactly.
+    For graphs built by :func:`make_grid` this is (m, n), read from the
+    recorded spec without a scan.
     """
+    if graph.spec is not None:
+        return graph.spec.m, graph.spec.n
     if not graph.vertices:
         raise InvalidParameterError("graph has no vertices")
     return (

@@ -37,9 +37,9 @@ Family files::
     element order (:class:`gridirr.covering.IndexedMembers`): each
     coordinate goes straight to its index through ``host.index``, and no
     element object is built per occurrence.  A member naming an element
-    outside the host keeps it: such a file loads as a family of
-    :class:`~gridirr.covering.Subgraph` members, and the covering check
-    reports the element.
+    outside the host keeps it: such a file loads as a family of member
+    :class:`~gridirr.grid.Graph` objects, and the covering check reports
+    the element.
 
 DOT output is export-only (never parsed back): element labels become
 ``label`` attributes; anything else rides in comments.
@@ -51,7 +51,7 @@ import json
 from typing import Any, IO, Optional
 
 from .construct import Labeling, LabelingKind
-from .covering import CoverFamily, IndexedMembers, Subgraph
+from .covering import CoverFamily, IndexedMembers
 from .errors import FormatError
 from .grid import (
     Edge,
@@ -261,7 +261,7 @@ def family_from_json_dict(data: Any) -> CoverFamily:
     members = IndexedMembers(host, tuple(indices))
     if any(outside):  # kept, for the covering check to name
         members = tuple(
-            Subgraph(
+            Graph(
                 vertices=m.vertices.union(e for e in extra if isinstance(e, Vertex)),
                 edges=m.edges.union(e for e in extra if isinstance(e, Edge)),
             )

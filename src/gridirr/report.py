@@ -1,28 +1,30 @@
-"""Aggregated strength reports for one (kind, m, c, n) query."""
+"""Aggregated strength reports for one (kind, m, c, n) query.
+
+:func:`strength_report` is the one report pipeline: ``gridirr strength``
+prints :meth:`StrengthReport.to_lines` and ``gridirr sweep`` writes
+:meth:`StrengthReport.to_row`.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
 
-from .bounds import closed_form_strength, lower_bound
-from .construct import (
-    Labeling,
-    LabelingKind,
-    TotalVariant,
-    construct_edge_labeling,
-    construct_total_labeling,
-    construct_vertex_labeling,
-)
-from .covering import CoverFamily, enumerate_windows
-from .grid import Graph, GridSpec, make_grid, require_window_scope
+from .bounds import closed_form_strength, grid_bound_report
+from .construct import LabelingKind, TotalVariant, construct_for_kind
+from .covering import enumerate_windows
+from .grid import GridSpec, make_grid, require_window_scope
 from .search import min_strength
-from .verify import verify_irregular
+from .verify import Verdict, verify_irregular
 
 
 @dataclass(frozen=True)
 class StrengthReport:
-    """Bounds, closed form, witness status, and optional oracle result."""
+    """Bounds, closed form, witness status, and optional oracle result.
+
+    ``as_printed_verified`` is the verdict on the as-printed total variant
+    (None for the vertex and edge kinds).
+    """
 
     kind: LabelingKind
     m: int
@@ -35,6 +37,7 @@ class StrengthReport:
     oracle_ran: bool = False
     oracle_k: Optional[int] = None
     erratum_note: Optional[str] = None
+    as_printed_verified: Optional[bool] = None
 
     @property
     def oracle_agrees(self) -> Optional[bool]:
@@ -57,39 +60,29 @@ class StrengthReport:
             lines.append(f"erratum_note={self.erratum_note}")
         return lines
 
-
-def construct_for_kind(
-    kind: LabelingKind,
-    m: int,
-    n: int,
-    c: int,
-    variant: TotalVariant = TotalVariant.CORRECTED,
-) -> Labeling:
-    """Dispatch to the constructor for the kind (variant applies to total)."""
-    if kind is LabelingKind.VERTEX:
-        return construct_vertex_labeling(m, n, c)
-    if kind is LabelingKind.EDGE:
-        return construct_edge_labeling(m, n, c)
-    return construct_total_labeling(m, n, c, variant)
+    def to_row(self) -> list[str]:
+        """One ``gridirr sweep`` CSV row; the last cell is empty for the
+        vertex and edge kinds."""
+        cells = (self.m, self.c, self.n, self.t, self.lower_bound, self.closed_form)
+        flags = (self.construction_verified, self.as_printed_verified)
+        return [
+            self.kind.value,
+            *map(str, cells),
+            *("" if f is None else "true" if f else "false" for f in flags),
+        ]
 
 
-def _erratum_note(
-    m: int, n: int, c: int, family: CoverFamily
-) -> Optional[str]:
-    """Describe the as-printed total variant's outcome when it deviates."""
-    corrected = construct_total_labeling(m, n, c, TotalVariant.CORRECTED)
-    printed = construct_total_labeling(m, n, c, TotalVariant.AS_PRINTED)
-    if printed.labels == corrected.labels:
-        return None
-    verdict = verify_irregular(printed, family)
-    if verdict.accepted:
+def _erratum_note(printed: Verdict) -> str:
+    """Describe the as-printed total variant's outcome when its labels
+    differ from the corrected ones."""
+    if printed.accepted:
         return (
             "as-printed horizontal-edge denominator (2mc-m-c) changes labels "
             "but still verifies for these parameters"
         )
     return (
         f"as-printed horizontal-edge denominator (2mc-m-c) fails "
-        f"verification: {verdict.violation}; the corrected variant uses "
+        f"verification: {printed.violation}; the corrected variant uses "
         f"3mc-m-c and verifies"
     )
 
@@ -109,15 +102,21 @@ def strength_report(
     set and the instance exceeds the search size cap.
     """
     require_window_scope(m, c, n)
-    t = n - c + 1
-    host: Graph = make_grid(GridSpec(m, n))
+    host = make_grid(GridSpec(m, n))
     family = enumerate_windows(host, c)
-    lb = lower_bound(kind, t, m * c, 2 * m * c - m - c)
     cf = closed_form_strength(kind, m, n, c)
     labeling = construct_for_kind(kind, m, n, c)
     verdict = verify_irregular(labeling, family)
-    construction_verified = verdict.accepted and labeling.max_label() == cf
-    note = _erratum_note(m, n, c, family) if kind is LabelingKind.TOTAL else None
+    as_printed_verified: Optional[bool] = None
+    note: Optional[str] = None
+    if kind is LabelingKind.TOTAL:
+        printed = construct_for_kind(kind, m, n, c, TotalVariant.AS_PRINTED)
+        if printed.labels == labeling.labels:
+            as_printed_verified = verdict.accepted
+        else:
+            printed_verdict = verify_irregular(printed, family)
+            as_printed_verified = printed_verdict.accepted
+            note = _erratum_note(printed_verdict)
     oracle_k: Optional[int] = None
     if oracle:
         result = min_strength(
@@ -129,11 +128,12 @@ def strength_report(
         m=m,
         c=c,
         n=n,
-        t=t,
-        lower_bound=lb,
+        t=n - c + 1,
+        lower_bound=grid_bound_report(kind, m, c, n).lower,
         closed_form=cf,
-        construction_verified=construction_verified,
+        construction_verified=verdict.accepted and labeling.max_label() == cf,
         oracle_ran=oracle,
         oracle_k=oracle_k,
         erratum_note=note,
+        as_printed_verified=as_printed_verified,
     )

@@ -5,15 +5,21 @@ minimum budget on small instances without consulting the closed forms,
 then hands every candidate witness to the verifier rather than trusting
 its own bookkeeping.
 
-Elements are assigned labels in canonical order (vertices row-major, then
-edges row-major) with label values tried in increasing order, so the first
-witness found is the lexicographically smallest label vector and identical
-inputs always yield identical results.  A branch is cut as soon as two
-members whose elements are all assigned carry equal weights; window
-families complete left to right, which makes the cut bite early.
+Elements are assigned labels in the host's canonical order
+(:attr:`gridirr.grid.Graph.elements`: vertices row-major, then edges)
+with label values tried in increasing order, so the first witness found
+is the lexicographically smallest label vector and identical inputs
+always yield identical results.  A branch is cut as soon as two members
+whose elements are all assigned carry equal weights; window families
+complete left to right, which makes the cut bite early.
 
-The search runs on integer tables built once per call (:func:`_prepare`).
-A member is complete exactly when its last position is labeled, so
+The search runs on integer tables built once per call (:func:`_prepare`)
+and keeps no element index of its own.  Hosts and members are plain
+:class:`~gridirr.grid.Graph` objects; a position is an index into the
+host's elements, shifted to the kind's range
+(:func:`gridirr.verify.kind_range`), and a member is its sorted index
+tuple (:func:`gridirr.covering.member_indices`) cut to that range.  A
+member is complete exactly when its last position is labeled, so
 checking only the members that position finishes cuts the same branches
 at the same nodes as counting unlabeled elements; ``nodes_explored`` is
 unchanged.  Completed weights stay pairwise distinct, so one byte per
@@ -23,14 +29,15 @@ weight marks them; the walk keeps a label per position, not a frame.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .construct import Labeling, LabelingKind, ceil_div
-from .covering import CoverFamily, Subgraph, require_covering
+from .covering import CoverFamily, member_indices, require_covering
 from .errors import InvalidParameterError, ResourceLimitError
 from .grid import Element, Graph, grid_dims
-from .verify import verify_irregular
+from .verify import kind_range, verify_irregular
 
 DEFAULT_MAX_ELEMENTS = 24
 MAX_ELEMENTS_ENV_VAR = "GRIDIRR_ORACLE_MAX_ELEMENTS"
@@ -70,15 +77,6 @@ def configured_max_elements() -> int:
     return value
 
 
-def _parts(kind: LabelingKind, graph: Union[Graph, Subgraph]) -> tuple:
-    """The element sets of a host or member that the kind labels."""
-    if kind is LabelingKind.VERTEX:
-        return (graph.vertices,)
-    if kind is LabelingKind.EDGE:
-        return (graph.edges,)
-    return (graph.vertices, graph.edges)
-
-
 def _require_positive(what: str, value: object) -> None:
     """The one check of the integer parameters: bools, other non-integers
     and values below 1 are invalid, never clamped or read as a limit hit."""
@@ -93,7 +91,8 @@ def _check_size(
 ) -> None:
     """Refuse instances with more labeled elements than the size cap."""
     cap = configured_max_elements() if max_elements is None else max_elements
-    count = sum(map(len, _parts(kind, host)))
+    lo, hi = kind_range(kind, host)
+    count = hi - lo
     if count > cap:
         raise ResourceLimitError(
             f"instance has {count} labeled elements, above the cap of {cap}; "
@@ -105,23 +104,25 @@ def _prepare(host: Graph, family: CoverFamily, kind: LabelingKind) -> tuple:
     """Integer tables of one instance, shared by every budget k:
     (elements, touch, finish, members, largest, empty).
 
-    Position p stands for ``elements[p]``, in canonical order.  ``touch[p]``
-    holds the members containing it and ``finish[p]`` the members whose
-    last position it is, both in member order.  ``largest`` is the most
-    relevant elements in one member; ``empty`` counts members with none.
+    Position p stands for ``elements[p]``, the kind's slice ``lo:hi`` of
+    ``host.elements`` (:func:`gridirr.verify.kind_range`), shifted by lo.
+    ``touch[p]`` holds the members containing it and ``finish[p]`` the
+    members whose last position it is, both in member order.  ``largest``
+    is the most relevant elements in one member; ``empty`` counts members
+    with none.
     """
-    elements = [e for part in _parts(kind, host) for e in sorted(part)]
-    index = {e: pos for pos, e in enumerate(elements)}
+    lo, hi = kind_range(kind, host)
+    elements = host.elements[lo:hi]
     touch, finish = [[] for _ in elements], [[] for _ in elements]
     largest = empty = 0
-    for mi, member in enumerate(family.members):
-        positions = [index[e] for part in _parts(kind, member) for e in part]
+    for mi, member in enumerate(member_indices(host, family)):
+        positions = member[bisect_left(member, lo) : bisect_left(member, hi)]
         if not positions:
             empty += 1
             continue
         for pos in positions:
-            touch[pos].append(mi)
-        finish[max(positions)].append(mi)
+            touch[pos - lo].append(mi)
+        finish[positions[-1] - lo].append(mi)
         largest = max(largest, len(positions))
     touch, finish = [tuple(mis) for mis in touch], [tuple(mis) for mis in finish]
     return elements, touch, finish, len(family.members), largest, empty
@@ -216,7 +217,8 @@ def family_lower_bound(kind: LabelingKind, family: CoverFamily) -> int:
     For families with equal-sized members this is exactly the
     :func:`gridirr.bounds.lower_bound` value.
     """
-    counts = [sum(map(len, _parts(kind, m))) for m in family.members]
+    ranges = [kind_range(kind, member) for member in family.members]
+    counts = [hi - lo for lo, hi in ranges]
     t = len(counts)
     if t <= 1:
         return 1

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .construct import Labeling, LabelingKind
-from .covering import CoverFamily, Subgraph, require_covering
+from .covering import CoverFamily, require_covering
 from .errors import IncompleteLabelingError
 from .grid import Edge, Element, Graph, Vertex, element_key, format_element
 
@@ -81,10 +81,9 @@ class Verdict:
     violation: Optional[Violation] = None
 
 
-def subgraph_weight(labeling: Labeling, member: Subgraph) -> int:
+def subgraph_weight(labeling: Labeling, member: Graph) -> int:
     """Sum of the member's labels relevant to the labeling's kind."""
-    alone = Graph(vertices=member.vertices, edges=member.edges)
-    return weight_profile(labeling, CoverFamily(host=alone, members=(member,)))[0]
+    return weight_profile(labeling, CoverFamily(host=member, members=(member,)))[0]
 
 
 def weight_profile(labeling: Labeling, family: CoverFamily) -> WeightProfile:
@@ -97,7 +96,8 @@ def weight_profile(labeling: Labeling, family: CoverFamily) -> WeightProfile:
     """
     window = family.window
     if window is not None:
-        profile = _window_profile(labeling, *window)
+        lo, hi = kind_range(labeling.kind, family.host)
+        profile = _window_profile(labeling, *window, needed=hi - lo)
         if profile is not None:
             return profile
     indices = family.indices
@@ -116,12 +116,20 @@ def weight_profile(labeling: Labeling, family: CoverFamily) -> WeightProfile:
         raise
 
 
+def kind_range(kind: LabelingKind, host: Graph) -> tuple[int, int]:
+    """The elements the kind labels, as the slice ``lo:hi`` of
+    ``host.elements``: the vertices, the edges, or both."""
+    first_edge = len(host.vertices)
+    lo = first_edge if kind is LabelingKind.EDGE else 0
+    hi = first_edge if kind is LabelingKind.VERTEX else first_edge + len(host.edges)
+    return lo, hi
+
+
 def _label_layout(labeling: Labeling, host: Graph) -> list:
     """Per element of ``host.elements``: its label if the kind weighs it,
     None if the kind weighs it but it has no label, else 0."""
-    count, first_edge = len(host.elements), len(host.vertices)
-    lo = first_edge if labeling.kind is LabelingKind.EDGE else 0
-    hi = first_edge if labeling.kind is LabelingKind.VERTEX else count
+    count = len(host.elements)
+    lo, hi = kind_range(labeling.kind, host)
     values: list = [0] * lo + [None] * (hi - lo) + [0] * (count - hi)
     index = host.index
     for element, label in labeling.labels.items():
@@ -132,11 +140,11 @@ def _label_layout(labeling: Labeling, host: Graph) -> list:
 
 
 def _window_profile(
-    labeling: Labeling, m: int, c: int, n: int
+    labeling: Labeling, m: int, c: int, n: int, needed: int
 ) -> Optional[WeightProfile]:
     """Window weights from column and gap sums of the m-by-n grid, or None
-    when some element the kind weighs has no label (the indexed path then
-    raises the error naming the first one)."""
+    when fewer than ``needed`` elements the kind weighs have labels (the
+    indexed path then raises the error naming the first unlabeled one)."""
     weigh_vertices = labeling.kind is not LabelingKind.EDGE
     weigh_edges = labeling.kind is not LabelingKind.VERTEX
     columns = [0] * (n + 1)  # [j]: labels of column j's vertices and vertical edges
@@ -157,9 +165,6 @@ def _window_profile(
             elif p == i and q == j + 1 <= n:
                 gaps[j] += label
                 found += 1
-    needed = (m * n if weigh_vertices else 0) + (
-        2 * m * n - m - n if weigh_edges else 0
-    )
     if found < needed:
         return None
     weight = sum(columns[1 : c + 1]) + sum(gaps[1:c])

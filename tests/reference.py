@@ -1,22 +1,30 @@
-"""Set-based reference checks for covering families.
+"""Reference implementations the differential tests compare against.
 
-These are the loops the package used before explicit families were
-indexed: every member is read as its element sets, and every lookup goes
-through the labeling's mapping.  They know nothing of element indices, so
-the differential tests compare the indexed path against them.
+The covering checks are the set-based loops the package used before
+explicit families were indexed: every member is read as its element sets,
+and every lookup goes through the labeling's mapping.  They know nothing
+of element indices.
+
+The constructors are the three hand-written bodies the package used
+before every label came from one formula, one per kind.
 """
 
 from gridirr import (
     CoveringCheck,
     Edge,
+    Element,
     IncompleteLabelingError,
+    Labeling,
     LabelingKind,
     MalformedFamilyError,
     RangeViolation,
+    TotalVariant,
     Verdict,
     Vertex,
     WeightCollision,
+    ceil_div,
     format_element,
+    require_window_scope,
 )
 
 
@@ -109,3 +117,85 @@ def verify_irregular(labeling, family):
             violation=WeightCollision(first, second, profile[first - 1]),
         )
     return Verdict(accepted=True)
+
+
+def construct_vertex_labeling(m: int, n: int, c: int) -> Labeling:
+    """Vertex labeling of the m-by-n grid for width-c window coverings.
+
+    label(i, j) = 1 + ceil((j - i*c) / (m*c)); the maximum label, attained
+    at (1, n), equals the budget k = 1 + ceil((n - c) / (m*c)).
+    """
+    require_window_scope(m, c, n)
+    d = m * c
+    k = 1 + ceil_div(n - c, d)
+    labels: dict[Element, int] = {}
+    for i in range(1, m + 1):
+        for j in range(1, n + 1):
+            labels[Vertex(i, j)] = 1 + ceil_div(j - i * c, d)
+    return Labeling(kind=LabelingKind.VERTEX, k=k, labels=labels, m=m, n=n)
+
+
+def construct_edge_labeling(m: int, n: int, c: int) -> Labeling:
+    """Edge labeling of the m-by-n grid for width-c window coverings.
+
+    With D = 2mc - m - c (the edge count of one window):
+
+        vertical   (i,j)-(i+1,j):  1 + ceil((j - i*c) / D)
+        horizontal (i,j)-(i,j+1):  1 + ceil((j - (m+i-1)*c + i) / D)
+
+    The maximum label, at the vertical edge (1,n)-(2,n), equals
+    k = 1 + ceil((n - c) / D).
+    """
+    require_window_scope(m, c, n)
+    d = 2 * m * c - m - c
+    k = 1 + ceil_div(n - c, d)
+    labels: dict[Element, int] = {}
+    for i in range(1, m):
+        for j in range(1, n + 1):
+            labels[Edge(Vertex(i, j), Vertex(i + 1, j))] = 1 + ceil_div(
+                j - i * c, d
+            )
+    for i in range(1, m + 1):
+        for j in range(1, n):
+            labels[Edge(Vertex(i, j), Vertex(i, j + 1))] = 1 + ceil_div(
+                j - (m + i - 1) * c + i, d
+            )
+    return Labeling(kind=LabelingKind.EDGE, k=k, labels=labels, m=m, n=n)
+
+
+def construct_total_labeling(
+    m: int, n: int, c: int, variant: TotalVariant = TotalVariant.CORRECTED
+) -> Labeling:
+    """Total labeling of the m-by-n grid for width-c window coverings.
+
+    With D = 3mc - m - c (vertex plus edge count of one window):
+
+        vertex     (i,j):          1 + ceil((j - i*c) / D)
+        vertical   (i,j)-(i+1,j):  1 + ceil((j - (m+i)*c) / D)
+        horizontal (i,j)-(i,j+1):  1 + ceil((j - (2m+i-1)*c + i) / D')
+
+    where D' = D under ``TotalVariant.CORRECTED`` and D' = 2mc - m - c
+    under ``TotalVariant.AS_PRINTED``.  The budget is always
+    k = 1 + ceil((n - c) / D); under the corrected variant every label lies
+    in {1, ..., k} with the maximum at vertex (1, n), while the as-printed
+    variant can produce labels below 1 (left for the verifier to flag).
+    """
+    require_window_scope(m, c, n)
+    d = 3 * m * c - m - c
+    d_horizontal = d if variant is TotalVariant.CORRECTED else 2 * m * c - m - c
+    k = 1 + ceil_div(n - c, d)
+    labels: dict[Element, int] = {}
+    for i in range(1, m + 1):
+        for j in range(1, n + 1):
+            labels[Vertex(i, j)] = 1 + ceil_div(j - i * c, d)
+    for i in range(1, m):
+        for j in range(1, n + 1):
+            labels[Edge(Vertex(i, j), Vertex(i + 1, j))] = 1 + ceil_div(
+                j - (m + i) * c, d
+            )
+    for i in range(1, m + 1):
+        for j in range(1, n):
+            labels[Edge(Vertex(i, j), Vertex(i, j + 1))] = 1 + ceil_div(
+                j - (2 * m + i - 1) * c + i, d_horizontal
+            )
+    return Labeling(kind=LabelingKind.TOTAL, k=k, labels=labels, m=m, n=n)

@@ -25,6 +25,35 @@ def test_construct_then_verify_roundtrip(tmp_path, capsys):
     assert stdout.startswith("ACCEPT")
 
 
+def test_verify_rejects_labeling_for_another_grid(tmp_path, capsys):
+    lab = tmp_path / "v.json"
+    run(capsys, "construct", "--kind", "vertex",
+        "-m", "2", "-c", "2", "-n", "7", "--out", str(lab))
+    code, stdout, stderr = run(
+        capsys, "verify", "--labeling", str(lab), "--grid", "2,2,6"
+    )
+    assert (code, stdout) == (1, "")
+    assert "labeling is for a 2x7 grid, not 2x6" in stderr
+
+    from gridirr import GridSpec, enumerate_windows, make_grid
+    from gridirr.io import dump_family
+
+    fam = tmp_path / "fam.json"
+    with open(fam, "w", encoding="utf-8") as fp:
+        dump_family(enumerate_windows(make_grid(GridSpec(2, 6)), 2), fp)
+    code, stdout, stderr = run(
+        capsys, "verify", "--labeling", str(lab), "--family", str(fam)
+    )
+    assert (code, stdout) == (1, "")
+    assert "labeling is for a 2x7 grid, not 2x6" in stderr
+    code, _, stderr = run(
+        capsys, "export", "--grid", "2,6", "--labeling", str(lab),
+        "--format", "dot",
+    )
+    assert code == 1
+    assert "labeling is for a 2x7 grid, not 2x6" in stderr
+
+
 def test_verify_rejects_hand_edited_budget_breach(tmp_path, capsys):
     out = tmp_path / "lab.json"
     run(capsys, "construct", "--kind", "edge",
@@ -141,6 +170,63 @@ def test_oracle_runs_deeper_than_the_recursion_limit(capsys, monkeypatch):
     )
     assert code == 0, stderr
     assert "oracle_k=1" in stdout.splitlines()
+
+
+def _erratum(k):
+    return (
+        "erratum_note=as-printed horizontal-edge denominator (2mc-m-c) fails "
+        f"verification: label 0 at (1,1)-(1,2) outside 1..{k}; the corrected "
+        "variant uses 3mc-m-c and verifies"
+    )
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (("-m", "2", "-c", "3", "-n", "9"),
+     ["kind=total m=2 c=3 n=9 t=7", "lower_bound=2", "closed_form=2",
+      "construction_verified=true", _erratum(2)]),
+    (("-m", "3", "-c", "3", "-n", "3"),
+     ["kind=total m=3 c=3 n=3 t=1", "lower_bound=1", "closed_form=1",
+      "construction_verified=true", _erratum(1)]),
+    (("-m", "2", "-c", "2", "-n", "3", "--oracle"),
+     ["kind=total m=2 c=2 n=3 t=2", "lower_bound=2", "closed_form=2",
+      "construction_verified=true", "oracle_k=2", _erratum(2)]),
+])
+def test_strength_total_stdout_is_pinned(capsys, argv, expected):
+    code, stdout, stderr = run(capsys, "strength", "--kind", "total", *argv)
+    assert (code, stderr) == (0, "")
+    assert stdout == "".join(line + "\n" for line in expected)
+
+
+@pytest.mark.parametrize("kind,m,c,n", [
+    ("vertex", 2, 3, 9), ("edge", 3, 3, 7), ("total", 2, 2, 2),
+    ("total", 3, 4, 17), ("total", 4, 6, 40),
+])
+def test_sweep_row_agrees_with_strength_report(tmp_path, capsys, kind, m, c, n):
+    from gridirr import LabelingKind
+    from gridirr.report import strength_report
+
+    out = tmp_path / "row.csv"
+    code, _, _ = run(
+        capsys, "sweep", "--kind", kind, "--m-range", str(m), "--c-range",
+        str(c), "--n-range", str(n), "--csv", str(out),
+    )
+    assert code == 0
+    header, row = [line.split(",") for line in out.read_text().splitlines()]
+    fields = dict(zip(header, row))
+    report = strength_report(LabelingKind(kind), m, c, n)
+    flag = {True: "true", False: "false", None: ""}
+    assert fields == {
+        "kind": report.kind.value,
+        "m": str(report.m),
+        "c": str(report.c),
+        "n": str(report.n),
+        "t": str(report.t),
+        "lower_bound": str(report.lower_bound),
+        "closed_form": str(report.closed_form),
+        "construction_verified": flag[report.construction_verified],
+        "as_printed_verified": flag[report.as_printed_verified],
+    }
+    assert (report.as_printed_verified is None) == (kind != "total")
 
 
 def test_sweep_is_byte_identical(tmp_path, capsys):

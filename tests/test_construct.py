@@ -13,9 +13,11 @@ from gridirr import (
     Vertex,
     ceil_div,
     construct_edge_labeling,
+    construct_for_kind,
     construct_total_labeling,
     construct_vertex_labeling,
 )
+import reference
 from strategies import scope_params
 
 
@@ -179,3 +181,40 @@ def test_domain_matches_kind():
     assert len(edge_lab.labels) == 2 * m * n - m - n
     total_lab = construct_total_labeling(m, n, c)
     assert len(total_lab.labels) == 3 * m * n - m - n
+
+
+# --- one formula against the hand-written bodies -------------------------
+
+
+ACCEPTANCE_RANGE = [
+    (m, c, n)
+    for m in range(2, 5)
+    for c in range(m, 7)
+    for n in range(c, 41)
+]
+
+
+def test_one_formula_matches_the_reference_constructors():
+    """Over the full acceptance range, every kind and the as-printed total
+    variant, both through the public constructor and through
+    ``construct_for_kind``, give the reference's labels and budget."""
+    cases = [
+        (LabelingKind.VERTEX, TotalVariant.CORRECTED,
+         reference.construct_vertex_labeling, construct_vertex_labeling),
+        (LabelingKind.EDGE, TotalVariant.CORRECTED,
+         reference.construct_edge_labeling, construct_edge_labeling),
+        (LabelingKind.TOTAL, TotalVariant.CORRECTED,
+         reference.construct_total_labeling, construct_total_labeling),
+        (LabelingKind.TOTAL, TotalVariant.AS_PRINTED,
+         lambda m, n, c: reference.construct_total_labeling(
+             m, n, c, TotalVariant.AS_PRINTED),
+         lambda m, n, c: construct_total_labeling(
+             m, n, c, TotalVariant.AS_PRINTED)),
+    ]
+    for kind, variant, expected_of, public in cases:
+        for m, c, n in ACCEPTANCE_RANGE:
+            expected = expected_of(m, n, c)
+            for got in (public(m, n, c), construct_for_kind(kind, m, n, c, variant)):
+                assert got.labels == expected.labels, (kind, variant, m, c, n)
+                assert got.k == expected.k, (kind, variant, m, c, n)
+                assert (got.kind, got.m, got.n) == (kind, m, n)
