@@ -40,7 +40,7 @@ from .grid import (
     Edge,
     Graph,
     Vertex,
-    element_key,
+    canonical_order,
     format_element,
     grid_dims,
     require_window_scope,
@@ -187,12 +187,10 @@ def index_members(
     index = host.index
     out = []
     for pos, member in enumerate(members, start=1):
-        found = [index.get(element_key(e)) for e in (*member.vertices, *member.edges)]
+        elements = (*member.vertices, *member.edges)
+        found = [index.get(e) for e in elements]
         if None in found:
-            outside = [v for v in member.vertices if v not in index] or [
-                e for e in member.edges if element_key(e) not in index
-            ]
-            element = min(outside)
+            element = min((e for e in elements if e not in index), key=canonical_order)
             what = "vertex" if isinstance(element, Vertex) else "edge"
             raise MalformedFamilyError(
                 f"member {pos} contains {what} {format_element(element)} "

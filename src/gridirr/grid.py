@@ -4,6 +4,10 @@ A grid graph has m rows and n columns of vertices; vertex (i, j) sits in
 row i (1-based) and column j (1-based).  Edges join orthogonal neighbours:
 vertical edges (i, j)-(i+1, j) and horizontal edges (i, j)-(i, j+1).
 
+Elements are their coordinate keys: a :class:`Vertex` equals and hashes
+as (i, j), an :class:`Edge` as ((i, j), (p, q)) with endpoints in order.
+:func:`canonical_order` sorts vertices row-major, then edges.
+
 The same ``Graph`` container also serves arbitrary simple graphs: vertex
 identities stay (i, j) pairs, with non-grid inputs conventionally embedded
 in a single row (i = 1, j = ordinal).  Only :func:`canonical_edge` insists
@@ -31,8 +35,12 @@ class Vertex(NamedTuple):
     j: int
 
 
-@dataclass(frozen=True, order=True)
-class Edge:
+class _EdgeFields(NamedTuple):
+    a: Vertex
+    b: Vertex
+
+
+class Edge(_EdgeFields):
     """Unordered vertex pair stored with endpoints in row-major order.
 
     Construction canonicalizes: ``Edge(b, a) == Edge(a, b)``.  Self-loops
@@ -40,28 +48,21 @@ class Edge:
     non-grid edges).
     """
 
-    a: Vertex
-    b: Vertex
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.a == self.b:
-            raise InvalidEdgeError(f"self-loop at {format_element(self.a)}")
-        if self.b < self.a:
-            a, b = self.b, self.a
-            object.__setattr__(self, "a", a)
-            object.__setattr__(self, "b", b)
-
-    def endpoints(self) -> tuple[Vertex, Vertex]:
-        return (self.a, self.b)
+    def __new__(cls, a: Vertex, b: Vertex) -> Edge:
+        if a == b:
+            raise InvalidEdgeError(f"self-loop at {format_element(a)}")
+        return tuple.__new__(cls, (a, b) if a < b else (b, a))
 
 
 Element = Union[Vertex, Edge]
 
 
-def element_key(element: Element) -> tuple:
-    """Hashable key of an element, equal to that of its plain coordinates:
-    (i, j) for a vertex, ((i, j), (p, q)) for an edge, endpoints in order."""
-    return (element.a, element.b) if isinstance(element, Edge) else element
+def canonical_order(element: Element) -> tuple:
+    """Sort key of the canonical element order: vertices row-major, then
+    edges by endpoints."""
+    return (isinstance(element, Edge), element)
 
 
 def format_element(element: Element) -> str:
@@ -98,8 +99,8 @@ class Graph:
     even when they equal a grid.  It takes no part in equality or hashing.
 
     Every element has one integer index, its position in :attr:`elements`
-    (vertices row-major, then edges in canonical order); :attr:`index`
-    maps element keys back to it.
+    (in :func:`canonical_order`); :attr:`index` maps elements, or their
+    plain coordinate keys, back to it.
     """
 
     vertices: frozenset[Vertex]
@@ -110,15 +111,14 @@ class Graph:
 
     @cached_property
     def elements(self) -> tuple[Element, ...]:
-        """All elements in canonical order: sorted vertices, sorted edges."""
-        return (*sorted(self.vertices), *sorted(self.edges))
+        """All elements in :func:`canonical_order`."""
+        return tuple(sorted((*self.vertices, *self.edges), key=canonical_order))
 
     @cached_property
     def index(self) -> dict:
-        """Element key -> index in :attr:`elements`.  A vertex's key is its
-        (i, j) pair, an edge's the pair of its endpoints' pairs, so keys can
-        be looked up from plain coordinates without building elements."""
-        return {element_key(e): pos for pos, e in enumerate(self.elements)}
+        """Element -> index in :attr:`elements`.  Elements equal their plain
+        coordinates, so those look up without building elements."""
+        return {e: pos for pos, e in enumerate(self.elements)}
 
     def sorted_vertices(self) -> list[Vertex]:
         return list(self.elements[: len(self.vertices)])

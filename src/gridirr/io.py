@@ -59,6 +59,7 @@ from .grid import (
     Graph,
     GridSpec,
     Vertex,
+    canonical_order,
     graph_from_elements,
     grid_dims,
     make_grid,
@@ -98,17 +99,13 @@ def _edge_from_json(data: Any, where: str) -> Edge:
 
 
 def labeling_to_json_dict(labeling: Labeling) -> dict[str, Any]:
-    vertices = sorted(e for e in labeling.labels if isinstance(e, Vertex))
-    edges = sorted(e for e in labeling.labels if isinstance(e, Edge))
     entries: list[dict[str, Any]] = []
-    for v in vertices:
-        entries.append(
-            {"element": {"v": _vertex_to_json(v)}, "label": labeling.labels[v]}
-        )
-    for e in edges:
-        entries.append(
-            {"element": {"e": _edge_to_json(e)}, "label": labeling.labels[e]}
-        )
+    for e in sorted(labeling.labels, key=canonical_order):
+        if isinstance(e, Edge):
+            tagged = {"e": _edge_to_json(e)}
+        else:
+            tagged = {"v": _vertex_to_json(e)}
+        entries.append({"element": tagged, "label": labeling.labels[e]})
     return {
         "kind": labeling.kind.value,
         "k": labeling.k,

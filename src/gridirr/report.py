@@ -13,9 +13,9 @@ from typing import Optional
 from .bounds import closed_form_strength, grid_bound_report
 from .construct import LabelingKind, TotalVariant, construct_for_kind
 from .covering import enumerate_windows
-from .grid import GridSpec, make_grid, require_window_scope
+from .grid import GridSpec, make_grid
 from .search import min_strength
-from .verify import Verdict, verify_irregular
+from .verify import verify_irregular
 
 
 @dataclass(frozen=True)
@@ -72,21 +72,6 @@ class StrengthReport:
         ]
 
 
-def _erratum_note(printed: Verdict) -> str:
-    """Describe the as-printed total variant's outcome when its labels
-    differ from the corrected ones."""
-    if printed.accepted:
-        return (
-            "as-printed horizontal-edge denominator (2mc-m-c) changes labels "
-            "but still verifies for these parameters"
-        )
-    return (
-        f"as-printed horizontal-edge denominator (2mc-m-c) fails "
-        f"verification: {printed.violation}; the corrected variant uses "
-        f"3mc-m-c and verifies"
-    )
-
-
 def strength_report(
     kind: LabelingKind,
     m: int,
@@ -98,25 +83,27 @@ def strength_report(
     """Compute bounds and closed form, verify the construction, optionally
     confirm minimality by exhaustive search up to the closed form.
 
+    For the total kind the as-printed variant is verified too, and always
+    fails: its horizontal edge (1,1)-(1,2) gets a label of at most 0.
     Raises :class:`gridirr.errors.ResourceLimitError` when ``oracle`` is
     set and the instance exceeds the search size cap.
     """
-    require_window_scope(m, c, n)
+    cf = closed_form_strength(kind, m, n, c)  # checks the scope first
     host = make_grid(GridSpec(m, n))
     family = enumerate_windows(host, c)
-    cf = closed_form_strength(kind, m, n, c)
     labeling = construct_for_kind(kind, m, n, c)
     verdict = verify_irregular(labeling, family)
     as_printed_verified: Optional[bool] = None
     note: Optional[str] = None
     if kind is LabelingKind.TOTAL:
         printed = construct_for_kind(kind, m, n, c, TotalVariant.AS_PRINTED)
-        if printed.labels == labeling.labels:
-            as_printed_verified = verdict.accepted
-        else:
-            printed_verdict = verify_irregular(printed, family)
-            as_printed_verified = printed_verdict.accepted
-            note = _erratum_note(printed_verdict)
+        printed_verdict = verify_irregular(printed, family)
+        as_printed_verified = printed_verdict.accepted
+        note = (
+            f"as-printed horizontal-edge denominator (2mc-m-c) fails "
+            f"verification: {printed_verdict.violation}; the corrected "
+            f"variant uses 3mc-m-c and verifies"
+        )
     oracle_k: Optional[int] = None
     if oracle:
         result = min_strength(

@@ -173,7 +173,8 @@ def exists_irregular(
     k: int,
     max_elements: Optional[int] = None,
 ) -> Optional[Labeling]:
-    """Lexicographically least irregular labeling with budget k, if any.
+    """Lexicographically least irregular labeling with budget k, if any:
+    the witness of :func:`min_strength` searching k alone.
 
     Returns None when the exhaustive search proves no such labeling exists.
     Raises :class:`ResourceLimitError` when the instance has more labeled
@@ -181,32 +182,9 @@ def exists_irregular(
     family does not cover the host.
     """
     _require_positive("budget", k)
-    if max_elements is not None:
-        _require_positive("element cap", max_elements)
-    require_covering(host, family)
-    _check_size(kind, host, max_elements)
-    assignment, _ = _search(_prepare(host, family, kind), k)
-    if assignment is None:
-        return None
-    return _as_verified_labeling(host, family, kind, k, assignment)
-
-
-def _as_verified_labeling(
-    host: Graph,
-    family: CoverFamily,
-    kind: LabelingKind,
-    k: int,
-    assignment: dict[Element, int],
-) -> Labeling:
-    m, n = grid_dims(host)
-    witness = Labeling(kind=kind, k=k, labels=assignment, m=m, n=n)
-    verdict = verify_irregular(witness, family)
-    if not verdict.accepted:
-        raise AssertionError(
-            f"search produced a labeling the verifier rejects: "
-            f"{verdict.violation}"
-        )
-    return witness
+    return min_strength(
+        host, family, kind, k_max=k, start_k=k, max_elements=max_elements
+    ).witness
 
 
 def family_lower_bound(kind: LabelingKind, family: CoverFamily) -> int:
@@ -261,7 +239,14 @@ def min_strength(
         assignment, nodes = _search(tables, k)
         total_nodes += nodes
         if assignment is not None:
-            witness = _as_verified_labeling(host, family, kind, k, assignment)
+            m, n = grid_dims(host)
+            witness = Labeling(kind=kind, k=k, labels=assignment, m=m, n=n)
+            verdict = verify_irregular(witness, family)
+            if not verdict.accepted:
+                raise AssertionError(
+                    f"search produced a labeling the verifier rejects: "
+                    f"{verdict.violation}"
+                )
             return SearchResult(
                 minimal_k=k,
                 witness=witness,

@@ -29,7 +29,7 @@ from typing import Optional, Union
 from .construct import Labeling, LabelingKind
 from .covering import CoverFamily, require_covering
 from .errors import IncompleteLabelingError
-from .grid import Edge, Element, Graph, Vertex, element_key, format_element
+from .grid import Edge, Element, Graph, Vertex, canonical_order, format_element
 
 WeightProfile = list[int]
 
@@ -133,7 +133,7 @@ def _label_layout(labeling: Labeling, host: Graph) -> list:
     values: list = [0] * lo + [None] * (hi - lo) + [0] * (count - hi)
     index = host.index
     for element, label in labeling.labels.items():
-        pos = index.get(element_key(element))
+        pos = index.get(element)
         if pos is not None and lo <= pos < hi:
             values[pos] = label
     return values
@@ -156,7 +156,7 @@ def _window_profile(
                 columns[element.j] += label
                 found += 1
         elif weigh_edges and isinstance(element, Edge):
-            (i, j), (p, q) = element.a, element.b
+            (i, j), (p, q) = element
             if not (1 <= i <= m and 1 <= j <= n):
                 continue
             if q == j and p == i + 1 <= m:
@@ -180,11 +180,9 @@ def _first_range_violation(labeling: Labeling) -> Optional[RangeViolation]:
     (vertices before edges), found by one scan; only violators are sorted."""
     k = labeling.k
     breaches = [e for e, label in labeling.labels.items() if not 1 <= label <= k]
-    vertices = [e for e in breaches if isinstance(e, Vertex)]
-    edges = [e for e in breaches if isinstance(e, Edge)]
-    if not vertices and not edges:
+    if not breaches:
         return None
-    element = min(vertices) if vertices else min(edges)
+    element = min(breaches, key=canonical_order)
     return RangeViolation(element=element, label=labeling.labels[element], k=k)
 
 

@@ -6,8 +6,10 @@ from hypothesis import given, strategies as st
 
 from gridirr import (
     Edge,
+    GridSpec,
     InvalidParameterError,
     LabelingKind,
+    RangeViolation,
     ScopeError,
     TotalVariant,
     Vertex,
@@ -16,6 +18,9 @@ from gridirr import (
     construct_for_kind,
     construct_total_labeling,
     construct_vertex_labeling,
+    enumerate_windows,
+    make_grid,
+    verify_irregular,
 )
 import reference
 from strategies import scope_params
@@ -137,6 +142,20 @@ def test_as_printed_differs_and_breaks_range():
     assert printed.labels[Edge(Vertex(1, 1), Vertex(1, 2))] == 0
     vertical = Edge(Vertex(1, 1), Vertex(2, 1))
     assert printed.labels[vertical] == corrected.labels[vertical]
+    # In the whole acceptance range, n = c included, the first horizontal
+    # edge gets 1 + ceil((2 - 2mc) / (2mc - m - c)) <= 0, so the as-printed
+    # labeling never equals the corrected one and always fails the range
+    # check there first.
+    first = Edge(Vertex(1, 1), Vertex(1, 2))
+    for m in range(2, 5):
+        for c in range(m, 7):
+            for n in range(c, 41):
+                printed = construct_total_labeling(m, n, c, TotalVariant.AS_PRINTED)
+                label = printed.labels[first]
+                assert label == 1 + ceil_div(2 - 2 * m * c, 2 * m * c - m - c) <= 0
+                family = enumerate_windows(make_grid(GridSpec(m, n)), c)
+                verdict = verify_irregular(printed, family)
+                assert verdict.violation == RangeViolation(first, label, printed.k)
 
 
 # --- shared properties -------------------------------------------------------

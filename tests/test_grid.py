@@ -70,6 +70,23 @@ def test_canonical_edge_rejects_loop():
         canonical_edge(Vertex(1, 1), Vertex(1, 1))
 
 
+def test_edge_is_its_coordinate_key():
+    e = Edge(Vertex(1, 2), Vertex(1, 1))
+    key = ((1, 1), (1, 2))
+    assert e == key and hash(e) == hash(key)
+    assert Vertex(2, 3) == (2, 3) and hash(Vertex(2, 3)) == hash((2, 3))
+    host = make_grid(GridSpec(2, 3))
+    assert host.index[e] == host.index[key] == host.elements.index(e)
+    assert host.index[Vertex(2, 3)] == host.index[(2, 3)] == 5
+
+
+def test_edge_repr_and_self_loop_message():
+    e = Edge(Vertex(1, 2), Vertex(1, 1))
+    assert repr(e) == "Edge(a=Vertex(i=1, j=1), b=Vertex(i=1, j=2))"
+    with pytest.raises(InvalidEdgeError, match=r"^self-loop at \(1,1\)$"):
+        Edge(Vertex(1, 1), Vertex(1, 1))
+
+
 @given(dims, dims)
 def test_edge_canonicalization_is_stable(m, n):
     g = make_grid(GridSpec(m, n))

@@ -103,6 +103,19 @@ def test_malformed_labeling_files_rejected(mutate):
         labeling_from_json_dict(data)
 
 
+def test_duplicate_edge_with_swapped_endpoints_is_rejected():
+    data = labeling_to_json_dict(construct_edge_labeling(2, 3, 2))
+    assert len(data["labels"]) == 7
+    data["labels"].append({"element": {"e": [[1, 2], [1, 1]]}, "label": 1})
+    message = (
+        "labels[7]: duplicate element "
+        "Edge(a=Vertex(i=1, j=1), b=Vertex(i=1, j=2))"
+    )
+    with pytest.raises(FormatError) as excinfo:
+        labeling_from_json_dict(data)
+    assert str(excinfo.value) == message
+
+
 def test_load_labeling_rejects_invalid_json():
     with pytest.raises(FormatError):
         load_labeling(stdio.StringIO("{not json"))
