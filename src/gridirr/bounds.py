@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .construct import LabelingKind, ceil_div, window_denominator
+from .construct import LabelingKind, ceil_div, kind_element_count, window_denominator
 from .errors import InvalidParameterError
 from .grid import Graph, require_window_scope
 
@@ -39,12 +39,7 @@ def lower_bound(kind: LabelingKind, t: int, vH: int, eH: int) -> int:
     """
     if t < 1:
         raise InvalidParameterError(f"member count must be >= 1, got {t}")
-    if kind is LabelingKind.VERTEX:
-        d = vH
-    elif kind is LabelingKind.EDGE:
-        d = eH
-    else:
-        d = vH + eH
+    d = kind_element_count(kind, vH, eH)
     if d < 1:
         raise InvalidParameterError(
             f"member element count for {kind.value} labelings must be >= 1"

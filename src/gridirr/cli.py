@@ -56,11 +56,9 @@ def _parse_kind(value: str) -> LabelingKind:
 
 def _parse_ints(value: str, count: int, what: str) -> list[int]:
     parts = value.split(",")
-    if len(parts) != count:
-        raise _UsageError(
-            f"{what} must be {count} comma-separated integers, got {value!r}"
-        )
     try:
+        if len(parts) != count:
+            raise ValueError
         return [int(p) for p in parts]
     except ValueError:
         raise _UsageError(
@@ -201,14 +199,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
         if labeling is not None:
             payload = gio.labeling_to_json_dict(labeling)
         else:
-            payload = {
-                "grid": [m, n],
-                "vertices": [[v.i, v.j] for v in host.sorted_vertices()],
-                "edges": [
-                    [[e.a.i, e.a.j], [e.b.i, e.b.j]]
-                    for e in host.sorted_edges()
-                ],
-            }
+            payload = {"grid": [m, n], **gio.elements_to_json_dict(host)}
         json.dump(payload, sys.stdout, indent=2)
         sys.stdout.write("\n")
     return EXIT_OK

@@ -92,13 +92,19 @@ def ceil_div(p: int, q: int) -> int:
     return -(-p // q)
 
 
+def kind_element_count(kind: LabelingKind, vertices: int, edges: int) -> int:
+    """How many elements the kind labels in a graph with the given numbers
+    of vertices and edges: the vertices, the edges, or both."""
+    if kind is LabelingKind.VERTEX:
+        return vertices
+    if kind is LabelingKind.EDGE:
+        return edges
+    return vertices + edges
+
+
 def window_denominator(kind: LabelingKind, m: int, c: int) -> int:
     """Relevant element count of one m-by-c window for the given kind."""
-    if kind is LabelingKind.VERTEX:
-        return m * c
-    if kind is LabelingKind.EDGE:
-        return 2 * m * c - m - c
-    return 3 * m * c - m - c
+    return kind_element_count(kind, m * c, 2 * m * c - m - c)
 
 
 def construct_for_kind(

@@ -6,7 +6,8 @@ vertical edges (i, j)-(i+1, j) and horizontal edges (i, j)-(i, j+1).
 
 Elements are their coordinate keys: a :class:`Vertex` equals and hashes
 as (i, j), an :class:`Edge` as ((i, j), (p, q)) with endpoints in order.
-:func:`canonical_order` sorts vertices row-major, then edges.
+:func:`canonical_order` sorts vertices row-major, then edges, and
+:func:`column_slices` finds the columns and gaps of a :func:`make_grid` host.
 
 The same ``Graph`` container also serves arbitrary simple graphs: vertex
 identities stay (i, j) pairs, with non-grid inputs conventionally embedded
@@ -54,6 +55,10 @@ class Edge(_EdgeFields):
         if a == b:
             raise InvalidEdgeError(f"self-loop at {format_element(a)}")
         return tuple.__new__(cls, (a, b) if a < b else (b, a))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Vertex]) -> Edge:  # _replace calls it too
+        return cls(*iterable)
 
 
 Element = Union[Vertex, Edge]
@@ -136,7 +141,7 @@ def graph_from_elements(
     for e in eset:
         if e.a not in vset or e.b not in vset:
             raise InvalidParameterError(
-                f"edge {e.a}-{e.b} has an endpoint outside the vertex set"
+                f"edge {format_element(e)} has an endpoint outside the vertex set"
             )
     return Graph(vertices=vset, edges=eset)
 
@@ -165,6 +170,26 @@ def make_grid(spec: GridSpec) -> Graph:
     object.__setattr__(graph, "spec", spec)
     object.__setattr__(graph, "elements", (*vertices, *edges))
     return graph
+
+
+def column_slices(m: int, n: int) -> tuple[list, list]:
+    """Where the columns and gaps of the m-by-n grid sit in the
+    :attr:`Graph.elements` of :func:`make_grid`, row by row.
+
+    Each row is a pair of slices of those elements; its j-th position,
+    counting through both slices, lies in column j (``columns``: the
+    vertex rows, then the rows of vertical edges) or in the gap from
+    column j to j + 1 (``gaps``: the rows of horizontal edges).
+    """
+    edge, row = m * n, 2 * n - 1  # first edge position, edges a row adds
+    last = edge + (m - 1) * row  # first edge of the last row
+    starts, empty = range(edge, last, row), slice(0)
+    columns = [(slice(i, i + n), empty) for i in range(0, edge, n)]
+    for s in starts:  # vertical edges of columns 1 .. n - 1, then column n
+        columns.append((slice(s + 1, s + row - 1, 2), slice(s + row - 1, s + row)))
+    gaps = [(slice(s, s + row - 1, 2), empty) for s in starts]
+    gaps.append((slice(last, last + n - 1), empty))
+    return columns, gaps
 
 
 def grid_dims(graph: Graph) -> tuple[int, int]:

@@ -173,15 +173,16 @@ def load_labeling(fp: IO[str]) -> Labeling:
     return labeling_from_json_dict(data)
 
 
-def _is_full_grid(graph: Graph) -> bool:
-    m, n = grid_dims(graph)
-    return graph == make_grid(GridSpec(m, n))
-
-
 def graph_to_json_dict(graph: Graph) -> dict[str, Any]:
-    if graph.vertices and _is_full_grid(graph):
+    if graph.vertices:
         m, n = grid_dims(graph)
-        return {"grid": [m, n]}
+        if graph == make_grid(GridSpec(m, n)):
+            return {"grid": [m, n]}
+    return elements_to_json_dict(graph)
+
+
+def elements_to_json_dict(graph: Graph) -> dict[str, Any]:
+    """The explicit form: the vertex and edge lists in canonical order."""
     return {
         "vertices": [_vertex_to_json(v) for v in graph.sorted_vertices()],
         "edges": [_edge_to_json(e) for e in graph.sorted_edges()],
@@ -228,16 +229,7 @@ def _json_list(data: Any, where: str) -> list:
 
 
 def family_to_json_dict(family: CoverFamily) -> dict[str, Any]:
-    members = []
-    for member in family.members:
-        members.append(
-            {
-                "vertices": [
-                    _vertex_to_json(v) for v in member.sorted_vertices()
-                ],
-                "edges": [_edge_to_json(e) for e in member.sorted_edges()],
-            }
-        )
+    members = [elements_to_json_dict(member) for member in family.members]
     return {"host": graph_to_json_dict(family.host), "members": members}
 
 

@@ -33,7 +33,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
-from .construct import Labeling, LabelingKind, ceil_div
+from .construct import Labeling, LabelingKind, ceil_div, kind_element_count
 from .covering import CoverFamily, member_indices, require_covering
 from .errors import InvalidParameterError, ResourceLimitError
 from .grid import Element, Graph, grid_dims
@@ -91,8 +91,7 @@ def _check_size(
 ) -> None:
     """Refuse instances with more labeled elements than the size cap."""
     cap = configured_max_elements() if max_elements is None else max_elements
-    lo, hi = kind_range(kind, host)
-    count = hi - lo
+    count = kind_element_count(kind, len(host.vertices), len(host.edges))
     if count > cap:
         raise ResourceLimitError(
             f"instance has {count} labeled elements, above the cap of {cap}; "

@@ -9,16 +9,17 @@ Weights are plain Python integers, so there is no overflow to guard
 against; magnitudes at the supported scales stay tiny anyway (at most
 k * (3mc - m - c) per member).
 
-A window family over its own :func:`gridirr.grid.make_grid` host (see
-:attr:`gridirr.covering.CoverFamily.window`) is weighed in one pass over
-the labels: a window's weight is the sum of c consecutive column sums
-(vertex and vertical-edge labels) and the c - 1 gap sums between them
-(horizontal-edge labels).  Every other family is weighed by index: the
-labels the kind weighs are laid out once in the order of the host's
-elements, and each member sums its index tuple
-(:attr:`gridirr.covering.CoverFamily.indices`).  Both paths sum the same
-integers; labels on elements outside the host or of another kind are
-weighed by neither.
+Every weight is read from one label layout: the labels the kind weighs,
+in the order of the host's elements (None where such an element has no
+label), with 0 at the elements of the other kind.  Labels on elements
+outside the host or of another kind are never looked up.  A window
+family over its own :func:`gridirr.grid.make_grid` host (see
+:attr:`gridirr.covering.CoverFamily.window`) is weighed from column sums
+(vertex and vertical-edge labels) and gap sums (horizontal-edge labels),
+taken from slices of the layout (:func:`gridirr.grid.column_slices`); a
+window's weight is then c consecutive column sums and the c - 1 gap sums
+between them.  Every other family is weighed by index: each member sums
+its index tuple (:attr:`gridirr.covering.CoverFamily.indices`).
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .construct import Labeling, LabelingKind
+from .construct import Labeling, LabelingKind, kind_element_count
 from .covering import CoverFamily, require_covering
 from .errors import IncompleteLabelingError
-from .grid import Edge, Element, Graph, Vertex, canonical_order, format_element
+from .grid import Element, Graph, canonical_order, column_slices, format_element
 
 WeightProfile = list[int]
 
@@ -94,18 +95,14 @@ def weight_profile(labeling: Labeling, family: CoverFamily) -> WeightProfile:
     labeling leaves unlabeled, and :class:`MalformedFamilyError` for a
     member with an element outside the host.
     """
-    window = family.window
-    if window is not None:
-        lo, hi = kind_range(labeling.kind, family.host)
-        profile = _window_profile(labeling, *window, needed=hi - lo)
-        if profile is not None:
-            return profile
-    indices = family.indices
     values = _label_layout(labeling, family.host)
+    window = family.window
     try:
-        return [sum(map(values.__getitem__, member)) for member in indices]
+        if window is not None:
+            return _window_profile(values, *window)
+        return [sum(map(values.__getitem__, member)) for member in family.indices]
     except TypeError:  # None marks an unlabeled element the kind weighs
-        for member in indices:
+        for member in family.indices:
             for pos in member:
                 if values[pos] is None:
                     element = family.host.elements[pos]
@@ -119,57 +116,29 @@ def weight_profile(labeling: Labeling, family: CoverFamily) -> WeightProfile:
 def kind_range(kind: LabelingKind, host: Graph) -> tuple[int, int]:
     """The elements the kind labels, as the slice ``lo:hi`` of
     ``host.elements``: the vertices, the edges, or both."""
-    first_edge = len(host.vertices)
-    lo = first_edge if kind is LabelingKind.EDGE else 0
-    hi = first_edge if kind is LabelingKind.VERTEX else first_edge + len(host.edges)
-    return lo, hi
+    vertices, edges = len(host.vertices), len(host.edges)
+    lo = vertices if kind is LabelingKind.EDGE else 0
+    return lo, lo + kind_element_count(kind, vertices, edges)
 
 
 def _label_layout(labeling: Labeling, host: Graph) -> list:
     """Per element of ``host.elements``: its label if the kind weighs it,
     None if the kind weighs it but it has no label, else 0."""
-    count = len(host.elements)
+    elements = host.elements
     lo, hi = kind_range(labeling.kind, host)
-    values: list = [0] * lo + [None] * (hi - lo) + [0] * (count - hi)
-    index = host.index
-    for element, label in labeling.labels.items():
-        pos = index.get(element)
-        if pos is not None and lo <= pos < hi:
-            values[pos] = label
-    return values
+    labels = map(labeling.labels.get, elements[lo:hi])
+    return [0] * lo + list(labels) + [0] * (len(elements) - hi)
 
 
-def _window_profile(
-    labeling: Labeling, m: int, c: int, n: int, needed: int
-) -> Optional[WeightProfile]:
-    """Window weights from column and gap sums of the m-by-n grid, or None
-    when fewer than ``needed`` elements the kind weighs have labels (the
-    indexed path then raises the error naming the first unlabeled one)."""
-    weigh_vertices = labeling.kind is not LabelingKind.EDGE
-    weigh_edges = labeling.kind is not LabelingKind.VERTEX
-    columns = [0] * (n + 1)  # [j]: labels of column j's vertices and vertical edges
-    gaps = [0] * n  # [j]: labels of the horizontal edges from column j to j+1
-    found = 0
-    for element, label in labeling.labels.items():
-        if isinstance(element, Vertex):
-            if weigh_vertices and 1 <= element.i <= m and 1 <= element.j <= n:
-                columns[element.j] += label
-                found += 1
-        elif weigh_edges and isinstance(element, Edge):
-            (i, j), (p, q) = element
-            if not (1 <= i <= m and 1 <= j <= n):
-                continue
-            if q == j and p == i + 1 <= m:
-                columns[j] += label
-                found += 1
-            elif p == i and q == j + 1 <= n:
-                gaps[j] += label
-                found += 1
-    if found < needed:
-        return None
-    weight = sum(columns[1 : c + 1]) + sum(gaps[1:c])
+def _window_profile(values: list, m: int, c: int, n: int) -> WeightProfile:
+    """Window weights of the m-by-n grid from its column and gap sums."""
+    columns, gaps = (  # [j - 1]: the sum of the j-th positions of the rows
+        list(map(sum, zip(*[values[a] + values[b] for a, b in rows])))
+        for rows in column_slices(m, n)
+    )
+    weight = sum(columns[:c]) + sum(gaps[: c - 1])
     profile = [weight]
-    for l in range(1, n - c + 1):
+    for l in range(n - c):
         weight += columns[l + c] - columns[l] + gaps[l + c - 1] - gaps[l]
         profile.append(weight)
     return profile

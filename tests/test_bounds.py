@@ -29,6 +29,11 @@ def test_lower_bound_rejects_bad_parameters():
         lower_bound(LabelingKind.EDGE, 3, 4, 0)
     with pytest.raises(InvalidParameterError):
         lower_bound(LabelingKind.VERTEX, 3, 0, 4)
+    with pytest.raises(
+        InvalidParameterError,
+        match="^member element count for total labelings must be >= 1$",
+    ):
+        lower_bound(LabelingKind.TOTAL, 3, 0, 0)
 
 
 def test_upper_bound_exponents():
@@ -36,6 +41,14 @@ def test_upper_bound_exponents():
     assert upper_bound_exponent(LabelingKind.VERTEX, square) == 3
     assert upper_bound_exponent(LabelingKind.EDGE, square) == 3
     assert upper_bound_exponent(LabelingKind.TOTAL, make_grid(GridSpec(2, 3))) == 6
+
+
+def test_upper_bound_exponent_of_an_edgeless_host_is_rejected():
+    single = make_grid(GridSpec(1, 1))
+    assert upper_bound_exponent(LabelingKind.VERTEX, single) == 0
+    for kind in (LabelingKind.EDGE, LabelingKind.TOTAL):
+        with pytest.raises(InvalidParameterError, match="^host has no edges$"):
+            upper_bound_exponent(kind, single)
 
 
 def test_closed_form_values():

@@ -161,6 +161,19 @@ def test_size_cap_env_override(capsys, monkeypatch):
     assert "cap" in stderr
 
 
+@pytest.mark.parametrize("raw,message", [
+    ("abc", "GRIDIRR_ORACLE_MAX_ELEMENTS must be an integer, got 'abc'"),
+    ("0", "GRIDIRR_ORACLE_MAX_ELEMENTS must be >= 1"),
+])
+def test_bad_size_cap_env_exits_1(capsys, monkeypatch, raw, message):
+    monkeypatch.setenv("GRIDIRR_ORACLE_MAX_ELEMENTS", raw)
+    result = run(
+        capsys, "strength", "--kind", "vertex", "-m", "2", "-c", "2",
+        "-n", "3", "--oracle",
+    )
+    assert result == (1, "", f"error: {message}\n")
+
+
 def test_oracle_runs_deeper_than_the_recursion_limit(capsys, monkeypatch):
     # 1,200 labeled elements: a search one frame per element would overflow
     monkeypatch.setenv("GRIDIRR_ORACLE_MAX_ELEMENTS", "2000")
@@ -295,6 +308,22 @@ def test_export_json_roundtrip_verifies(tmp_path, capsys):
     assert json.loads(stdout) == json.loads(lab.read_text())
 
 
+def test_export_json_plain_grid_stdout_is_pinned(capsys):
+    code, stdout, stderr = run(capsys, "export", "--grid", "2,2", "--format", "json")
+    assert (code, stderr) == (0, "")
+    expected = {
+        "grid": [2, 2],
+        "vertices": [[1, 1], [1, 2], [2, 1], [2, 2]],
+        "edges": [
+            [[1, 1], [1, 2]],
+            [[1, 1], [2, 1]],
+            [[1, 2], [2, 2]],
+            [[2, 1], [2, 2]],
+        ],
+    }
+    assert stdout == json.dumps(expected, indent=2) + "\n"
+
+
 def test_export_json_plain_grid(capsys):
     code, stdout, _ = run(capsys, "export", "--grid", "2,3", "--format", "json")
     assert code == 0
@@ -317,12 +346,26 @@ def test_export_json_plain_grid(capsys):
         ["export", "--grid", "2,0", "--format", "dot"],
         ["construct", "--kind", "vertex", "-m", "2", "-c", "5", "-n", "3",
          "--out", "x.json"],
+        ["sweep", "--kind", "vertex", "--m-range", "1..2..3",
+         "--c-range", "2..2", "--n-range", "2..2", "--csv", "x.csv"],
     ],
 )
 def test_usage_errors_exit_1(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     code, _, _ = run(capsys, *argv)
     assert code == 1
+
+
+@pytest.mark.parametrize("grid", ["2,x,6", "2,2"])
+def test_verify_grid_needs_three_integers(tmp_path, capsys, grid):
+    lab = tmp_path / "lab.json"
+    run(capsys, "construct", "--kind", "vertex",
+        "-m", "2", "-c", "2", "-n", "6", "--out", str(lab))
+    result = run(capsys, "verify", "--labeling", str(lab), "--grid", grid)
+    assert result == (1, "", (
+        f"usage error: --grid must be 3 comma-separated integers, "
+        f"got {grid!r}\n"
+    ))
 
 
 def test_scope_error_suggests_transpose(capsys):

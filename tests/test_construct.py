@@ -21,7 +21,10 @@ from gridirr import (
     enumerate_windows,
     make_grid,
     verify_irregular,
+    window_denominator,
 )
+from gridirr.construct import kind_element_count
+from gridirr.verify import kind_range
 import reference
 from strategies import scope_params
 
@@ -188,6 +191,16 @@ def test_labels_nondecreasing_in_j(params):
                           for j in range(1, n + 1)
                           if Edge(Vertex(i, j), Vertex(i + 1, j)) in lab.labels]
             assert col_labels == sorted(col_labels)
+
+
+def test_one_element_count_rule_per_kind():
+    counts = {LabelingKind.VERTEX: 6, LabelingKind.EDGE: 7, LabelingKind.TOTAL: 13}
+    host = make_grid(GridSpec(2, 3))
+    for kind, count in counts.items():
+        assert kind_element_count(kind, 6, 7) == count
+        lo, hi = kind_range(kind, host)
+        assert hi - lo == count
+        assert window_denominator(kind, 2, 3) == count
 
 
 def test_domain_matches_kind():

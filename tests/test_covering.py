@@ -92,6 +92,12 @@ def test_missing_last_window_reports_uncovered_column():
     assert any(e.a.j == 5 or e.b.j == 5 for e in check.uncovered)
 
 
+def test_family_with_no_members_is_malformed():
+    message = "^a covering family needs >= 1 member$"
+    with pytest.raises(MalformedFamilyError, match=message):
+        CoverFamily(host=make_grid(GridSpec(2, 3)), members=())
+
+
 def test_member_outside_host_is_malformed():
     g = make_grid(GridSpec(2, 3))
     stray = Subgraph(

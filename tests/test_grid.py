@@ -3,17 +3,20 @@ from hypothesis import given, strategies as st
 
 from gridirr import (
     Edge,
+    Graph,
     GridSpec,
     InvalidEdgeError,
     InvalidParameterError,
     ScopeError,
     Vertex,
     canonical_edge,
+    graph_from_elements,
     grid_dims,
     make_grid,
     require_window_scope,
     transpose,
 )
+from gridirr.grid import column_slices
 
 dims = st.integers(min_value=1, max_value=9)
 
@@ -87,6 +90,15 @@ def test_edge_repr_and_self_loop_message():
         Edge(Vertex(1, 1), Vertex(1, 1))
 
 
+def test_edge_make_and_replace_canonicalize():
+    assert Edge._make([Vertex(1, 2), Vertex(1, 1)]) == Edge(Vertex(1, 1), Vertex(1, 2))
+    assert Edge._make([Vertex(1, 2), Vertex(1, 1)]).a == Vertex(1, 1)
+    e = Edge(Vertex(1, 1), Vertex(1, 2))
+    assert e._replace(a=Vertex(2, 2)) == Edge(Vertex(1, 2), Vertex(2, 2))
+    with pytest.raises(InvalidEdgeError, match=r"^self-loop at \(1,1\)$"):
+        e._replace(b=e.a)
+
+
 @given(dims, dims)
 def test_edge_canonicalization_is_stable(m, n):
     g = make_grid(GridSpec(m, n))
@@ -98,6 +110,20 @@ def test_edge_canonicalization_is_stable(m, n):
 
 def test_grid_dims_roundtrip():
     assert grid_dims(make_grid(GridSpec(3, 7))) == (3, 7)
+
+
+def test_grid_dims_of_an_empty_graph_is_rejected():
+    with pytest.raises(InvalidParameterError, match="^graph has no vertices$"):
+        grid_dims(Graph(vertices=frozenset(), edges=frozenset()))
+
+
+def test_graph_from_elements_names_the_edge_outside_the_vertex_set():
+    a, b = Vertex(1, 1), Vertex(1, 2)
+    with pytest.raises(InvalidParameterError) as excinfo:
+        graph_from_elements([a], [Edge(a, b)])
+    assert str(excinfo.value) == (
+        "edge (1,1)-(1,2) has an endpoint outside the vertex set"
+    )
 
 
 def test_transpose_swaps_dims():
@@ -114,3 +140,32 @@ def test_window_scope_hint_suggests_transpose():
     with pytest.raises(ScopeError):
         require_window_scope(2, 4, 3)
     require_window_scope(2, 2, 2)
+
+
+def test_column_slices_cover_each_column_and_gap_of_make_grid():
+    for m in range(2, 7):
+        for n in range(2, 13):
+            _check_column_slices(m, n)
+
+
+def _check_column_slices(m, n):
+    elements = make_grid(GridSpec(m, n)).elements
+    positions = range(len(elements))
+    columns, gaps = column_slices(m, n)
+    assert (len(columns), len(gaps)) == (2 * m - 1, m)
+    seen = []
+    for rows, width in ((columns, n), (gaps, n - 1)):
+        for row in rows:
+            row = [pos for s in row for pos in positions[s]]
+            assert len(row) == width, (m, n, row)
+            seen += row
+            for j, element in enumerate(map(elements.__getitem__, row), start=1):
+                if rows is gaps:  # a horizontal edge from column j to j + 1
+                    (i, q), (p, r) = element
+                    assert (p, q, r) == (i, j, j + 1), (m, n, element)
+                elif isinstance(element, Edge):  # a vertical edge in column j
+                    (i, q), (p, r) = element
+                    assert (q, r, p) == (j, j, i + 1), (m, n, element)
+                else:
+                    assert element.j == j, (m, n, element)
+    assert sorted(seen) == list(positions)  # each position exactly once

@@ -94,6 +94,10 @@ def test_load_preserves_out_of_range_labels():
             {"element": {"e": [[1, 1], [1, 1]]}, "label": 1}
         ),
         lambda d: d["labels"][0].update(label="three"),
+        lambda d: d["labels"].append(5),
+        lambda d: d["labels"].append(
+            {"element": {"v": [1, 1], "e": [[1, 1], [1, 2]]}, "label": 1}
+        ),
     ],
 )
 def test_malformed_labeling_files_rejected(mutate):
@@ -116,9 +120,20 @@ def test_duplicate_edge_with_swapped_endpoints_is_rejected():
     assert str(excinfo.value) == message
 
 
+def test_labeling_data_that_is_a_list_is_rejected():
+    data = [labeling_to_json_dict(construct_vertex_labeling(2, 3, 2))]
+    with pytest.raises(FormatError, match="^labeling file must contain a JSON object$"):
+        labeling_from_json_dict(data)
+
+
 def test_load_labeling_rejects_invalid_json():
     with pytest.raises(FormatError):
         load_labeling(stdio.StringIO("{not json"))
+
+
+def test_load_family_rejects_invalid_json():
+    with pytest.raises(FormatError, match="^not valid JSON: "):
+        load_family(stdio.StringIO("{not json"))
 
 
 def test_family_roundtrip_window_family():
@@ -186,6 +201,8 @@ def test_graph_shorthand_parses():
          "members": [{"vertices": [[True, 1]], "edges": []}]},
         {"host": {"grid": [2, 3]},
          "members": [{"vertices": [], "edges": [[[1, 1], [1, False]]]}]},
+        # a host that is not an object
+        {"host": [2, 3], "members": [{"vertices": [[1, 1]], "edges": []}]},
     ],
 )
 def test_malformed_family_files_rejected(data):
