@@ -14,17 +14,17 @@ weights in :mod:`gridirr.verify` and the oracle's tables in
 :attr:`CoverFamily.indices` (through :func:`member_indices` when the host
 is not the family's own).
 
-The family :func:`enumerate_windows` returns over a :func:`make_grid` host
-is implicit: it keeps (m, c, n) and builds a window's element sets only
-when a caller asks for that member.  Its covering check is answered from
+Window and loaded families arrive as index tuples, held by the one
+members class :class:`Members`: window l's tuple is
+:func:`~gridirr.grid.window_positions` of (m, c, n, l), a loaded member's
+the tuple the loader made.  A member graph is built only when a caller
+asks for that member.  The family :func:`enumerate_windows` returns over
+a :func:`make_grid` host is implicit: its covering check is answered from
 (m, c, n), and :mod:`gridirr.verify` weighs it from column sums.
 
 Every other family is explicit: truncated, reordered, loaded and
-hand-built families alike.  An explicit family's members are sorted tuples
-of indices into its host's :attr:`~gridirr.grid.Graph.elements`
-(:attr:`CoverFamily.indices`).  A loaded family arrives in that form
-(:class:`IndexedMembers`); a tuple of member graphs is indexed once, on
-first need.  The covering check marks covered edges by index.
+hand-built families alike.  The covering check marks covered edges by
+index; a tuple of member graphs is indexed once, on first need.
 """
 
 from __future__ import annotations
@@ -33,30 +33,40 @@ from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .errors import MalformedFamilyError
 from .grid import (
     Edge,
     Graph,
+    GridSpec,
     Vertex,
     canonical_order,
     format_element,
     grid_dims,
+    make_grid,
     require_window_scope,
+    window_positions,
 )
 
 
 Subgraph = Graph  # a family member is a plain Graph; the name stays public
 
 
-class _LazyMembers(Sequence):
-    """A read-only sequence standing for a tuple of member graphs:
-    length, indexing, slicing (which returns a tuple), iteration and
-    equality behave as on that tuple.  A member is built on first access,
-    by the subclass's ``_build(pos)``, and kept: at most once per object."""
+class Members(Sequence):
+    """A read-only sequence standing for the tuple of member graphs (slices
+    are tuples).  Member ``pos`` is the graph of ``host.elements`` at the
+    sorted index tuple ``positions(pos)``, built on first access and kept.
+    ``window`` is (m, c, n) for the width-c windows of the m-by-n grid."""
 
-    def __init__(self, count: int) -> None:
+    def __init__(
+        self,
+        host: Graph,
+        count: int,
+        positions: Callable[[int], tuple[int, ...]],
+        window: Optional[tuple[int, int, int]] = None,
+    ) -> None:
+        self.host, self.positions, self.window = host, positions, window
         self._built: list[Optional[Graph]] = [None] * count
 
     def __len__(self) -> int:
@@ -70,58 +80,21 @@ class _LazyMembers(Sequence):
         pos = range(len(self))[index]  # normalizes negatives, checks bounds
         member = self._built[pos]
         if member is None:
-            member = self._build(pos)
-            self._built[pos] = member
+            elements, at = self.host.elements, self.positions(pos)
+            split = bisect_left(at, len(self.host.vertices))
+            member = self._built[pos] = Graph(
+                vertices=frozenset(map(elements.__getitem__, at[:split])),
+                edges=frozenset(map(elements.__getitem__, at[split:])),
+            )
         return member
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (tuple, _LazyMembers)):
+        if isinstance(other, (tuple, Members)):
             return tuple(self) == tuple(other)
         return NotImplemented
 
     def __hash__(self) -> int:
         return hash(tuple(self))
-
-
-class WindowMembers(_LazyMembers):
-    """The n - c + 1 width-c windows of an m-row, n-column grid, in order:
-    ``window_subgraph(m, c, l)`` for l = 1 .. n - c + 1.  Taking the length
-    builds nothing."""
-
-    def __init__(self, m: int, c: int, n: int) -> None:
-        self.m, self.c, self.n = m, c, n
-        super().__init__(n - c + 1)
-
-    def _build(self, pos: int) -> Graph:
-        return window_subgraph(self.m, self.c, pos + 1)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, WindowMembers):
-            # Windows of different shapes differ as element sets.
-            return (self.m, self.c, self.n) == (other.m, other.c, other.n)
-        return super().__eq__(other)
-
-    __hash__ = _LazyMembers.__hash__
-
-    def __repr__(self) -> str:
-        return f"WindowMembers(m={self.m}, c={self.c}, n={self.n})"
-
-
-class IndexedMembers(_LazyMembers):
-    """Members as sorted tuples of indices into ``host.elements``, the
-    form the family loader makes."""
-
-    def __init__(self, host: Graph, indices: tuple[tuple[int, ...], ...]) -> None:
-        self.host, self.indices = host, indices
-        super().__init__(len(indices))
-
-    def _build(self, pos: int) -> Graph:
-        elements, member = self.host.elements, self.indices[pos]
-        split = bisect_left(member, len(self.host.vertices))
-        return Graph(
-            vertices=frozenset(map(elements.__getitem__, member[:split])),
-            edges=frozenset(map(elements.__getitem__, member[split:])),
-        )
 
 
 @dataclass(frozen=True)
@@ -141,10 +114,11 @@ class CoverFamily:
         members = self.members
         if not members:
             raise MalformedFamilyError("a covering family needs >= 1 member")
-        if isinstance(members, WindowMembers):
-            return  # distinct by construction; checking would build them all
-        keys = members.indices if isinstance(members, IndexedMembers) else members
-        if len(set(keys)) != len(keys):
+        if isinstance(members, Members):
+            if members.window is not None:
+                return  # distinct by construction; checking would make them all
+            members = index_members(members.host, members)
+        if len(set(members)) != len(members):
             raise MalformedFamilyError(
                 "family members must be pairwise distinct element sets"
             )
@@ -158,32 +132,29 @@ class CoverFamily:
         """(m, c, n) when this is the width-c window family of its own
         :func:`make_grid` host, else None (an explicit family)."""
         members, spec = self.members, self.host.spec
-        if (
-            isinstance(members, WindowMembers)
-            and spec is not None
-            and (spec.m, spec.n) == (members.m, members.n)
-        ):
-            return members.m, members.c, members.n
-        return None
+        window = members.window if isinstance(members, Members) else None
+        if window is None or spec is None or (spec.m, spec.n) != window[::2]:
+            return None  # window[::2] is (m, n)
+        return window
 
     @cached_property
     def indices(self) -> tuple[tuple[int, ...], ...]:
         """:func:`index_members` of the host, computed once."""
-        members = self.members
-        if isinstance(members, IndexedMembers) and members.host is self.host:
-            return members.indices
-        return index_members(self.host, members)
+        return index_members(self.host, self.members)
 
 
 def index_members(
     host: Graph, members: Sequence[Graph]
 ) -> tuple[tuple[int, ...], ...]:
-    """Each member's elements as sorted indices into ``host.elements``.
+    """Each member's elements as sorted indices into ``host.elements``:
+    the members' own tuples when they are :class:`Members` of ``host``.
 
     A member with an element outside the host raises
     :class:`MalformedFamilyError`, naming the first such member and, in
     it, the least such vertex, or else the least such edge.
     """
+    if isinstance(members, Members) and members.host is host:
+        return tuple(map(members.positions, range(len(members))))
     index = host.index
     out = []
     for pos, member in enumerate(members, start=1):
@@ -207,16 +178,9 @@ def window_subgraph(m: int, c: int, l: int) -> Graph:
     covered column, and the horizontal edges between consecutive covered
     columns: 2mc - m - c edges in total.
     """
-    cols = range(l, l + c)
-    vertices = [Vertex(i, j) for i in range(1, m + 1) for j in cols]
-    edges: list[Edge] = []
-    for j in cols:
-        for i in range(1, m):
-            edges.append(Edge(Vertex(i, j), Vertex(i + 1, j)))
-    for j in range(l, l + c - 1):
-        for i in range(1, m + 1):
-            edges.append(Edge(Vertex(i, j), Vertex(i, j + 1)))
-    return Graph(vertices=frozenset(vertices), edges=frozenset(edges))
+    n = l + c - 1  # the narrowest grid holding the window
+    host = make_grid(GridSpec(m, n))
+    return Members(host, 1, lambda _: window_positions(m, c, n, l))[0]
 
 
 def enumerate_windows(grid: Graph, c: int) -> CoverFamily:
@@ -225,11 +189,16 @@ def enumerate_windows(grid: Graph, c: int) -> CoverFamily:
     ``grid`` must be an m-by-n grid graph (its dimensions come from the
     spec :func:`make_grid` records, or else from the vertex set);
     parameters must satisfy 2 <= m <= c <= n.  Members are built on demand
-    (see :class:`WindowMembers`).
+    (see :class:`Members`), from the elements of ``grid``, or of
+    :func:`make_grid` when ``grid`` records no spec.
     """
     m, n = grid_dims(grid)
     require_window_scope(m, c, n)
-    return CoverFamily(host=grid, members=WindowMembers(m, c, n))
+    host = grid if grid.spec is not None else make_grid(GridSpec(m, n))
+    members = Members(
+        host, n - c + 1, lambda pos: window_positions(m, c, n, pos + 1), (m, c, n)
+    )
+    return CoverFamily(host=grid, members=members)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ vertical edges (i, j)-(i+1, j) and horizontal edges (i, j)-(i, j+1).
 
 Elements are their coordinate keys: a :class:`Vertex` equals and hashes
 as (i, j), an :class:`Edge` as ((i, j), (p, q)) with endpoints in order.
-:func:`canonical_order` sorts vertices row-major, then edges, and
-:func:`column_slices` finds the columns and gaps of a :func:`make_grid` host.
+:func:`canonical_order` sorts vertices row-major, then edges.
+:func:`column_slices` finds the columns and gaps of a :func:`make_grid` host,
+and :func:`window_positions` reads a window's positions from them.
 
 The same ``Graph`` container also serves arbitrary simple graphs: vertex
 identities stay (i, j) pairs, with non-grid inputs conventionally embedded
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, islice
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import InvalidEdgeError, InvalidParameterError, ScopeError
@@ -190,6 +192,20 @@ def column_slices(m: int, n: int) -> tuple[list, list]:
     gaps = [(slice(s, s + row - 1, 2), empty) for s in starts]
     gaps.append((slice(last, last + n - 1), empty))
     return columns, gaps
+
+
+def window_positions(m: int, c: int, n: int, l: int) -> tuple[int, ...]:
+    """The sorted positions, in the :attr:`Graph.elements` of
+    :func:`make_grid`, of the window spanning columns l .. l+c-1 of the
+    m-by-n grid: from each row of :func:`column_slices`, the positions of
+    columns l .. l+c-1, or of gaps l .. l+c-2."""
+    positions = range(3 * m * n - m - n)  # vertices, then edges
+    columns, gaps = column_slices(m, n)
+    window: list[int] = []
+    for rows, width in ((columns, c), (gaps, c - 1)):
+        for a, b in rows:
+            window += islice(chain(positions[a], positions[b]), l - 1, l - 1 + width)
+    return tuple(sorted(window))
 
 
 def grid_dims(graph: Graph) -> tuple[int, int]:

@@ -34,7 +34,7 @@ Family files::
     (i = 1, j = ordinal).
 
     Members are loaded as sorted index tuples into the host's canonical
-    element order (:class:`gridirr.covering.IndexedMembers`): each
+    element order (:class:`gridirr.covering.Members`): each
     coordinate goes straight to its index through ``host.index``, and no
     element object is built per occurrence.  A member naming an element
     outside the host keeps it: such a file loads as a family of member
@@ -51,7 +51,7 @@ import json
 from typing import Any, IO, Optional
 
 from .construct import Labeling, LabelingKind
-from .covering import CoverFamily, IndexedMembers
+from .covering import CoverFamily, Members
 from .errors import FormatError
 from .grid import (
     Edge,
@@ -247,7 +247,7 @@ def family_from_json_dict(data: Any) -> CoverFamily:
         found, missing = _member_from_json(raw, pos, index)
         indices.append(tuple(sorted(set(found))))
         outside.append(missing)
-    members = IndexedMembers(host, tuple(indices))
+    members = Members(host, len(indices), indices.__getitem__)
     if any(outside):  # kept, for the covering check to name
         members = tuple(
             Graph(

@@ -7,12 +7,16 @@ of element indices.
 
 The constructors are the three hand-written bodies the package used
 before every label came from one formula, one per kind.
+
+The window builder is the element-by-element body the package used
+before a window's positions were read from the grid layout.
 """
 
 from gridirr import (
     CoveringCheck,
     Edge,
     Element,
+    Graph,
     IncompleteLabelingError,
     Labeling,
     LabelingKind,
@@ -26,6 +30,21 @@ from gridirr import (
     format_element,
     require_window_scope,
 )
+
+
+def window_subgraph(m, c, l):
+    """The window spanning columns l .. l+c-1 of an m-row grid, element
+    by element."""
+    cols = range(l, l + c)
+    vertices = [Vertex(i, j) for i in range(1, m + 1) for j in cols]
+    edges = []
+    for j in cols:
+        for i in range(1, m):
+            edges.append(Edge(Vertex(i, j), Vertex(i + 1, j)))
+    for j in range(l, l + c - 1):
+        for i in range(1, m + 1):
+            edges.append(Edge(Vertex(i, j), Vertex(i, j + 1)))
+    return Graph(vertices=frozenset(vertices), edges=frozenset(edges))
 
 
 def outside_host_error(host, family_members):

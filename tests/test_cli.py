@@ -333,27 +333,39 @@ def test_export_json_plain_grid(capsys):
     assert len(data["edges"]) == 7
 
 
+USAGE_ERRORS = [  # argv, and the first words stderr must print
+    (["frobnicate"], "usage error: argument command: invalid choice"),
+    (["construct", "--kind", "diagonal", "-m", "2", "-c", "2", "-n", "3",
+      "--out", "x.json"], "usage error: argument --kind: invalid choice"),
+    (["verify", "--labeling", "x.json"], "usage error: one of the arguments"),
+    (["verify", "--labeling", "x.json", "--grid", "2,3"],
+     "usage error: --grid must be 3 comma-separated integers"),
+    (["sweep", "--kind", "vertex", "--m-range", "3..2",
+      "--c-range", "2..2", "--n-range", "2..2", "--csv", "x.csv"],
+     "usage error: --m-range is empty"),
+    (["export", "--grid", "2,0", "--format", "dot"],
+     "usage error: grid dimensions must be positive"),
+    (["construct", "--kind", "vertex", "-m", "2", "-c", "5", "-n", "3",
+      "--out", "x.json"], "error: window parameters must satisfy"),
+    (["sweep", "--kind", "vertex", "--m-range", "1..2..3",
+      "--c-range", "2..2", "--n-range", "2..2", "--csv", "x.csv"],
+     "usage error: --m-range must look like A..B"),
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["frobnicate"],
-        ["construct", "--kind", "diagonal", "-m", "2", "-c", "2", "-n", "3",
-         "--out", "x.json"],
-        ["verify", "--labeling", "x.json"],
-        ["verify", "--labeling", "x.json", "--grid", "2,3"],
-        ["sweep", "--kind", "vertex", "--m-range", "3..2",
-         "--c-range", "2..2", "--n-range", "2..2", "--csv", "x.csv"],
-        ["export", "--grid", "2,0", "--format", "dot"],
-        ["construct", "--kind", "vertex", "-m", "2", "-c", "5", "-n", "3",
-         "--out", "x.json"],
-        ["sweep", "--kind", "vertex", "--m-range", "1..2..3",
-         "--c-range", "2..2", "--n-range", "2..2", "--csv", "x.csv"],
-    ],
+    "argv,stderr_start",
+    USAGE_ERRORS,
+    ids=[f"argv{pos}" for pos in range(len(USAGE_ERRORS))],
 )
-def test_usage_errors_exit_1(tmp_path, capsys, monkeypatch, argv):
+def test_usage_errors_exit_1(tmp_path, capsys, monkeypatch, argv, stderr_start):
     monkeypatch.chdir(tmp_path)
-    code, _, _ = run(capsys, *argv)
-    assert code == 1
+    # a real labeling, so that no verify case fails for want of its file
+    run(capsys, "construct", "--kind", "vertex",
+        "-m", "2", "-c", "2", "-n", "3", "--out", "x.json")
+    code, stdout, stderr = run(capsys, *argv)
+    assert (code, stdout) == (1, "")
+    assert stderr.startswith(stderr_start), stderr
 
 
 @pytest.mark.parametrize("grid", ["2,x,6", "2,2"])

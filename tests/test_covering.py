@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given
 
+import reference
 from gridirr import (
     CoverFamily,
     GridSpec,
@@ -52,7 +53,7 @@ def test_windows_are_small_grids(params):
     for l, member in enumerate(fam.members, start=1):
         assert len(member.vertices) == m * c
         assert len(member.edges) == 2 * m * c - m - c
-        assert member == window_subgraph(m, c, l)
+        assert member == reference.window_subgraph(m, c, l)
         # re-derive the edge set from the vertex window
         induced = {
             e
@@ -76,6 +77,14 @@ def test_consecutive_windows_overlap(params):
     fam = enumerate_windows(make_grid(GridSpec(m, n)), c)
     for first, second in zip(fam.members, fam.members[1:]):
         assert len(first.vertices & second.vertices) == m * (c - 1)
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+@pytest.mark.parametrize("c", range(1, 6))
+def test_window_subgraph_matches_the_reference(m, c):
+    # every shape, in the window scope or not (m = 1, c < m)
+    for l in range(1, 5):
+        assert window_subgraph(m, c, l) == reference.window_subgraph(m, c, l)
 
 
 def test_enumeration_is_deterministic():

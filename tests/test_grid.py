@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import reference
 from gridirr import (
     Edge,
     Graph,
@@ -16,7 +17,7 @@ from gridirr import (
     require_window_scope,
     transpose,
 )
-from gridirr.grid import column_slices
+from gridirr.grid import column_slices, window_positions
 
 dims = st.integers(min_value=1, max_value=9)
 
@@ -169,3 +170,17 @@ def _check_column_slices(m, n):
                 else:
                     assert element.j == j, (m, n, element)
     assert sorted(seen) == list(positions)  # each position exactly once
+
+
+def test_window_positions_select_the_reference_window():
+    for m in range(2, 13):
+        for n in range(m, 13):
+            elements = make_grid(GridSpec(m, n)).elements
+            for c in range(m, n + 1):
+                for l in range(1, n - c + 2):
+                    positions = window_positions(m, c, n, l)
+                    assert positions == tuple(sorted(set(positions)))
+                    window = reference.window_subgraph(m, c, l)
+                    assert {elements[pos] for pos in positions} == {
+                        *window.vertices, *window.edges
+                    }, (m, c, n, l)

@@ -35,7 +35,7 @@ from gridirr import (
     verify_irregular,
     weight_profile,
 )
-from gridirr.covering import IndexedMembers
+from gridirr.covering import Members
 from gridirr.io import dump_family, family_from_json_dict, load_family
 from strategies import scope_params
 
@@ -213,8 +213,12 @@ def test_loaded_members_are_indexed_and_read_as_subgraphs():
     window = enumerate_windows(grid, 3)
     family = reloaded(window)
     members = family.members
-    assert isinstance(members, IndexedMembers)
-    assert family.indices is members.indices
+    assert isinstance(members, Members) and members.window is None
+    assert members.host is family.host
+    indices = family.indices
+    assert family.indices is indices  # computed once
+    for pos, member in enumerate(indices):  # the very tuples the loader made
+        assert members.positions(pos) is member
     assert members == window.members and window.members == members
     assert members == tuple(window.members) and tuple(window.members) == members
     assert hash(members) == hash(tuple(window.members))
@@ -317,7 +321,7 @@ def test_loaded_members_are_element_sets():
                                    [[1, 3], [2, 3]]]},
     ])
     family = family_from_json_dict(data)
-    assert isinstance(family.members, IndexedMembers)  # nothing outside
+    assert isinstance(family.members, Members)  # nothing outside
     first = family.members[0]
     assert first.vertices == {Vertex(1, 1), Vertex(1, 2)}
     assert first.edges == {

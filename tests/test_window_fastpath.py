@@ -32,7 +32,6 @@ from gridirr import (
     transpose,
     verify_irregular,
     weight_profile,
-    window_subgraph,
 )
 from gridirr.search import min_strength
 from strategies import scope_params
@@ -193,14 +192,17 @@ def test_covering_is_checked_generically_against_another_host():
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Count window Subgraphs built through the covering module."""
+    """Count the windows whose positions the covering module makes: every
+    window member, and every window index tuple, is made through
+    ``covering.window_positions``."""
     count = []
+    window_positions = gridirr.covering.window_positions
 
-    def counting(m, c, l):
-        count.append(l)
-        return window_subgraph(m, c, l)
+    def counting(*window):
+        count.append(window)
+        return window_positions(*window)
 
-    monkeypatch.setattr(gridirr.covering, "window_subgraph", counting)
+    monkeypatch.setattr(gridirr.covering, "window_positions", counting)
     return count
 
 
@@ -218,7 +220,7 @@ def test_members_behave_as_their_tuple_and_build_once(builds):
     m, c, n = 2, 3, 8
     family = enumerate_windows(make_grid(GridSpec(m, n)), c)
     members = family.members
-    expected = tuple(window_subgraph(m, c, l) for l in range(1, n - c + 2))
+    expected = tuple(reference.window_subgraph(m, c, l) for l in range(1, n - c + 2))
     assert members[-1] == expected[-1] and members[2] == expected[2]
     assert members[1:4] == expected[1:4] and isinstance(members[1:4], tuple)
     assert members == expected and expected == members
@@ -230,7 +232,8 @@ def test_members_behave_as_their_tuple_and_build_once(builds):
     with pytest.raises(IndexError):
         members[len(expected)]
     list(members)
-    assert sorted(builds) == list(range(1, n - c + 2))
+    ours = sorted(window for window in builds if window[:3] == (m, c, n))
+    assert ours == [(m, c, n, l) for l in range(1, n - c + 2)]
 
 
 def test_make_grid_records_its_spec_outside_equality():
