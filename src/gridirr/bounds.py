@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .construct import LabelingKind, ceil_div, kind_element_count, window_denominator
 from .errors import InvalidParameterError
-from .grid import Graph, require_window_scope
+from .grid import Graph, require_integers, require_window_scope
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,7 @@ def lower_bound(kind: LabelingKind, t: int, vH: int, eH: int) -> int:
     labelings.  Sound for any host admitting a covering by t subgraphs of
     this shape.
     """
+    require_integers(t=t, vH=vH, eH=eH)
     if t < 1:
         raise InvalidParameterError(f"member count must be >= 1, got {t}")
     d = kind_element_count(kind, vH, eH)

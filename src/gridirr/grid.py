@@ -79,6 +79,14 @@ def format_element(element: Element) -> str:
     return f"({element.a.i},{element.a.j})-({element.b.i},{element.b.j})"
 
 
+def require_integers(**values: object) -> None:
+    """The one type check of the integer parameters: a bool or another
+    non-integer value raises :class:`InvalidParameterError`."""
+    for what, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise InvalidParameterError(f"{what} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Shape of a grid graph: ``m`` rows by ``n`` columns.
@@ -91,6 +99,7 @@ class GridSpec:
     n: int
 
     def __post_init__(self) -> None:
+        require_integers(m=self.m, n=self.n)
         if self.m < 1 or self.n < 1:
             raise InvalidParameterError(
                 f"grid dimensions must be positive, got m={self.m}, n={self.n}"
@@ -267,6 +276,7 @@ def transpose(graph: Graph) -> Graph:
 
 def require_window_scope(m: int, c: int, n: int) -> None:
     """Enforce the supported window-parameter range 2 <= m <= c <= n."""
+    require_integers(m=m, c=c, n=n)
     if not (2 <= m <= c <= n):
         hint = ""
         if m > n:

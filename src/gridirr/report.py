@@ -78,7 +78,6 @@ def strength_report(
     c: int,
     n: int,
     oracle: bool = False,
-    max_elements: Optional[int] = None,
 ) -> StrengthReport:
     """Compute bounds and closed form, verify the construction, optionally
     confirm minimality by exhaustive search up to the closed form.
@@ -86,7 +85,8 @@ def strength_report(
     For the total kind the as-printed variant is verified too, and always
     fails: its horizontal edge (1,1)-(1,2) gets a label of at most 0.
     Raises :class:`gridirr.errors.ResourceLimitError` when ``oracle`` is
-    set and the instance exceeds the search size cap.
+    set and the instance exceeds the search size cap
+    (``GRIDIRR_ORACLE_MAX_ELEMENTS``, see :func:`gridirr.search.min_strength`).
     """
     cf = closed_form_strength(kind, m, n, c)  # checks the scope first
     host = make_grid(GridSpec(m, n))
@@ -104,12 +104,7 @@ def strength_report(
             f"verification: {printed_verdict.violation}; the corrected "
             f"variant uses 3mc-m-c and verifies"
         )
-    oracle_k: Optional[int] = None
-    if oracle:
-        result = min_strength(
-            host, family, kind, k_max=cf, max_elements=max_elements
-        )
-        oracle_k = result.minimal_k
+    oracle_k = min_strength(host, family, kind, cf).minimal_k if oracle else None
     return StrengthReport(
         kind=kind,
         m=m,

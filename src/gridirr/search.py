@@ -13,17 +13,16 @@ always yield identical results.  A branch is cut as soon as two members
 whose elements are all assigned carry equal weights; window families
 complete left to right, which makes the cut bite early.
 
-The search runs on integer tables built once per call (:func:`_prepare`)
-and keeps no element index of its own.  Hosts and members are plain
-:class:`~gridirr.grid.Graph` objects; a position is an index into the
-host's elements, shifted to the kind's range
-(:func:`gridirr.verify.kind_range`), and a member is its sorted index
-tuple (:func:`gridirr.covering.member_indices`) cut to that range.  A
-member is complete exactly when its last position is labeled, so
-checking only the members that position finishes cuts the same branches
-at the same nodes as counting unlabeled elements; ``nodes_explored`` is
-unchanged.  Completed weights stay pairwise distinct, so one byte per
-weight marks them; the walk keeps a label per position, not a frame.
+The search runs on integer tables made in one pass over the member
+index tuples (:func:`_prepare`), with no element index of its own and no
+member graph.  A position is an index into the host's elements, shifted
+to the kind's range (:func:`gridirr.verify.kind_range`); a member is its
+sorted index tuple (:func:`gridirr.covering.member_indices`) cut to that
+range, whose length, the member's element count, gives the counting
+start (:func:`family_lower_bound`).  A member is complete exactly when
+its last position is labeled, so the cut checks only the members that
+position finishes.  Completed weights stay pairwise distinct, so one
+byte per weight marks them; the walk keeps a label per position.
 """
 
 from __future__ import annotations
@@ -33,10 +32,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
-from .construct import Labeling, LabelingKind, ceil_div, kind_element_count
+from .construct import Labeling, LabelingKind, ceil_div
 from .covering import CoverFamily, member_indices, require_covering
 from .errors import InvalidParameterError, ResourceLimitError
-from .grid import Element, Graph, grid_dims
+from .grid import Element, Graph, grid_dims, require_integers
 from .verify import kind_range, verify_irregular
 
 DEFAULT_MAX_ELEMENTS = 24
@@ -61,37 +60,27 @@ class SearchResult:
     k_max: int
 
 
-def configured_max_elements() -> int:
-    """Size cap on labeled elements, overridable via the environment."""
-    raw = os.environ.get(MAX_ELEMENTS_ENV_VAR)
-    if raw is None:
-        return DEFAULT_MAX_ELEMENTS
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InvalidParameterError(
-            f"{MAX_ELEMENTS_ENV_VAR} must be an integer, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise InvalidParameterError(f"{MAX_ELEMENTS_ENV_VAR} must be >= 1")
-    return value
-
-
 def _require_positive(what: str, value: object) -> None:
-    """The one check of the integer parameters: bools, other non-integers
-    and values below 1 are invalid, never clamped or read as a limit hit."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidParameterError(f"{what} must be an integer, got {value!r}")
+    """Require an integer >= 1; never clamp or read a bad value as a limit hit."""
+    require_integers(**{what: value})
     if value < 1:
         raise InvalidParameterError(f"{what} must be >= 1, got {value}")
 
 
-def _check_size(
-    kind: LabelingKind, host: Graph, max_elements: Optional[int]
-) -> None:
-    """Refuse instances with more labeled elements than the size cap."""
-    cap = configured_max_elements() if max_elements is None else max_elements
-    count = kind_element_count(kind, len(host.vertices), len(host.edges))
+def _check_size(count: int, max_elements: Optional[int]) -> None:
+    """Refuse instances with more labeled elements than the size cap, read
+    from the environment when no cap is passed."""
+    cap = max_elements
+    if cap is None:
+        raw = os.environ.get(MAX_ELEMENTS_ENV_VAR, str(DEFAULT_MAX_ELEMENTS))
+        try:
+            cap = int(raw)
+        except ValueError:
+            raise InvalidParameterError(
+                f"{MAX_ELEMENTS_ENV_VAR} must be an integer, got {raw!r}"
+            ) from None
+        if cap < 1:
+            raise InvalidParameterError(f"{MAX_ELEMENTS_ENV_VAR} must be >= 1")
     if count > cap:
         raise ResourceLimitError(
             f"instance has {count} labeled elements, above the cap of {cap}; "
@@ -101,40 +90,45 @@ def _check_size(
 
 def _prepare(host: Graph, family: CoverFamily, kind: LabelingKind) -> tuple:
     """Integer tables of one instance, shared by every budget k:
-    (elements, touch, finish, members, largest, empty).
+    (elements, touch, finish, counts).
 
     Position p stands for ``elements[p]``, the kind's slice ``lo:hi`` of
     ``host.elements`` (:func:`gridirr.verify.kind_range`), shifted by lo.
     ``touch[p]`` holds the members containing it and ``finish[p]`` the
-    members whose last position it is, both in member order.  ``largest``
-    is the most relevant elements in one member; ``empty`` counts members
-    with none.
+    members whose last position it is, both in member order.
+    ``counts[mi]`` is how many elements of the kind member mi has.
     """
     lo, hi = kind_range(kind, host)
     elements = host.elements[lo:hi]
     touch, finish = [[] for _ in elements], [[] for _ in elements]
-    largest = empty = 0
+    counts = []
     for mi, member in enumerate(member_indices(host, family)):
         positions = member[bisect_left(member, lo) : bisect_left(member, hi)]
-        if not positions:
-            empty += 1
-            continue
+        counts.append(len(positions))
         for pos in positions:
             touch[pos - lo].append(mi)
-        finish[positions[-1] - lo].append(mi)
-        largest = max(largest, len(positions))
+        if positions:
+            finish[positions[-1] - lo].append(mi)
     touch, finish = [tuple(mis) for mis in touch], [tuple(mis) for mis in finish]
-    return elements, touch, finish, len(family.members), largest, empty
+    return elements, touch, finish, counts
+
+
+def _counting_bound(counts: list[int]) -> int:
+    """Smallest budget not excluded by counting: the t member weights are
+    distinct integers between the smallest member element count and k
+    times the largest, so k >= (d_min + t - 1) / d_max."""
+    d_max = max(counts)  # 0 only when no member has an element of the kind
+    return ceil_div(min(counts) + len(counts) - 1, d_max) if d_max else 1
 
 
 def _search(tables: tuple, k: int) -> tuple[Optional[dict[Element, int]], int]:
     """Backtracking core: (lex-least valid assignment or None, node count)."""
-    elements, touch, finish, members, largest, empty = tables
-    if empty > 1:  # two weight-0 members collide at every budget; one alone
-        return None, 0  # never does, as every other weight is at least 1
+    elements, touch, finish, counts = tables
+    if counts.count(0) > 1:  # two weight-0 members collide at every budget;
+        return None, 0  # one alone never does, as other weights are >= 1
     size = len(elements)
-    weight = [0] * members
-    taken = bytearray(largest * k + 1)  # taken[w]: some completed weight is w
+    weight = [0] * len(counts)
+    taken = bytearray(max(counts) * k + 1)  # taken[w]: some completed weight is w
     labels = [0] * size  # labels[pos]: the label tried last, 0 for none
     nodes = pos = 0
     while pos < size:
@@ -187,22 +181,15 @@ def exists_irregular(
 
 
 def family_lower_bound(kind: LabelingKind, family: CoverFamily) -> int:
-    """Smallest budget not excluded by counting, for arbitrary families.
+    """Smallest budget not excluded by counting, for arbitrary families:
+    the counting start of :func:`min_strength`, read from the member
+    element counts of :func:`_prepare` on the family's own host.
 
-    The t member weights are distinct integers between the smallest member
-    element count and k times the largest, so k >= (d_min + t - 1) / d_max.
     For families with equal-sized members this is exactly the
-    :func:`gridirr.bounds.lower_bound` value.
+    :func:`gridirr.bounds.lower_bound` value.  A member with an element
+    outside the host raises :class:`MalformedFamilyError`.
     """
-    ranges = [kind_range(kind, member) for member in family.members]
-    counts = [hi - lo for lo, hi in ranges]
-    t = len(counts)
-    if t <= 1:
-        return 1
-    d_max = max(counts)
-    if d_max == 0:
-        return 1
-    return max(1, ceil_div(min(counts) + t - 1, d_max))
+    return _counting_bound(_prepare(family.host, family, kind)[3])
 
 
 def min_strength(
@@ -230,9 +217,10 @@ def min_strength(
             f"start budget {start_k} is above the budget cap {k_max}"
         )
     require_covering(host, family)
-    _check_size(kind, host, max_elements)
-    start = family_lower_bound(kind, family) if start_k is None else start_k
+    lo, hi = kind_range(kind, host)
+    _check_size(hi - lo, max_elements)
     tables = _prepare(host, family, kind)
+    start = _counting_bound(tables[3]) if start_k is None else start_k
     total_nodes = 0
     for k in range(start, k_max + 1):
         assignment, nodes = _search(tables, k)

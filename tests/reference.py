@@ -10,6 +10,9 @@ before every label came from one formula, one per kind.
 
 The window builder is the element-by-element body the package used
 before a window's positions were read from the grid layout.
+
+The counting start is the body the oracle used before it read member
+element counts from its own index tuples: it reads every member graph.
 """
 
 from gridirr import (
@@ -30,6 +33,24 @@ from gridirr import (
     format_element,
     require_window_scope,
 )
+from gridirr.verify import kind_range
+
+
+def family_lower_bound(kind, family):
+    """Smallest budget not excluded by counting, from the member graphs.
+
+    The t member weights are distinct integers between the smallest member
+    element count and k times the largest, so k >= (d_min + t - 1) / d_max.
+    """
+    ranges = [kind_range(kind, member) for member in family.members]
+    counts = [hi - lo for lo, hi in ranges]
+    t = len(counts)
+    if t <= 1:
+        return 1
+    d_max = max(counts)
+    if d_max == 0:
+        return 1
+    return max(1, ceil_div(min(counts) + t - 1, d_max))
 
 
 def window_subgraph(m, c, l):

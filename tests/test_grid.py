@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,13 +10,18 @@ from gridirr import (
     GridSpec,
     InvalidEdgeError,
     InvalidParameterError,
+    LabelingKind,
     ScopeError,
     Vertex,
     canonical_edge,
+    closed_form_strength,
     graph_from_elements,
+    grid_bound_report,
     grid_dims,
+    lower_bound,
     make_grid,
     require_window_scope,
+    strength_report,
     transpose,
 )
 from gridirr.grid import column_slices, window_positions
@@ -184,3 +191,43 @@ def test_window_positions_select_the_reference_window():
                     assert {elements[pos] for pos in positions} == {
                         *window.vertices, *window.edges
                     }, (m, c, n, l)
+
+
+# each entry point with the value under test in one integer parameter
+INTEGER_PARAMETERS = {
+    "GridSpec.m": ("m", lambda x: GridSpec(x, 3)),
+    "GridSpec.n": ("n", lambda x: GridSpec(2, x)),
+    "require_window_scope.m": ("m", lambda x: require_window_scope(x, 2, 3)),
+    "require_window_scope.c": ("c", lambda x: require_window_scope(2, x, 3)),
+    "require_window_scope.n": ("n", lambda x: require_window_scope(2, 2, x)),
+    "lower_bound.t": ("t", lambda x: lower_bound(LabelingKind.VERTEX, x, 4, 4)),
+    "lower_bound.vH": ("vH", lambda x: lower_bound(LabelingKind.TOTAL, 3, x, 4)),
+    "lower_bound.eH": ("eH", lambda x: lower_bound(LabelingKind.EDGE, 3, 4, x)),
+    "closed_form_strength.n": (
+        "n", lambda x: closed_form_strength(LabelingKind.VERTEX, 2, x, 2)
+    ),
+    "grid_bound_report.n": (
+        "n", lambda x: grid_bound_report(LabelingKind.EDGE, 2, 2, x)
+    ),
+    "strength_report.n": (
+        "n", lambda x: strength_report(LabelingKind.VERTEX, 2, 2, x)
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, "2"], ids=["True", "2.0", "str"])
+@pytest.mark.parametrize("entry", sorted(INTEGER_PARAMETERS))
+def test_integer_parameters_reject_bools_and_non_integers(entry, bad):
+    what, call = INTEGER_PARAMETERS[entry]
+    message = f"{what} must be an integer, got {bad!r}"
+    with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+        call(bad)
+
+
+def test_integers_out_of_range_keep_their_errors():
+    with pytest.raises(InvalidParameterError, match="grid dimensions must be positive"):
+        GridSpec(0, 3)
+    with pytest.raises(ScopeError, match="2 <= m <= c <= n"):
+        require_window_scope(1, 2, 3)
+    with pytest.raises(InvalidParameterError, match="^member count must be >= 1, got 0$"):
+        lower_bound(LabelingKind.VERTEX, 0, 4, 4)

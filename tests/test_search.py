@@ -1,6 +1,9 @@
 import itertools
+import random
 
 import pytest
+
+import reference
 
 from gridirr import (
     CoverFamily,
@@ -18,6 +21,7 @@ from gridirr import (
     exists_irregular,
     family_lower_bound,
     graph_from_elements,
+    is_edge_covering,
     lower_bound,
     make_grid,
     min_strength,
@@ -358,3 +362,112 @@ def test_minimal_k_is_least_feasible_from_start_budget():
     assert one.minimal_k == 3 and one.witness is not None
     below = min_strength(host, fam, kind, k_max=1, start_k=1)
     assert below.minimal_k is None and below.nodes_explored > 0
+
+
+def counting_start_families():
+    """Window families over 2 <= m <= c <= 6, n <= 12: forward, reversed,
+    shuffled and truncated (their own host need not be covered)."""
+    rnd = random.Random(9)
+    for m in range(2, 7):
+        for c in range(m, 7):
+            for n in range(c, 13):
+                family = enumerate_windows(make_grid(GridSpec(m, n)), c)
+                members = tuple(family.members)
+                shuffled = list(members)
+                rnd.shuffle(shuffled)
+                yield family
+                yield reversed_family(family)
+                yield CoverFamily(host=family.host, members=tuple(shuffled))
+                if len(members) > 1:
+                    yield CoverFamily(host=family.host, members=members[:-1])
+
+
+def test_family_lower_bound_matches_the_reference_on_window_families():
+    for family in counting_start_families():
+        for kind in LabelingKind:
+            expected = reference.family_lower_bound(kind, family)
+            assert family_lower_bound(kind, family) == expected, (kind, family)
+
+
+def hand_built_cases():
+    """Families on their own host: the hand-built one (unequal members, one
+    with no vertex, one with no edge), one with two members lacking edges,
+    and a window family.  Then borrowed hosts: the hand-built members over
+    a host with one more, isolated vertex (1,6), and the window members
+    over an equal host they were not made from and over a taller grid
+    (which they do not cover)."""
+    family = hand_built_family()
+    host = family.host
+    wider = graph_from_elements([*host.vertices, Vertex(1, 6)], host.edges)
+    grid = make_grid(GridSpec(2, 2))
+    empties = CoverFamily(
+        host=grid,
+        members=(
+            Subgraph(vertices=grid.vertices, edges=frozenset()),
+            Subgraph(vertices=frozenset(), edges=grid.edges),
+            Subgraph(vertices=frozenset([Vertex(1, 1)]), edges=frozenset()),
+        ),
+    )
+    windows = enumerate_windows(make_grid(GridSpec(2, 5)), 2)
+    equal_host = Subgraph(vertices=windows.host.vertices, edges=windows.host.edges)
+    for own in (family, empties, windows):
+        yield own
+    yield CoverFamily(host=wider, members=family.members)
+    yield CoverFamily(host=equal_host, members=windows.members)
+    yield CoverFamily(host=make_grid(GridSpec(3, 5)), members=windows.members)
+
+
+def test_family_lower_bound_matches_the_reference_on_hand_built_families():
+    counts = set()
+    for family in hand_built_cases():
+        for kind in LabelingKind:
+            expected = reference.family_lower_bound(kind, family)
+            counts.add(expected)
+            assert family_lower_bound(kind, family) == expected, (kind, family)
+    assert len(counts) > 1  # the cases do not all share one bound
+
+
+def default_start_cases():
+    for kind, n_max in (
+        (LabelingKind.VERTEX, 8),
+        (LabelingKind.EDGE, 6),
+        (LabelingKind.TOTAL, 5),
+    ):
+        for c in range(2, 5):
+            for n in range(c, n_max + 1):
+                family = enumerate_windows(make_grid(GridSpec(2, n)), c)
+                k_max = closed_form_strength(kind, 2, n, c)
+                yield kind, family, k_max
+                yield kind, reversed_family(family), k_max
+        for family in hand_built_cases():
+            if is_edge_covering(family.host, family).covers:
+                yield kind, family, 4
+
+
+def test_default_start_is_the_reference_counting_bound():
+    searched = 0
+    for kind, family, k_max in default_start_cases():
+        host = family.host
+        start = reference.family_lower_bound(kind, family)
+        default = min_strength(host, family, kind, k_max=k_max)
+        assert default == min_strength(
+            host, family, kind, k_max=k_max, start_k=start
+        ), (kind, family)
+        searched += default.nodes_explored
+    assert searched > 0
+
+
+def test_family_lower_bound_rejects_a_member_outside_its_host():
+    host = make_grid(GridSpec(2, 3))
+    stray = Subgraph(vertices=frozenset([Vertex(3, 1)]), edges=frozenset())
+    family = CoverFamily(
+        host=host, members=(*enumerate_windows(host, 2).members, stray)
+    )
+    assert reference.family_lower_bound(LabelingKind.VERTEX, family) == 1
+    with pytest.raises(MalformedFamilyError) as covering:
+        is_edge_covering(host, family)
+    assert str(covering.value) == "member 3 contains vertex (3,1) not in the host"
+    for kind in LabelingKind:
+        with pytest.raises(MalformedFamilyError) as raised:
+            family_lower_bound(kind, family)
+        assert str(raised.value) == str(covering.value)

@@ -216,6 +216,16 @@ def test_counting_and_verifying_build_no_member(builds):
     assert builds == []
 
 
+def test_default_start_search_makes_each_window_once(builds):
+    # a built member graph would make its window's positions a second time
+    m, c, n = 2, 3, 7
+    grid = make_grid(GridSpec(m, n))
+    family = enumerate_windows(grid, c)
+    result = min_strength(grid, family, LabelingKind.VERTEX, k_max=3)
+    assert result.minimal_k == 2
+    assert builds == [(m, c, n, l) for l in range(1, n - c + 2)]
+
+
 def test_members_behave_as_their_tuple_and_build_once(builds):
     m, c, n = 2, 3, 8
     family = enumerate_windows(make_grid(GridSpec(m, n)), c)
