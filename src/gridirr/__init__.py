@@ -42,6 +42,7 @@ from .errors import (
     MalformedFamilyError,
     ResourceLimitError,
     ScopeError,
+    StrayLabelError,
 )
 from .grid import (
     Edge,
@@ -97,6 +98,7 @@ __all__ = [
     "ResourceLimitError",
     "ScopeError",
     "SearchResult",
+    "StrayLabelError",
     "StrengthReport",
     "Subgraph",
     "TotalVariant",

@@ -50,10 +50,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _parse_kind(value: str) -> LabelingKind:
-    return LabelingKind(value)
-
-
 def _parse_ints(value: str, count: int, what: str) -> list[int]:
     parts = value.split(",")
     try:
@@ -105,7 +101,7 @@ def _verdict_exit(labeling: Labeling, family: CoverFamily) -> int:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    kind = _parse_kind(args.kind)
+    kind = LabelingKind(args.kind)
     if args.variant is not None and kind is not LabelingKind.TOTAL:
         raise _UsageError("--variant only applies to --kind total")
     variant = (
@@ -136,14 +132,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
-    report = grid_bound_report(_parse_kind(args.kind), args.m, args.c, args.n)
+    report = grid_bound_report(LabelingKind(args.kind), args.m, args.c, args.n)
     print(f"lower_bound={report.lower}")
     print(f"upper_bound=2^{report.upper_exponent}")
     return EXIT_OK
 
 
 def _cmd_strength(args: argparse.Namespace) -> int:
-    kind = _parse_kind(args.kind)
+    kind = LabelingKind(args.kind)
     report = strength_report(kind, args.m, args.c, args.n, oracle=args.oracle)
     for line in report.to_lines():
         print(line)
@@ -165,7 +161,7 @@ def _cmd_strength(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    kind = _parse_kind(args.kind)
+    kind = LabelingKind(args.kind)
     m_lo, m_hi = _parse_range(args.m_range, "--m-range")
     c_lo, c_hi = _parse_range(args.c_range, "--c-range")
     n_lo, n_hi = _parse_range(args.n_range, "--n-range")
@@ -217,12 +213,15 @@ def build_parser() -> _Parser:
     sub.required = True
 
     kinds = [k.value for k in LabelingKind]
+    grid = argparse.ArgumentParser(add_help=False)  # construct, bound, strength
+    grid.add_argument("--kind", required=True, choices=kinds)
+    grid.add_argument("-m", type=int, required=True)
+    grid.add_argument("-c", type=int, required=True)
+    grid.add_argument("-n", type=int, required=True)
 
-    p = sub.add_parser("construct", help="write a constructed labeling file")
-    p.add_argument("--kind", required=True, choices=kinds)
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("-c", type=int, required=True)
-    p.add_argument("-n", type=int, required=True)
+    p = sub.add_parser(
+        "construct", help="write a constructed labeling file", parents=[grid]
+    )
     p.add_argument("--variant", choices=["corrected", "as-printed"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_construct)
@@ -234,18 +233,10 @@ def build_parser() -> _Parser:
     group.add_argument("--grid", metavar="M,C,N")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("bound", help="print lower and upper bounds")
-    p.add_argument("--kind", required=True, choices=kinds)
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("-c", type=int, required=True)
-    p.add_argument("-n", type=int, required=True)
+    p = sub.add_parser("bound", help="print lower and upper bounds", parents=[grid])
     p.set_defaults(func=_cmd_bound)
 
-    p = sub.add_parser("strength", help="print a strength report")
-    p.add_argument("--kind", required=True, choices=kinds)
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("-c", type=int, required=True)
-    p.add_argument("-n", type=int, required=True)
+    p = sub.add_parser("strength", help="print a strength report", parents=[grid])
     p.add_argument("--oracle", action="store_true")
     p.set_defaults(func=_cmd_strength)
 

@@ -1,9 +1,9 @@
 """Constructive labelings whose window weights form a consecutive run.
 
-All three constructors share one formula.  The labeled elements come in
-rows, vertex rows first (i = 1..m), then vertical-edge rows (i = 1..m-1),
-then horizontal-edge rows (i = 1..m), as the kind labels them; the
-element in column j of a row gets
+All three constructors share one formula, over the rows of the grid's
+elements that :func:`~gridirr.grid.column_slices` gives: vertex rows
+(i = 1..m), vertical-edge rows (i = 1..m-1), then horizontal-edge gap
+rows (i = 1..m), as the kind labels them; the j-th element of a row gets
 
     label = 1 + ceil((j - offset) / D)
 
@@ -25,11 +25,12 @@ primitive every formula goes through.
 from __future__ import annotations
 
 import enum
+from itertools import chain, islice
 from dataclasses import dataclass, replace
 from typing import Mapping
 
 from .errors import InvalidParameterError
-from .grid import Edge, Element, Vertex, require_window_scope
+from .grid import Element, column_slices, grid_elements, require_window_scope
 
 
 class LabelingKind(enum.Enum):
@@ -162,32 +163,23 @@ def _construct(
     """The one formula: label = 1 + ceil((j - offset) / D) on every row."""
     require_window_scope(m, c, n)
     d = window_denominator(kind, m, c)
-    d_horizontal = (
+    d_gap = (
         window_denominator(LabelingKind.EDGE, m, c)
         if variant is TotalVariant.AS_PRINTED
         else d
     )
-    # per class: element (i, j), rows, columns, window elements a row adds, D
-    classes: list = []
-    if kind is not LabelingKind.EDGE:
-        classes.append((Vertex, m, n, c, d))
-    if kind is not LabelingKind.VERTEX:
-        classes.append((_vertical, m - 1, n, c, d))
-        classes.append((_horizontal, m, n - 1, c - 1, d_horizontal))
+    columns, gaps = column_slices(m, n)
+    # per row: its two slices, the window elements it adds, D; the kind
+    # labels the m vertex rows, the edge rows after them, or all rows
+    rows = [(row, c, d) for row in columns] + [(row, c - 1, d_gap) for row in gaps]
+    first = m if kind is LabelingKind.EDGE else 0
+    last = m if kind is LabelingKind.VERTEX else None
+    elements = list(islice(grid_elements(m, n), m * n if last else None))
     labels: dict[Element, int] = {}
     offset = 0
-    for element, rows, columns, added, denominator in classes:
-        for i in range(1, rows + 1):
-            offset += added
-            for j in range(1, columns + 1):
-                labels[element(i, j)] = 1 + ceil_div(j - offset, denominator)
+    for (a, b), added, denominator in rows[first:last]:
+        offset += added
+        for j, element in enumerate(chain(elements[a], elements[b]), start=1):
+            labels[element] = 1 + ceil_div(j - offset, denominator)
     k = 1 + ceil_div(n - c, d)
     return Labeling(kind=kind, k=k, labels=labels, m=m, n=n)
-
-
-def _vertical(i: int, j: int) -> Edge:
-    return Edge(Vertex(i, j), Vertex(i + 1, j))
-
-
-def _horizontal(i: int, j: int) -> Edge:
-    return Edge(Vertex(i, j), Vertex(i, j + 1))

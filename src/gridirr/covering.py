@@ -147,13 +147,13 @@ def index_members(
     host: Graph, members: Sequence[Graph]
 ) -> tuple[tuple[int, ...], ...]:
     """Each member's elements as sorted indices into ``host.elements``:
-    the members' own tuples when they are :class:`Members` of ``host``.
+    the members' own tuples when they are :class:`Members` of an equal host.
 
     A member with an element outside the host raises
     :class:`MalformedFamilyError`, naming the first such member and, in
     it, the least such vertex, or else the least such edge.
     """
-    if isinstance(members, Members) and members.host is host:
+    if isinstance(members, Members) and members.host == host:  # equal graphs, one order
         return tuple(map(members.positions, range(len(members))))
     index = host.index
     out = []

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 Every error category maps to a distinct CLI exit-code channel: malformed
-input (1), verification rejection (2, a Verdict rather than an exception),
-and resource limits (3).
+input, stray labels included (1), verification rejection (2, a Verdict
+rather than an exception), and resource limits (3).
 """
 
 
@@ -32,6 +32,10 @@ class FormatError(GridirrError, ValueError):
 
 class IncompleteLabelingError(GridirrError, ValueError):
     """A labeling is missing a label for an element its kind requires."""
+
+
+class StrayLabelError(GridirrError, ValueError):
+    """A label on an element outside the host or of another kind."""
 
 
 class ResourceLimitError(GridirrError, RuntimeError):

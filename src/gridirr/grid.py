@@ -7,8 +7,9 @@ vertical edges (i, j)-(i+1, j) and horizontal edges (i, j)-(i, j+1).
 Elements are their coordinate keys: a :class:`Vertex` equals and hashes
 as (i, j), an :class:`Edge` as ((i, j), (p, q)) with endpoints in order.
 :func:`canonical_order` sorts vertices row-major, then edges.
-:func:`column_slices` finds the columns and gaps of a :func:`make_grid` host,
-and :func:`window_positions` reads a window's positions from them.
+:func:`grid_elements` makes a grid's elements in that order; from the
+rows of :func:`column_slices` the constructions label them and
+:func:`window_positions` reads a window's positions.
 
 The same ``Graph`` container also serves arbitrary simple graphs: vertex
 identities stay (i, j) pairs, with non-grid inputs conventionally embedded
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, islice
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .errors import InvalidEdgeError, InvalidParameterError, ScopeError
 
@@ -157,6 +158,19 @@ def graph_from_elements(
     return Graph(vertices=vset, edges=eset)
 
 
+def grid_elements(m: int, n: int) -> Iterator[Element]:
+    """The elements of the m-by-n grid in canonical order, each made when
+    it is consumed: the vertices row-major, then from each vertex the
+    horizontal edge (whose far end sorts first) and the vertical one."""
+    vertices = [Vertex(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
+    yield from vertices
+    for pos, v in enumerate(vertices):
+        if v.j < n:
+            yield Edge(v, vertices[pos + 1])
+        if v.i < m:
+            yield Edge(v, vertices[pos + n])
+
+
 def make_grid(spec: GridSpec) -> Graph:
     """Construct the grid graph with ``spec.m`` rows and ``spec.n`` columns.
 
@@ -164,22 +178,13 @@ def make_grid(spec: GridSpec) -> Graph:
     (i, j)-(i+1, j) for i < m, horizontal edges (i, j)-(i, j+1) for j < n.
     The graph records ``spec``, which lets window families over it take
     the fast paths in :mod:`gridirr.covering` and :mod:`gridirr.verify`.
-    Edges are made in canonical order, which gives :attr:`Graph.elements`
-    without sorting: from each vertex in row-major order, the horizontal
-    edge (whose far end sorts first), then the vertical one.
+    Its :attr:`Graph.elements` are :func:`grid_elements`, without sorting.
     """
-    m, n = spec.m, spec.n
-    vertices = [Vertex(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
-    edges: list[Edge] = []
-    for v in vertices:
-        i, j = v
-        if j < n:
-            edges.append(Edge(v, Vertex(i, j + 1)))
-        if i < m:
-            edges.append(Edge(v, Vertex(i + 1, j)))
+    elements = tuple(grid_elements(spec.m, spec.n))
+    vertices, edges = elements[: spec.m * spec.n], elements[spec.m * spec.n :]
     graph = Graph(vertices=frozenset(vertices), edges=frozenset(edges))
     object.__setattr__(graph, "spec", spec)
-    object.__setattr__(graph, "elements", (*vertices, *edges))
+    object.__setattr__(graph, "elements", elements)
     return graph
 
 

@@ -15,8 +15,8 @@ Labeling files::
     }
 
     Vertex entries come first in row-major order, then edges in canonical
-    order.  Labels are not range-checked on load; out-of-range labels are
-    the verifier's to report.
+    order.  Labels are not range-checked on load, nor checked against a
+    host: out-of-range and stray labels are the verifier's to report.
 
 Family files::
 

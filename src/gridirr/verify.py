@@ -9,10 +9,12 @@ Weights are plain Python integers, so there is no overflow to guard
 against; magnitudes at the supported scales stay tiny anyway (at most
 k * (3mc - m - c) per member).
 
-Every weight is read from one label layout: the labels the kind weighs,
-in the order of the host's elements (None where such an element has no
-label), with 0 at the elements of the other kind.  Labels on elements
-outside the host or of another kind are never looked up.  A window
+The labeling is read through one label layout: the labels the kind
+weighs, in the order of the host's elements (None where such an element
+has no label), with 0 at the elements of the other kind.  The verdict's
+range violation and weights both come from it; a label it leaves out is
+stray (see :func:`verify_irregular`), and :func:`weight_profile` ignores
+it.  A window
 family over its own :func:`gridirr.grid.make_grid` host (see
 :attr:`gridirr.covering.CoverFamily.window`) is weighed from column sums
 (vertex and vertical-edge labels) and gap sums (horizontal-edge labels),
@@ -29,7 +31,7 @@ from typing import Optional, Union
 
 from .construct import Labeling, LabelingKind, kind_element_count
 from .covering import CoverFamily, require_covering
-from .errors import IncompleteLabelingError
+from .errors import IncompleteLabelingError, StrayLabelError
 from .grid import Element, Graph, canonical_order, column_slices, format_element
 
 WeightProfile = list[int]
@@ -93,9 +95,13 @@ def weight_profile(labeling: Labeling, family: CoverFamily) -> WeightProfile:
     Raises :class:`IncompleteLabelingError` naming the first element, in
     member order and then canonical order, that the kind weighs and the
     labeling leaves unlabeled, and :class:`MalformedFamilyError` for a
-    member with an element outside the host.
+    member with an element outside the host.  Stray labels are ignored.
     """
-    values = _label_layout(labeling, family.host)
+    return _profile(_label_layout(labeling, family.host), labeling.kind, family)
+
+
+def _profile(values: list, kind: LabelingKind, family: CoverFamily) -> WeightProfile:
+    """:func:`weight_profile` from the label layout of the family's host."""
     window = family.window
     try:
         if window is not None:
@@ -108,7 +114,7 @@ def weight_profile(labeling: Labeling, family: CoverFamily) -> WeightProfile:
                     element = family.host.elements[pos]
                     raise IncompleteLabelingError(
                         f"no label for {format_element(element)} required "
-                        f"by a {labeling.kind.value} labeling"
+                        f"by a {kind.value} labeling"
                     ) from None
         raise
 
@@ -144,17 +150,6 @@ def _window_profile(values: list, m: int, c: int, n: int) -> WeightProfile:
     return profile
 
 
-def _first_range_violation(labeling: Labeling) -> Optional[RangeViolation]:
-    """The out-of-range label on the least element in canonical order
-    (vertices before edges), found by one scan; only violators are sorted."""
-    k = labeling.k
-    breaches = [e for e, label in labeling.labels.items() if not 1 <= label <= k]
-    if not breaches:
-        return None
-    element = min(breaches, key=canonical_order)
-    return RangeViolation(element=element, label=labeling.labels[element], k=k)
-
-
 def _first_collision(profile: WeightProfile) -> Optional[WeightCollision]:
     seen: dict[int, int] = {}
     best: Optional[tuple[int, int]] = None
@@ -177,13 +172,24 @@ def verify_irregular(labeling: Labeling, family: CoverFamily) -> Verdict:
 
     The family must be an edge covering of its host; otherwise
     :class:`MalformedFamilyError` is raised (irregularity is undefined
-    without a covering).
+    without a covering).  A stray label (on an element outside the host,
+    or of the kind the labeling does not weigh) raises :class:`StrayLabelError`.
     """
-    require_covering(family.host, family)
-    breach = _first_range_violation(labeling)
-    if breach is not None:
-        return Verdict(accepted=False, violation=breach)
-    collision = _first_collision(weight_profile(labeling, family))
+    host = family.host
+    require_covering(host, family)
+    values = _label_layout(labeling, host)
+    lo, hi = kind_range(labeling.kind, host)
+    if len(labeling.labels) + values.count(None) > hi - lo:
+        stray = min(labeling.labels.keys() - host.elements[lo:hi], key=canonical_order)
+        raise StrayLabelError(
+            f"label on {format_element(stray)}, which a "
+            f"{labeling.kind.value} labeling of this host does not weigh"
+        )
+    k = labeling.k
+    for element, label in zip(host.elements[lo:hi], values[lo:hi]):
+        if label is not None and not 1 <= label <= k:
+            return Verdict(accepted=False, violation=RangeViolation(element, label, k))
+    collision = _first_collision(_profile(values, labeling.kind, family))
     if collision is not None:
         return Verdict(accepted=False, violation=collision)
     return Verdict(accepted=True)

@@ -11,6 +11,9 @@ before every label came from one formula, one per kind.
 The window builder is the element-by-element body the package used
 before a window's positions were read from the grid layout.
 
+The verdict's stray rule reads the host's vertex and edge sets; the
+package reads the labeling only through its host-order label layout.
+
 The counting start is the body the oracle used before it read member
 element counts from its own index tuples: it reads every member graph.
 """
@@ -25,6 +28,7 @@ from gridirr import (
     LabelingKind,
     MalformedFamilyError,
     RangeViolation,
+    StrayLabelError,
     TotalVariant,
     Verdict,
     Vertex,
@@ -133,6 +137,25 @@ def range_violation(labeling):
     return None
 
 
+def stray_label_error(labeling, host):
+    """The error for the least labeled element, vertices first, that is not
+    a vertex or edge of ``host`` that the kind weighs."""
+    weighed = set()
+    if labeling.kind is not LabelingKind.EDGE:
+        weighed |= host.vertices
+    if labeling.kind is not LabelingKind.VERTEX:
+        weighed |= host.edges
+    vertices = sorted(e for e in labeling.labels if isinstance(e, Vertex))
+    edges = sorted(e for e in labeling.labels if isinstance(e, Edge))
+    for element in [*vertices, *edges]:
+        if element not in weighed:
+            return StrayLabelError(
+                f"label on {format_element(element)}, which a "
+                f"{labeling.kind.value} labeling of this host does not weigh"
+            )
+    return None
+
+
 def verify_irregular(labeling, family):
     check = is_edge_covering(family.host, family)
     if not check.covers:
@@ -140,6 +163,9 @@ def verify_irregular(labeling, family):
             f"family does not cover the host: edge "
             f"{format_element(check.uncovered[0])} belongs to no member"
         )
+    error = stray_label_error(labeling, family.host)
+    if error is not None:
+        raise error
     breach = range_violation(labeling)
     if breach is not None:
         return Verdict(accepted=False, violation=breach)

@@ -68,6 +68,32 @@ def test_verify_rejects_hand_edited_budget_breach(tmp_path, capsys):
     assert "outside 1.." in stderr
 
 
+@pytest.mark.parametrize("label", [1, 99])
+@pytest.mark.parametrize("against", ["grid", "family"])
+def test_verify_stray_label_exits_1(tmp_path, capsys, label, against):
+    lab = tmp_path / "lab.json"
+    run(capsys, "construct", "--kind", "vertex",
+        "-m", "2", "-c", "2", "-n", "5", "--out", str(lab))
+    data = json.loads(lab.read_text())
+    data["labels"].append({"element": {"e": [[1, 1], [1, 2]]}, "label": label})
+    lab.write_text(json.dumps(data))
+    where = ["--grid", "2,2,5"]
+    if against == "family":
+        from gridirr import GridSpec, enumerate_windows, make_grid
+        from gridirr.io import dump_family
+
+        fam = tmp_path / "fam.json"
+        with open(fam, "w", encoding="utf-8") as fp:
+            dump_family(enumerate_windows(make_grid(GridSpec(2, 5)), 2), fp)
+        where = ["--family", str(fam)]
+    code, stdout, stderr = run(capsys, "verify", "--labeling", str(lab), *where)
+    assert (code, stdout) == (1, "")
+    assert stderr == (
+        "error: label on (1,1)-(1,2), which a vertex labeling of this host "
+        "does not weigh\n"
+    )
+
+
 def test_verify_against_family_file(tmp_path, capsys):
     lab = tmp_path / "lab.json"
     fam = tmp_path / "fam.json"

@@ -1,21 +1,27 @@
+import re
+
 import pytest
 from hypothesis import given
 
 from gridirr import (
     CoverFamily,
+    Edge,
     GridSpec,
     IncompleteLabelingError,
     Labeling,
     LabelingKind,
     MalformedFamilyError,
     RangeViolation,
+    StrayLabelError,
     Subgraph,
     Vertex,
     WeightCollision,
     construct_edge_labeling,
+    construct_for_kind,
     construct_total_labeling,
     construct_vertex_labeling,
     enumerate_windows,
+    format_element,
     make_grid,
     subgraph_weight,
     verify_irregular,
@@ -217,3 +223,85 @@ def test_single_label_mutation_flips_verdict():
     verdict = verify_irregular(bumped, fam)
     assert not verdict.accepted
     assert isinstance(verdict.violation, WeightCollision)
+
+
+def stray_element(kind, m, n, stray):
+    """An element a labeling of the kind on the m-by-n grid does not weigh."""
+    if stray == "off_host_vertex":
+        return Vertex(m + 1, n)
+    if stray == "off_host_edge":
+        return Edge(Vertex(1, n), Vertex(1, n + 1))
+    if stray == "diagonal_edge":
+        return Edge(Vertex(1, 1), Vertex(2, 2))
+    if kind is LabelingKind.EDGE:  # wrong kind
+        return Vertex(1, 1)
+    return Edge(Vertex(1, 1), Vertex(1, 2))
+
+
+STRAY_CASES = [
+    (kind, stray)
+    for kind in LabelingKind
+    for stray in ("off_host_vertex", "off_host_edge", "diagonal_edge", "wrong_kind")
+    if (kind, stray) != (LabelingKind.TOTAL, "wrong_kind")  # total weighs all
+]
+
+
+def window_or_explicit(host, c, family):
+    windows = enumerate_windows(host, c)
+    if family == "window":
+        assert windows.window is not None
+        return windows
+    return CoverFamily(host=host, members=tuple(windows.members))
+
+
+@pytest.mark.parametrize("kind, stray", STRAY_CASES)
+@pytest.mark.parametrize("in_range", [True, False])
+@pytest.mark.parametrize("family", ["window", "explicit"])
+def test_stray_label_raises(kind, stray, in_range, family):
+    m, c, n = 2, 2, 5
+    constructed = construct_for_kind(kind, m, n, c)
+    element = stray_element(kind, m, n, stray)
+    label = 1 if in_range else 99
+    labeling = constructed.with_label(element, label)
+    fam = window_or_explicit(make_grid(GridSpec(m, n)), c, family)
+    assert verify_irregular(constructed, fam).accepted
+    message = (
+        f"label on {format_element(element)}, which a {kind.value} "
+        f"labeling of this host does not weigh"
+    )
+    with pytest.raises(StrayLabelError, match=f"^{re.escape(message)}$"):
+        verify_irregular(labeling, fam)
+    # the weights still ignore it
+    assert weight_profile(labeling, fam) == weight_profile(constructed, fam)
+
+
+@pytest.mark.parametrize("family", ["window", "explicit"])
+def test_stray_error_names_the_least_stray_element(family):
+    m, c, n = 2, 3, 6
+    labeling = construct_vertex_labeling(m, n, c).with_label(Vertex(1, 1), 0)
+    for element in (
+        Edge(Vertex(1, 1), Vertex(1, 2)),
+        Vertex(3, 1),
+        Edge(Vertex(1, 1), Vertex(2, 2)),
+        Vertex(2, 7),
+        Edge(Vertex(2, 6), Vertex(2, 7)),
+    ):
+        labeling = labeling.with_label(element, 1)
+    fam = window_or_explicit(make_grid(GridSpec(m, n)), c, family)
+    # vertices come first, row-major; the stray wins over the range breach
+    with pytest.raises(StrayLabelError, match=re.escape("label on (2,7), which")):
+        verify_irregular(labeling, fam)
+
+
+@pytest.mark.parametrize("family", ["window", "explicit"])
+def test_stray_label_is_found_beside_a_missing_one(family):
+    # as many labels as the kind weighs, one of them stray
+    m, c, n = 2, 2, 5
+    labeling = construct_edge_labeling(m, n, c)
+    labels = dict(labeling.labels)
+    del labels[Edge(Vertex(1, 1), Vertex(1, 2))]
+    labels[Vertex(1, 1)] = 1
+    swapped = Labeling(kind=labeling.kind, k=labeling.k, labels=labels, m=m, n=n)
+    fam = window_or_explicit(make_grid(GridSpec(m, n)), c, family)
+    with pytest.raises(StrayLabelError, match=re.escape("label on (1,1), which")):
+        verify_irregular(swapped, fam)

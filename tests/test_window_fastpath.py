@@ -226,6 +226,25 @@ def test_default_start_search_makes_each_window_once(builds):
     assert builds == [(m, c, n, l) for l in range(1, n - c + 2)]
 
 
+def test_equal_hosts_reuse_the_window_positions(builds):
+    # members are built only when asked for, after the search
+    m, c, n = 2, 3, 7
+    grid = make_grid(GridSpec(m, n))
+    windows = [(m, c, n, l) for l in range(1, n - c + 2)]
+    for host in (
+        transpose(make_grid(GridSpec(n, m))),
+        Graph(vertices=grid.vertices, edges=grid.edges),
+    ):
+        builds.clear()
+        family = enumerate_windows(host, c)
+        assert family.window is None and family.members.host is not host
+        result = min_strength(host, family, LabelingKind.VERTEX, k_max=3)
+        assert result.minimal_k == 2
+        assert builds == windows
+        list(family.members)
+        assert builds == windows * 2
+
+
 def test_members_behave_as_their_tuple_and_build_once(builds):
     m, c, n = 2, 3, 8
     family = enumerate_windows(make_grid(GridSpec(m, n)), c)
