@@ -19,7 +19,7 @@ from .covering import CoverFamily, enumerate_windows
 from .errors import GridirrError, ResourceLimitError
 from .grid import Graph, GridSpec, grid_dims, make_grid, require_window_scope
 from .report import strength_report
-from .verify import verify_irregular
+from .verify import require_no_stray_labels, verify_irregular
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -189,6 +189,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
         with open(args.labeling, "r", encoding="utf-8") as fp:
             labeling = gio.load_labeling(fp)
         _require_dims(labeling, m, n)
+        require_no_stray_labels(labeling, host)
     if args.format == "dot":
         sys.stdout.write(gio.dot_export(host, labeling))
     else:

@@ -9,20 +9,18 @@ Elements are assigned labels in the host's canonical order
 (:attr:`gridirr.grid.Graph.elements`: vertices row-major, then edges)
 with label values tried in increasing order, so the first witness found
 is the lexicographically smallest label vector and identical inputs
-always yield identical results.  A branch is cut as soon as two members
-whose elements are all assigned carry equal weights; window families
-complete left to right, which makes the cut bite early.
+always yield identical results.  One rule cuts a branch, at the root
+and after every label (:func:`_feasible`): no pairwise distinct member
+weights remain reachable.  It is exact, so the walk meets the same first
+witness as an uncut one; at the root it gives the start budget.
 
 The search runs on integer tables made in one pass over the member
 index tuples (:func:`_prepare`), with no element index of its own and no
 member graph.  A position is an index into the host's elements, shifted
 to the kind's range (:func:`gridirr.verify.kind_range`); a member is its
 sorted index tuple (:func:`gridirr.covering.member_indices`) cut to that
-range, whose length, the member's element count, gives the counting
-start (:func:`family_lower_bound`).  A member is complete exactly when
-its last position is labeled, so the cut checks only the members that
-position finishes.  Completed weights stay pairwise distinct, so one
-byte per weight marks them; the walk keeps a label per position.
+range.  The walk keeps a label per position and, per member, a weight
+and a count of unlabeled positions.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
-from .construct import Labeling, LabelingKind, ceil_div
+from .construct import Labeling, LabelingKind
 from .covering import CoverFamily, member_indices, require_covering
 from .errors import InvalidParameterError, ResourceLimitError
 from .grid import Element, Graph, grid_dims, require_integers
@@ -47,7 +45,7 @@ class SearchResult:
     """Outcome of :func:`min_strength`.
 
     ``minimal_k`` is the least feasible budget in ``start_k .. k_max``
-    (``start_k`` defaults to the counting lower bound, below which no
+    (``start_k`` defaults to :func:`family_lower_bound`, below which no
     budget is feasible).  It is None when no labeling exists in that range
     (a bounded negative, never a claim about larger budgets).  A reported
     ``minimal_k`` comes with a verifier-accepted ``witness`` and a
@@ -90,45 +88,54 @@ def _check_size(count: int, max_elements: Optional[int]) -> None:
 
 def _prepare(host: Graph, family: CoverFamily, kind: LabelingKind) -> tuple:
     """Integer tables of one instance, shared by every budget k:
-    (elements, touch, finish, counts).
+    (elements, touch, counts).
 
     Position p stands for ``elements[p]``, the kind's slice ``lo:hi`` of
     ``host.elements`` (:func:`gridirr.verify.kind_range`), shifted by lo.
-    ``touch[p]`` holds the members containing it and ``finish[p]`` the
-    members whose last position it is, both in member order.
+    ``touch[p]`` holds the members containing it, in member order.
     ``counts[mi]`` is how many elements of the kind member mi has.
     """
     lo, hi = kind_range(kind, host)
     elements = host.elements[lo:hi]
-    touch, finish = [[] for _ in elements], [[] for _ in elements]
+    touch = [[] for _ in elements]
     counts = []
     for mi, member in enumerate(member_indices(host, family)):
         positions = member[bisect_left(member, lo) : bisect_left(member, hi)]
         counts.append(len(positions))
         for pos in positions:
             touch[pos - lo].append(mi)
-        if positions:
-            finish[positions[-1] - lo].append(mi)
-    touch, finish = [tuple(mis) for mis in touch], [tuple(mis) for mis in finish]
-    return elements, touch, finish, counts
+    return elements, [tuple(mis) for mis in touch], counts
 
 
-def _counting_bound(counts: list[int]) -> int:
-    """Smallest budget not excluded by counting: the t member weights are
-    distinct integers between the smallest member element count and k
-    times the largest, so k >= (d_min + t - 1) / d_max."""
-    d_max = max(counts)  # 0 only when no member has an element of the kind
-    return ceil_div(min(counts) + len(counts) - 1, d_max) if d_max else 1
+def _feasible(weight: list[int], left: list[int], k: int) -> bool:
+    """Hall's theorem for intervals: a member with weight w and r unlabeled
+    positions ends in [w + r, w + r*k].  Taken by right end, each interval
+    gets the least value at or above its left end that no earlier one took;
+    distinct final weights exist exactly when every value fits."""
+    given = set()
+    for high, low in sorted([(w + r * k, w + r) for w, r in zip(weight, left)]):
+        while low in given:
+            low += 1
+        if low > high:
+            return False
+        given.add(low)
+    return True
+
+
+def _root_bound(counts: list[int]) -> int:
+    """Least k passing :func:`_feasible` with no label placed.  Every k >= t
+    passes unless two members have no element of the kind; then it is t + 1."""
+    zero, t = [0] * len(counts), len(counts)
+    return next((k for k in range(1, t + 1) if _feasible(zero, counts, k)), t + 1)
 
 
 def _search(tables: tuple, k: int) -> tuple[Optional[dict[Element, int]], int]:
     """Backtracking core: (lex-least valid assignment or None, node count)."""
-    elements, touch, finish, counts = tables
-    if counts.count(0) > 1:  # two weight-0 members collide at every budget;
-        return None, 0  # one alone never does, as other weights are >= 1
+    elements, touch, counts = tables
+    weight, left = [0] * len(counts), list(counts)
+    if not _feasible(weight, left, k):
+        return None, 0
     size = len(elements)
-    weight = [0] * len(counts)
-    taken = bytearray(max(counts) * k + 1)  # taken[w]: some completed weight is w
     labels = [0] * size  # labels[pos]: the label tried last, 0 for none
     nodes = pos = 0
     while pos < size:
@@ -137,24 +144,18 @@ def _search(tables: tuple, k: int) -> tuple[Optional[dict[Element, int]], int]:
             labels[pos] = 0
             for mi in touch[pos]:
                 weight[mi] -= k
+                left[mi] += 1
             pos -= 1
             if pos < 0:
                 return None, nodes
-            for mi in finish[pos]:
-                taken[weight[mi]] = 0
             continue
         labels[pos] = label + 1
         nodes += 1
         for mi in touch[pos]:
             weight[mi] += 1
-        done = finish[pos]
-        for marked, mi in enumerate(done):
-            if taken[weight[mi]]:  # collision: cut, unmark this node's marks
-                for mj in done[:marked]:
-                    taken[weight[mj]] = 0
-                break
-            taken[weight[mi]] = 1
-        else:
+            if not label:  # its first label: the position is now labeled
+                left[mi] -= 1
+        if _feasible(weight, left, k):
             pos += 1
     return dict(zip(elements, labels)), nodes
 
@@ -181,15 +182,14 @@ def exists_irregular(
 
 
 def family_lower_bound(kind: LabelingKind, family: CoverFamily) -> int:
-    """Smallest budget not excluded by counting, for arbitrary families:
-    the counting start of :func:`min_strength`, read from the member
-    element counts of :func:`_prepare` on the family's own host.
-
-    For families with equal-sized members this is exactly the
+    """Least budget passing the root check, for arbitrary families: the
+    default start of :func:`min_strength`, from :func:`_prepare`'s member
+    element counts on the family's own host.  Never below counting's
+    (d_min + t - 1) / d_max; with equal-sized members it is exactly the
     :func:`gridirr.bounds.lower_bound` value.  A member with an element
     outside the host raises :class:`MalformedFamilyError`.
     """
-    return _counting_bound(_prepare(family.host, family, kind)[3])
+    return _root_bound(_prepare(family.host, family, kind)[2])
 
 
 def min_strength(
@@ -202,10 +202,9 @@ def min_strength(
 ) -> SearchResult:
     """Exact minimum budget admitting an irregular labeling, up to k_max.
 
-    Budgets below the counting lower bound are provably infeasible and
-    skipped; pass ``start_k`` to disable the skip and search them anyway
-    (the searches come back empty, which is itself a useful check).  An
-    explicit ``start_k`` above ``k_max`` leaves nothing to search and is
+    Budgets below :func:`family_lower_bound` fail the root check and are
+    skipped; an explicit ``start_k`` searches them anyway, at no node
+    each.  A ``start_k`` above ``k_max`` leaves nothing to search and is
     rejected, so that None keeps meaning "searched and infeasible".
     """
     _require_positive("budget cap", k_max)
@@ -220,7 +219,7 @@ def min_strength(
     lo, hi = kind_range(kind, host)
     _check_size(hi - lo, max_elements)
     tables = _prepare(host, family, kind)
-    start = _counting_bound(tables[3]) if start_k is None else start_k
+    start = _root_bound(tables[2]) if start_k is None else start_k
     total_nodes = 0
     for k in range(start, k_max + 1):
         assignment, nodes = _search(tables, k)

@@ -136,6 +136,20 @@ def _label_layout(labeling: Labeling, host: Graph) -> list:
     return [0] * lo + list(labels) + [0] * (len(elements) - hi)
 
 
+def require_no_stray_labels(labeling: Labeling, host: Graph) -> list:
+    """The label layout of ``host``, once no label is stray: raises
+    :class:`StrayLabelError` naming the least element labeled but not weighed."""
+    values = _label_layout(labeling, host)
+    lo, hi = kind_range(labeling.kind, host)
+    if len(labeling.labels) + values.count(None) > hi - lo:
+        stray = min(labeling.labels.keys() - host.elements[lo:hi], key=canonical_order)
+        raise StrayLabelError(
+            f"label on {format_element(stray)}, which a "
+            f"{labeling.kind.value} labeling of this host does not weigh"
+        )
+    return values
+
+
 def _window_profile(values: list, m: int, c: int, n: int) -> WeightProfile:
     """Window weights of the m-by-n grid from its column and gap sums."""
     columns, gaps = (  # [j - 1]: the sum of the j-th positions of the rows
@@ -177,14 +191,8 @@ def verify_irregular(labeling: Labeling, family: CoverFamily) -> Verdict:
     """
     host = family.host
     require_covering(host, family)
-    values = _label_layout(labeling, host)
+    values = require_no_stray_labels(labeling, host)
     lo, hi = kind_range(labeling.kind, host)
-    if len(labeling.labels) + values.count(None) > hi - lo:
-        stray = min(labeling.labels.keys() - host.elements[lo:hi], key=canonical_order)
-        raise StrayLabelError(
-            f"label on {format_element(stray)}, which a "
-            f"{labeling.kind.value} labeling of this host does not weigh"
-        )
     k = labeling.k
     for element, label in zip(host.elements[lo:hi], values[lo:hi]):
         if label is not None and not 1 <= label <= k:

@@ -16,7 +16,13 @@ package reads the labeling only through its host-order label layout.
 
 The counting start is the body the oracle used before it read member
 element counts from its own index tuples: it reads every member graph.
+
+The search is the walk the oracle used before it checked Hall's rule at
+every node: it cuts a branch only when two completed members share a
+weight, and starts at the counting bound.
 """
+
+from bisect import bisect_left
 
 from gridirr import (
     CoveringCheck,
@@ -28,6 +34,7 @@ from gridirr import (
     LabelingKind,
     MalformedFamilyError,
     RangeViolation,
+    SearchResult,
     StrayLabelError,
     TotalVariant,
     Verdict,
@@ -37,6 +44,8 @@ from gridirr import (
     format_element,
     require_window_scope,
 )
+from gridirr.covering import member_indices
+from gridirr.grid import grid_dims
 from gridirr.verify import kind_range
 
 
@@ -55,6 +64,78 @@ def family_lower_bound(kind, family):
     if d_max == 0:
         return 1
     return max(1, ceil_div(min(counts) + t - 1, d_max))
+
+
+def _tables(host, family, kind):
+    """(elements, touch, finish, counts): per position the members that
+    contain it and those whose last position it is; per member its count
+    of elements of the kind."""
+    lo, hi = kind_range(kind, host)
+    elements = host.elements[lo:hi]
+    touch, finish = [[] for _ in elements], [[] for _ in elements]
+    counts = []
+    for mi, member in enumerate(member_indices(host, family)):
+        positions = member[bisect_left(member, lo) : bisect_left(member, hi)]
+        counts.append(len(positions))
+        for pos in positions:
+            touch[pos - lo].append(mi)
+        if positions:
+            finish[positions[-1] - lo].append(mi)
+    return elements, touch, finish, counts
+
+
+def search(tables, k):
+    """The uncut walk: (lex-least valid assignment or None, node count)."""
+    elements, touch, finish, counts = tables
+    if counts.count(0) > 1:  # two weight-0 members collide at every budget
+        return None, 0
+    size = len(elements)
+    weight = [0] * len(counts)
+    taken = bytearray(max(counts) * k + 1)  # taken[w]: some completed weight is w
+    labels = [0] * size
+    nodes = pos = 0
+    while pos < size:
+        label = labels[pos]
+        if label == k:
+            labels[pos] = 0
+            for mi in touch[pos]:
+                weight[mi] -= k
+            pos -= 1
+            if pos < 0:
+                return None, nodes
+            for mi in finish[pos]:
+                taken[weight[mi]] = 0
+            continue
+        labels[pos] = label + 1
+        nodes += 1
+        for mi in touch[pos]:
+            weight[mi] += 1
+        done = finish[pos]
+        for marked, mi in enumerate(done):
+            if taken[weight[mi]]:  # collision: cut, unmark this node's marks
+                for mj in done[:marked]:
+                    taken[weight[mj]] = 0
+                break
+            taken[weight[mi]] = 1
+        else:
+            pos += 1
+    return dict(zip(elements, labels)), nodes
+
+
+def min_strength(host, family, kind, k_max, start_k=None):
+    """The uncut walk at each budget from ``start_k`` (the counting start
+    by default) to ``k_max``; the witness is not verified."""
+    tables = _tables(host, family, kind)
+    start = family_lower_bound(kind, family) if start_k is None else start_k
+    total = 0
+    for k in range(start, k_max + 1):
+        assignment, nodes = search(tables, k)
+        total += nodes
+        if assignment is not None:
+            m, n = grid_dims(host)
+            witness = Labeling(kind=kind, k=k, labels=assignment, m=m, n=n)
+            return SearchResult(k, witness, total, k_max)
+    return SearchResult(None, None, total, k_max)
 
 
 def window_subgraph(m, c, l):

@@ -29,6 +29,7 @@ from gridirr import (
     window_denominator,
 )
 from gridirr.cli import main
+from gridirr.construct import kind_element_count
 from gridirr.report import construct_for_kind
 from gridirr.verify import RangeViolation, WeightCollision
 
@@ -120,7 +121,7 @@ def test_criterion_2_tightness(sweep_families):
     assert ok, failures[:10]
 
 
-def test_criterion_3_oracle_optimality():
+def test_criterion_3_oracle_optimality(sweep_families):
     failures = []
     confirmed = 0
     skipped = 0
@@ -128,12 +129,7 @@ def test_criterion_3_oracle_optimality():
         host = make_grid(GridSpec(m, n))
         family = enumerate_windows(host, c)
         for kind in LabelingKind:
-            if kind is LabelingKind.VERTEX:
-                elements = len(host.vertices)
-            elif kind is LabelingKind.EDGE:
-                elements = len(host.edges)
-            else:
-                elements = len(host.vertices) + len(host.edges)
+            elements = kind_element_count(kind, len(host.vertices), len(host.edges))
             cf = closed_form_strength(kind, m, n, c)
             if elements > ORACLE_CAP:
                 with pytest.raises(ResourceLimitError):
@@ -149,9 +145,25 @@ def test_criterion_3_oracle_optimality():
                 failures.append((kind.value, m, c, n, result.minimal_k, cf))
             else:
                 confirmed += 1
+    # every sweep row, from k = 1, with the cap raised to the row's size
+    certified = 0
+    nodes = 0
+    for m, c, n in SWEEP:
+        host, family = sweep_families[(m, c, n)]
+        for kind in LabelingKind:
+            cf = closed_form_strength(kind, m, n, c)
+            elements = kind_element_count(kind, len(host.vertices), len(host.edges))
+            result = min_strength(host, family, kind, k_max=cf, start_k=1,
+                                  max_elements=elements)
+            nodes += result.nodes_explored
+            if result.minimal_k != cf:
+                failures.append((kind.value, m, c, n, result.minimal_k, cf))
+            else:
+                certified += 1
     ok = not failures
     _report(3, "oracle optimality", ok,
-            f"{confirmed} instances confirmed, {skipped} above size cap")
+            f"{confirmed} instances confirmed, {skipped} above size cap; "
+            f"{certified} sweep rows certified from k=1 in {nodes} nodes")
     assert ok, failures
 
 

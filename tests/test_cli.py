@@ -94,6 +94,26 @@ def test_verify_stray_label_exits_1(tmp_path, capsys, label, against):
     )
 
 
+@pytest.mark.parametrize("fmt", ["dot", "json"])
+def test_export_stray_label_exits_1(tmp_path, capsys, fmt):
+    lab = tmp_path / "lab.json"
+    run(capsys, "construct", "--kind", "vertex",
+        "-m", "2", "-c", "2", "-n", "3", "--out", str(lab))
+    data = json.loads(lab.read_text())
+    data["labels"].append({"element": {"e": [[1, 1], [1, 2]]}, "label": 5})
+    data["labels"].append({"element": {"e": [[1, 1], [2, 2]]}, "label": 7})
+    lab.write_text(json.dumps(data))
+    expected = (
+        "error: label on (1,1)-(1,2), which a vertex labeling of this host "
+        "does not weigh\n"
+    )
+    verified = run(capsys, "verify", "--labeling", str(lab), "--grid", "2,2,3")
+    assert verified == (1, "", expected)
+    exported = run(capsys, "export", "--grid", "2,3", "--labeling", str(lab),
+                   "--format", fmt)
+    assert exported == (1, "", expected)
+
+
 def test_verify_against_family_file(tmp_path, capsys):
     lab = tmp_path / "lab.json"
     fam = tmp_path / "fam.json"

@@ -28,6 +28,7 @@ from gridirr import (
     subgraph_weight,
     verify_irregular,
 )
+from gridirr.construct import kind_element_count
 
 
 def brute_force_exists(host, family, kind, k):
@@ -191,9 +192,16 @@ def test_non_covering_family_rejected():
 def test_nodes_explored_accumulates():
     host = make_grid(GridSpec(2, 3))
     fam = enumerate_windows(host, 2)
+    skip = reference.min_strength(host, fam, LabelingKind.VERTEX, k_max=2)
+    full = reference.min_strength(
+        host, fam, LabelingKind.VERTEX, k_max=2, start_k=1
+    )
+    assert full.nodes_explored > skip.nodes_explored
+    assert full.minimal_k == skip.minimal_k == 2
+    # the package walk spends no node on a budget below its root bound
     skip = min_strength(host, fam, LabelingKind.VERTEX, k_max=2)
     full = min_strength(host, fam, LabelingKind.VERTEX, k_max=2, start_k=1)
-    assert full.nodes_explored > skip.nodes_explored
+    assert full.nodes_explored == skip.nodes_explored
     assert full.minimal_k == skip.minimal_k == 2
 
 
@@ -201,8 +209,20 @@ def reversed_family(family):
     return CoverFamily(host=family.host, members=tuple(reversed(family.members)))
 
 
+def pinned_tree(walk, kind, m, c, n, reverse):
+    host = make_grid(GridSpec(m, n))
+    family = enumerate_windows(host, c)
+    if reverse:
+        family = reversed_family(family)
+    cf = closed_form_strength(kind, m, n, c)
+    result = walk(host, family, kind, k_max=cf, start_k=1)
+    assert result.minimal_k == cf
+    return result.nodes_explored
+
+
 # nodes_explored from k=1 to the closed form; these pin the search tree
-# (element order, label order and cut rule), not just its answer
+# (element order, label order and cut rule), not just its answer.  Each
+# count is the reference walk's, which cuts only on completed members.
 @pytest.mark.parametrize(
     "kind,m,c,n,reverse,nodes",
     [
@@ -216,14 +236,38 @@ def reversed_family(family):
     ],
 )
 def test_search_tree_size_is_pinned(kind, m, c, n, reverse, nodes):
-    host = make_grid(GridSpec(m, n))
-    family = enumerate_windows(host, c)
-    if reverse:
-        family = reversed_family(family)
-    cf = closed_form_strength(kind, m, n, c)
-    result = min_strength(host, family, kind, k_max=cf, start_k=1)
-    assert result.minimal_k == cf
-    assert result.nodes_explored == nodes
+    assert pinned_tree(reference.min_strength, kind, m, c, n, reverse) == nodes
+
+
+# the same instances on the package walk, which checks Hall's rule at
+# every node
+@pytest.mark.parametrize(
+    "kind,m,c,n,reverse,nodes",
+    [
+        (LabelingKind.VERTEX, 2, 2, 8, False, 28),
+        (LabelingKind.VERTEX, 2, 3, 10, False, 32),
+        (LabelingKind.EDGE, 2, 2, 6, False, 24),
+        (LabelingKind.EDGE, 2, 2, 7, False, 32),
+        (LabelingKind.TOTAL, 2, 3, 5, False, 25),
+        (LabelingKind.VERTEX, 2, 2, 8, True, 28),
+        (LabelingKind.EDGE, 2, 2, 6, True, 24),
+    ],
+)
+def test_hall_search_tree_size_is_pinned(kind, m, c, n, reverse, nodes):
+    assert pinned_tree(min_strength, kind, m, c, n, reverse) == nodes
+
+
+# vertex windows of width 2 on 11 and 12 columns: the reference walk
+# needs minutes for them; the package walk certifies them from k = 1
+@pytest.mark.parametrize("n,nodes", [(11, 47), (12, 54)])
+def test_wide_vertex_instances_are_certified(n, nodes):
+    host = make_grid(GridSpec(2, n))
+    family = enumerate_windows(host, 2)
+    cf = closed_form_strength(LabelingKind.VERTEX, 2, n, 2)
+    result = min_strength(
+        host, family, LabelingKind.VERTEX, k_max=cf, start_k=1, max_elements=24
+    )
+    assert (result.minimal_k, result.nodes_explored) == (cf, nodes)
 
 
 def hand_built_family():
@@ -250,8 +294,9 @@ def hand_built_family():
     return CoverFamily(host=graph_from_elements(v, e), members=members)
 
 
-# recorded like the grid counts above; vertex position 4 finishes two
-# members, so a cut there must unmark the weight the first one marked
+# recorded like the grid counts above, on the reference walk; vertex
+# position 4 finishes two members, so a cut there must unmark the weight
+# the first one marked
 @pytest.mark.parametrize(
     "kind,minimal_k,nodes",
     [
@@ -261,6 +306,21 @@ def hand_built_family():
     ],
 )
 def test_hand_built_search_tree_is_pinned(kind, minimal_k, nodes):
+    family = hand_built_family()
+    result = reference.min_strength(family.host, family, kind, k_max=4, start_k=1)
+    assert result.minimal_k == minimal_k
+    assert result.nodes_explored == nodes
+
+
+@pytest.mark.parametrize(
+    "kind,minimal_k,nodes",
+    [
+        (LabelingKind.VERTEX, 3, 34),
+        (LabelingKind.EDGE, 4, 14),
+        (LabelingKind.TOTAL, 2, 17),
+    ],
+)
+def test_hall_hand_built_search_tree_is_pinned(kind, minimal_k, nodes):
     family = hand_built_family()
     result = min_strength(family.host, family, kind, k_max=4, start_k=1)
     assert result.minimal_k == minimal_k
@@ -306,6 +366,56 @@ def test_witness_or_none_equals_brute_force():
                 assert ours is None, (kind, family, k)
             else:
                 assert ours is not None and ours.labels == reference.labels
+
+
+CERTIFY_MAX_ELEMENTS = 24
+WIDE = {(LabelingKind.VERTEX, 2, 2, 11), (LabelingKind.VERTEX, 2, 2, 12)}
+
+
+def certify_instances():
+    """The window instances of at most 24 elements with 2 <= m <= c <= 6,
+    but vertex (2,2,11) and (2,2,12), which the reference walk needs
+    minutes for: (kind, host, family, closed form, element count)."""
+    for kind in LabelingKind:
+        for m in range(2, 7):
+            for c in range(m, 7):
+                for n in range(c, CERTIFY_MAX_ELEMENTS + 1):
+                    edges = (m - 1) * n + m * (n - 1)
+                    size = kind_element_count(kind, m * n, edges)
+                    if size > CERTIFY_MAX_ELEMENTS or (kind, m, c, n) in WIDE:
+                        continue
+                    host = make_grid(GridSpec(m, n))
+                    cf = closed_form_strength(kind, m, n, c)
+                    yield kind, host, enumerate_windows(host, c), cf, size
+
+
+def walk_differential_cases():
+    rnd = random.Random(11)
+    for kind, host, family, cf, size in certify_instances():
+        yield kind, family, cf
+        if size <= 16:
+            shuffled = list(family.members)
+            rnd.shuffle(shuffled)
+            yield kind, reversed_family(family), cf
+            yield kind, CoverFamily(host=host, members=tuple(shuffled)), cf
+    for family in (hand_built_family(), *hand_built_cases()):
+        if is_edge_covering(family.host, family).covers:
+            for kind in LabelingKind:
+                yield kind, family, 4
+
+
+def test_walk_matches_the_reference_walk_at_every_budget():
+    budgets = 0
+    for kind, family, k_max in walk_differential_cases():
+        host = family.host
+        for k in range(1, k_max + 1):
+            ours = exists_irregular(
+                host, family, kind, k, max_elements=CERTIFY_MAX_ELEMENTS
+            )
+            theirs = reference.min_strength(host, family, kind, k, start_k=k)
+            assert ours == theirs.witness, (kind, family, k)
+            budgets += 1
+    assert budgets > 400
 
 
 @pytest.mark.parametrize("bad", [True, False, 0, -5, 1.0, "2"])
@@ -360,8 +470,11 @@ def test_minimal_k_is_least_feasible_from_start_budget():
     # start_k == k_max stays valid: one budget, searched in full
     one = min_strength(host, fam, kind, k_max=3, start_k=3)
     assert one.minimal_k == 3 and one.witness is not None
-    below = min_strength(host, fam, kind, k_max=1, start_k=1)
+    below = reference.min_strength(host, fam, kind, k_max=1, start_k=1)
     assert below.minimal_k is None and below.nodes_explored > 0
+    # k = 1 is below the root bound: the package walk refutes it unsearched
+    below = min_strength(host, fam, kind, k_max=1, start_k=1)
+    assert below.minimal_k is None and below.nodes_explored == 0
 
 
 def counting_start_families():
@@ -418,13 +531,28 @@ def hand_built_cases():
 
 
 def test_family_lower_bound_matches_the_reference_on_hand_built_families():
+    # the root check is never weaker than counting; on unequal members it
+    # can be stronger
     counts = set()
     for family in hand_built_cases():
         for kind in LabelingKind:
             expected = reference.family_lower_bound(kind, family)
             counts.add(expected)
-            assert family_lower_bound(kind, family) == expected, (kind, family)
+            assert family_lower_bound(kind, family) >= expected, (kind, family)
     assert len(counts) > 1  # the cases do not all share one bound
+
+
+def test_root_check_raises_the_counting_bound():
+    family, empties = list(hand_built_cases())[:2]
+    raised = [
+        (family, LabelingKind.EDGE, 3, 4),
+        # two members without an edge: no budget passes, so t + 1
+        (empties, LabelingKind.EDGE, 1, 4),
+        (empties, LabelingKind.TOTAL, 1, 2),
+    ]
+    for family, kind, counting, root in raised:
+        assert reference.family_lower_bound(kind, family) == counting
+        assert family_lower_bound(kind, family) == root
 
 
 def default_start_cases():
