@@ -16,6 +16,10 @@ the budget k = 1 + ceil((n - c) / D) equals the closed-form strength for
 the kind (see :mod:`gridirr.bounds`), which is what makes the
 constructions optimal witnesses.
 
+The labels are written at the rows' positions into one tuple in the
+order of the grid's elements, held by :class:`GridLabels`; no element
+object is made.
+
 All ceiling arithmetic is exact integer math.  The numerators are
 frequently negative (j - offset with small j), where truncating division
 would silently round the wrong way; :func:`ceil_div` is the single audited
@@ -25,12 +29,12 @@ primitive every formula goes through.
 from __future__ import annotations
 
 import enum
-from itertools import chain, islice
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, replace
-from typing import Mapping
+from functools import cached_property
 
 from .errors import InvalidParameterError
-from .grid import Element, column_slices, grid_elements, require_window_scope
+from .grid import Element, GridSpec, column_slices, make_grid, require_window_scope
 
 
 class LabelingKind(enum.Enum):
@@ -55,13 +59,39 @@ class TotalVariant(enum.Enum):
     AS_PRINTED = "as_printed"
 
 
+class GridLabels(Mapping):
+    """Read-only labels of a constructed labeling: ``layout[p]`` labels
+    ``make_grid(spec).elements[lo + p]``.  The keys, in canonical order,
+    are made only when a caller first reads one."""
+
+    def __init__(self, spec: GridSpec, lo: int, layout: tuple[int, ...]) -> None:
+        self.spec, self.lo, self.layout = spec, lo, layout
+
+    @cached_property
+    def _labels(self) -> dict[Element, int]:
+        return dict(zip(make_grid(self.spec).elements[self.lo :], self.layout))
+
+    def __getitem__(self, element: Element) -> int:
+        return self._labels[element]
+
+    def __iter__(self) -> Iterator[Element]:
+        return iter(self._labels)
+
+    def __len__(self) -> int:
+        return len(self.layout)
+
+    def values(self) -> tuple[int, ...]:
+        return self.layout
+
+
 @dataclass(frozen=True)
 class Labeling:
     """An assignment of labels in {1, ..., k} to graph elements.
 
     ``labels`` maps vertices and/or edges (per ``kind``) to labels; it is
-    owned by the instance and must not be mutated.  ``m`` and ``n`` record
-    the host grid's dimensions for serialization.
+    owned by the instance and must not be mutated.  The constructors give
+    a :class:`GridLabels`; loaded, searched and edited labelings a dict.
+    ``m`` and ``n`` record the host grid's dimensions for serialization.
     """
 
     kind: LabelingKind
@@ -174,12 +204,20 @@ def _construct(
     rows = [(row, c, d) for row in columns] + [(row, c - 1, d_gap) for row in gaps]
     first = m if kind is LabelingKind.EDGE else 0
     last = m if kind is LabelingKind.VERTEX else None
-    elements = list(islice(grid_elements(m, n), m * n if last else None))
-    labels: dict[Element, int] = {}
-    offset = 0
+    # j - offset runs from low (j = 1 on the last row) up to n - c: stairs[D]
+    # holds 1 + ceil((j - offset) / D) at j - offset - low
+    low = 1 - sum(added for _, added, _ in rows[first:last])
+    stairs = {den: [1 + ceil_div(p, den) for p in range(low, n)] for den in {d, d_gap}}
+    layout = [0] * (3 * m * n - m - n)
+    positions = range(len(layout))
+    start = 1 - low  # the stair of j = 1 at offset 0
     for (a, b), added, denominator in rows[first:last]:
-        offset += added
-        for j, element in enumerate(chain(elements[a], elements[b]), start=1):
-            labels[element] = 1 + ceil_div(j - offset, denominator)
+        start -= added
+        split = len(positions[a])
+        row = stairs[denominator][start : start + split + len(positions[b])]
+        layout[a], layout[b] = row[:split], row[split:]
+    lo = first * n  # the m vertex rows come first, n positions each
+    hi = None if last is None else last * n
+    labels = GridLabels(GridSpec(m, n), lo, tuple(layout[lo:hi]))
     k = 1 + ceil_div(n - c, d)
     return Labeling(kind=kind, k=k, labels=labels, m=m, n=n)

@@ -153,7 +153,7 @@ def index_members(
     :class:`MalformedFamilyError`, naming the first such member and, in
     it, the least such vertex, or else the least such edge.
     """
-    if isinstance(members, Members) and members.host == host:  # equal graphs, one order
+    if isinstance(members, Members) and (members.host is host or members.host == host):
         return tuple(map(members.positions, range(len(members))))
     index = host.index
     out = []

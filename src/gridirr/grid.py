@@ -6,10 +6,12 @@ vertical edges (i, j)-(i+1, j) and horizontal edges (i, j)-(i, j+1).
 
 Elements are their coordinate keys: a :class:`Vertex` equals and hashes
 as (i, j), an :class:`Edge` as ((i, j), (p, q)) with endpoints in order.
-:func:`canonical_order` sorts vertices row-major, then edges.
-:func:`grid_elements` makes a grid's elements in that order; from the
-rows of :func:`column_slices` the constructions label them and
-:func:`window_positions` reads a window's positions.
+:func:`canonical_order` sorts vertices row-major, then edges.  A
+:func:`make_grid` graph holds only its spec until its elements are read;
+it makes them in that order, without sorting, and :meth:`Graph.element`
+gives one from its position alone.  Through the rows of
+:func:`column_slices` the constructions write labels at those positions
+and :func:`window_positions` reads a window's positions.
 
 The same ``Graph`` container also serves arbitrary simple graphs: vertex
 identities stay (i, j) pairs, with non-grid inputs conventionally embedded
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, islice
-from typing import Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import InvalidEdgeError, InvalidParameterError, ScopeError
 
@@ -114,6 +116,7 @@ class Graph:
     ``spec`` is set only by :func:`make_grid`, so a graph that carries one
     is exactly that full grid; hand-built and transposed graphs carry None
     even when they equal a grid.  It takes no part in equality or hashing.
+    Such a graph holds only the spec until its elements are first read.
 
     Every element has one integer index, its position in :attr:`elements`
     (in :func:`canonical_order`); :attr:`index` maps elements, or their
@@ -126,10 +129,31 @@ class Graph:
         default=None, init=False, repr=False, compare=False
     )
 
+    def __getattr__(self, name: str) -> frozenset:
+        """The vertex and edge sets of a grid with a spec, made on first read."""
+        if self.spec is None or name not in ("vertices", "edges"):
+            raise AttributeError(name)
+        split = self.spec.m * self.spec.n
+        object.__setattr__(self, "vertices", frozenset(self.elements[:split]))
+        object.__setattr__(self, "edges", frozenset(self.elements[split:]))
+        return getattr(self, name)
+
     @cached_property
     def elements(self) -> tuple[Element, ...]:
-        """All elements in :func:`canonical_order`."""
-        return tuple(sorted((*self.vertices, *self.edges), key=canonical_order))
+        """All elements in :func:`canonical_order`.  A grid with a spec makes
+        them in that order: its vertices row-major, then from each vertex
+        the horizontal edge (whose far end sorts first) and the vertical one."""
+        if self.spec is None:
+            return tuple(sorted((*self.vertices, *self.edges), key=canonical_order))
+        m, n = self.spec.m, self.spec.n
+        vertices = [Vertex(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
+        edges = []
+        for pos, v in enumerate(vertices):
+            if v.j < n:
+                edges.append(Edge(v, vertices[pos + 1]))
+            if v.i < m:
+                edges.append(Edge(v, vertices[pos + n]))
+        return (*vertices, *edges)
 
     @cached_property
     def index(self) -> dict:
@@ -137,11 +161,33 @@ class Graph:
         coordinates, so those look up without building elements."""
         return {e: pos for pos, e in enumerate(self.elements)}
 
+    @cached_property
+    def counts(self) -> tuple[int, int]:
+        """The numbers of vertices and edges, from the spec if there is one."""
+        if self.spec is None:
+            return len(self.vertices), len(self.edges)
+        m, n = self.spec.m, self.spec.n
+        return m * n, 2 * m * n - m - n
+
+    def element(self, pos: int) -> Element:
+        """``elements[pos]``, of a spec from a formula, making no other element."""
+        if self.spec is None:
+            return self.elements[pos]
+        m, n = self.spec.m, self.spec.n
+        pos = range(sum(self.counts))[pos]  # negatives count from the end
+        if pos < m * n:
+            return Vertex(pos // n + 1, pos % n + 1)
+        # rows 1 .. m-1: per vertex its horizontal, then vertical edge; row m: horizontal
+        i, q = divmod(pos - m * n, 2 * n - 1)
+        j, down = (q, 0) if i == m - 1 else divmod(q, 2)
+        down = down or j == n - 1
+        return Edge(Vertex(i + 1, j + 1), Vertex(i + 1 + down, j + 2 - down))
+
     def sorted_vertices(self) -> list[Vertex]:
-        return list(self.elements[: len(self.vertices)])
+        return list(self.elements[: self.counts[0]])
 
     def sorted_edges(self) -> list[Edge]:
-        return list(self.elements[len(self.vertices) :])
+        return list(self.elements[self.counts[0] :])
 
 
 def graph_from_elements(
@@ -158,33 +204,18 @@ def graph_from_elements(
     return Graph(vertices=vset, edges=eset)
 
 
-def grid_elements(m: int, n: int) -> Iterator[Element]:
-    """The elements of the m-by-n grid in canonical order, each made when
-    it is consumed: the vertices row-major, then from each vertex the
-    horizontal edge (whose far end sorts first) and the vertical one."""
-    vertices = [Vertex(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
-    yield from vertices
-    for pos, v in enumerate(vertices):
-        if v.j < n:
-            yield Edge(v, vertices[pos + 1])
-        if v.i < m:
-            yield Edge(v, vertices[pos + n])
-
-
 def make_grid(spec: GridSpec) -> Graph:
     """Construct the grid graph with ``spec.m`` rows and ``spec.n`` columns.
 
     The result has m*n vertices and 2mn - m - n edges: vertical edges
     (i, j)-(i+1, j) for i < m, horizontal edges (i, j)-(i, j+1) for j < n.
-    The graph records ``spec``, which lets window families over it take
-    the fast paths in :mod:`gridirr.covering` and :mod:`gridirr.verify`.
-    Its :attr:`Graph.elements` are :func:`grid_elements`, without sorting.
+    The graph records ``spec`` and nothing else: its element sets,
+    :attr:`Graph.elements` and :attr:`Graph.index` are made when first
+    read.  The spec lets window families over it take the fast paths in
+    :mod:`gridirr.covering` and :mod:`gridirr.verify`.
     """
-    elements = tuple(grid_elements(spec.m, spec.n))
-    vertices, edges = elements[: spec.m * spec.n], elements[spec.m * spec.n :]
-    graph = Graph(vertices=frozenset(vertices), edges=frozenset(edges))
+    graph = object.__new__(Graph)
     object.__setattr__(graph, "spec", spec)
-    object.__setattr__(graph, "elements", elements)
     return graph
 
 

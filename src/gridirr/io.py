@@ -61,6 +61,7 @@ from .grid import (
     Vertex,
     canonical_order,
     graph_from_elements,
+    grid_adjacent,
     grid_dims,
     make_grid,
 )
@@ -174,9 +175,19 @@ def load_labeling(fp: IO[str]) -> Labeling:
 
 
 def graph_to_json_dict(graph: Graph) -> dict[str, Any]:
-    if graph.vertices:
+    """The grid shorthand for a graph equal to a full grid, else the explicit
+    form: without a spec, mn vertices from (1, 1) on, 2mn - m - n edges
+    each joining two of them that are grid-adjacent, make the grid."""
+    if graph.spec is not None:
+        return {"grid": [graph.spec.m, graph.spec.n]}
+    vertices, edges = graph.vertices, graph.edges
+    if vertices:
         m, n = grid_dims(graph)
-        if graph == make_grid(GridSpec(m, n)):
+        if (
+            (len(vertices), len(edges)) == (m * n, 2 * m * n - m - n)
+            and all(v.i >= 1 and v.j >= 1 for v in vertices)
+            and all(a in vertices and b in vertices and grid_adjacent(a, b) for a, b in edges)
+        ):
             return {"grid": [m, n]}
     return elements_to_json_dict(graph)
 

@@ -11,10 +11,13 @@ k * (3mc - m - c) per member).
 
 The labeling is read through one label layout: the labels the kind
 weighs, in the order of the host's elements (None where such an element
-has no label), with 0 at the elements of the other kind.  The verdict's
-range violation and weights both come from it; a label it leaves out is
-stray (see :func:`verify_irregular`), and :func:`weight_profile` ignores
-it.  A window
+has no label), with 0 at the elements of the other kind.  A constructed
+labeling over its own :func:`gridirr.grid.make_grid` host already holds
+that layout (:class:`gridirr.construct.GridLabels`); any other is looked
+up element by element.  The verdict's range violation and weights both
+come from the layout, by position: only the element a range violation
+names is made.  A label the layout leaves out is stray (see
+:func:`verify_irregular`), and :func:`weight_profile` ignores it.  A window
 family over its own :func:`gridirr.grid.make_grid` host (see
 :attr:`gridirr.covering.CoverFamily.window`) is weighed from column sums
 (vertex and vertical-edge labels) and gap sums (horizontal-edge labels),
@@ -29,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .construct import Labeling, LabelingKind, kind_element_count
+from .construct import GridLabels, Labeling, LabelingKind, kind_element_count
 from .covering import CoverFamily, require_covering
 from .errors import IncompleteLabelingError, StrayLabelError
 from .grid import Element, Graph, canonical_order, column_slices, format_element
@@ -111,7 +114,7 @@ def _profile(values: list, kind: LabelingKind, family: CoverFamily) -> WeightPro
         for member in family.indices:
             for pos in member:
                 if values[pos] is None:
-                    element = family.host.elements[pos]
+                    element = family.host.element(pos)
                     raise IncompleteLabelingError(
                         f"no label for {format_element(element)} required "
                         f"by a {kind.value} labeling"
@@ -122,7 +125,7 @@ def _profile(values: list, kind: LabelingKind, family: CoverFamily) -> WeightPro
 def kind_range(kind: LabelingKind, host: Graph) -> tuple[int, int]:
     """The elements the kind labels, as the slice ``lo:hi`` of
     ``host.elements``: the vertices, the edges, or both."""
-    vertices, edges = len(host.vertices), len(host.edges)
+    vertices, edges = host.counts
     lo = vertices if kind is LabelingKind.EDGE else 0
     return lo, lo + kind_element_count(kind, vertices, edges)
 
@@ -130,10 +133,15 @@ def kind_range(kind: LabelingKind, host: Graph) -> tuple[int, int]:
 def _label_layout(labeling: Labeling, host: Graph) -> list:
     """Per element of ``host.elements``: its label if the kind weighs it,
     None if the kind weighs it but it has no label, else 0."""
-    elements = host.elements
     lo, hi = kind_range(labeling.kind, host)
-    labels = map(labeling.labels.get, elements[lo:hi])
-    return [0] * lo + list(labels) + [0] * (len(elements) - hi)
+    labels = labeling.labels
+    if type(labels) is GridLabels and (labels.spec, labels.lo, len(labels)) == (
+        host.spec, lo, hi - lo
+    ):
+        values = labels.layout
+    else:
+        values = map(labels.get, host.elements[lo:hi])
+    return [0] * lo + list(values) + [0] * (sum(host.counts) - hi)
 
 
 def require_no_stray_labels(labeling: Labeling, host: Graph) -> list:
@@ -194,9 +202,12 @@ def verify_irregular(labeling: Labeling, family: CoverFamily) -> Verdict:
     values = require_no_stray_labels(labeling, host)
     lo, hi = kind_range(labeling.kind, host)
     k = labeling.k
-    for element, label in zip(host.elements[lo:hi], values[lo:hi]):
-        if label is not None and not 1 <= label <= k:
-            return Verdict(accepted=False, violation=RangeViolation(element, label, k))
+    labels = values[lo:hi]
+    outside = {label for label in set(labels) if label is not None and not 1 <= label <= k}
+    if outside:  # the violation is at the first position holding one
+        pos = next(pos for pos, label in enumerate(labels, lo) if label in outside)
+        violation = RangeViolation(host.element(pos), values[pos], k)
+        return Verdict(accepted=False, violation=violation)
     collision = _first_collision(_profile(values, labeling.kind, family))
     if collision is not None:
         return Verdict(accepted=False, violation=collision)

@@ -24,6 +24,7 @@ from gridirr import (
     window_denominator,
 )
 from gridirr.construct import kind_element_count
+from gridirr.grid import canonical_order
 from gridirr.verify import kind_range
 import reference
 from strategies import scope_params
@@ -229,7 +230,8 @@ ACCEPTANCE_RANGE = [
 def test_one_formula_matches_the_reference_constructors():
     """Over the full acceptance range, every kind and the as-printed total
     variant, both through the public constructor and through
-    ``construct_for_kind``, give the reference's labels and budget."""
+    ``construct_for_kind``, give the reference's labels and budget; the
+    labels iterate in canonical order, the order of the host's elements."""
     cases = [
         (LabelingKind.VERTEX, TotalVariant.CORRECTED,
          reference.construct_vertex_labeling, construct_vertex_labeling),
@@ -248,5 +250,7 @@ def test_one_formula_matches_the_reference_constructors():
             expected = expected_of(m, n, c)
             for got in (public(m, n, c), construct_for_kind(kind, m, n, c, variant)):
                 assert got.labels == expected.labels, (kind, variant, m, c, n)
+                order = sorted(expected.labels, key=canonical_order)
+                assert list(got.labels) == order, (kind, variant, m, c, n)
                 assert got.k == expected.k, (kind, variant, m, c, n)
                 assert (got.kind, got.m, got.n) == (kind, m, n)

@@ -24,7 +24,7 @@ from gridirr import (
     strength_report,
     transpose,
 )
-from gridirr.grid import column_slices, window_positions
+from gridirr.grid import canonical_order, column_slices, window_positions
 
 dims = st.integers(min_value=1, max_value=9)
 
@@ -231,3 +231,42 @@ def test_integers_out_of_range_keep_their_errors():
         require_window_scope(1, 2, 3)
     with pytest.raises(InvalidParameterError, match="^member count must be >= 1, got 0$"):
         lower_bound(LabelingKind.VERTEX, 0, 4, 4)
+
+
+def _hand_built_grid(m, n):
+    """The m-by-n grid from its coordinates, through graph_from_elements."""
+    vertices = [Vertex(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
+    edges = [canonical_edge(v, Vertex(v.i + di, v.j + dj))
+             for v in vertices for di, dj in ((0, 1), (1, 0))
+             if v.i + di <= m and v.j + dj <= n]
+    return graph_from_elements(vertices, edges)
+
+
+def test_make_grid_makes_its_elements_when_first_read():
+    for m in range(1, 7):
+        for n in range(1, 7):
+            spec = GridSpec(m, n)
+            grid, hand = make_grid(spec), _hand_built_grid(m, n)
+            assert vars(grid) == {"spec": spec}, (m, n)
+            assert grid.counts == hand.counts == (m * n, 2 * m * n - m - n)
+            assert [grid.element(pos) for pos in range(-len(hand.elements), 0)] == list(
+                hand.elements
+            )
+            assert vars(grid) == {"spec": spec, "counts": hand.counts}, (m, n)
+            assert grid.elements == hand.elements
+            assert grid.elements == tuple(sorted(grid.elements, key=canonical_order))
+            assert [grid.element(pos) for pos in range(len(hand.elements))] == list(
+                hand.elements
+            )
+            assert grid.index == hand.index
+            assert grid.vertices == hand.vertices and grid.edges == hand.edges
+            assert grid.sorted_vertices() == hand.sorted_vertices()
+            assert grid.sorted_edges() == hand.sorted_edges()
+            assert grid == hand and hand == grid and hash(grid) == hash(hand)
+            assert make_grid(spec) == hand and hash(make_grid(spec)) == hash(hand)
+            assert transpose(make_grid(spec)) == transpose(hand) == make_grid(GridSpec(n, m))
+            assert grid_dims(make_grid(spec)) == grid_dims(hand) == (m, n)
+            assert hand.spec is None and transpose(grid).spec is None
+            for pos in (len(hand.elements), -len(hand.elements) - 1):
+                with pytest.raises(IndexError):
+                    make_grid(spec).element(pos)

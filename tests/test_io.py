@@ -7,6 +7,7 @@ from gridirr import (
     CoverFamily,
     Edge,
     FormatError,
+    Graph,
     GridSpec,
     LabelingKind,
     Subgraph,
@@ -24,6 +25,7 @@ from gridirr.io import (
     dot_export,
     dump_family,
     dump_labeling,
+    elements_to_json_dict,
     family_from_json_dict,
     family_to_json_dict,
     graph_from_json_dict,
@@ -172,6 +174,29 @@ def test_graph_shorthand_parses():
     g = graph_from_json_dict({"grid": [2, 4]})
     assert g == make_grid(GridSpec(2, 4))
     assert graph_to_json_dict(g) == {"grid": [2, 4]}
+
+
+def test_only_a_graph_equal_to_a_grid_takes_the_shorthand():
+    grid = make_grid(GridSpec(3, 4))
+    assert graph_to_json_dict(grid) == {"grid": [3, 4]}
+    assert vars(grid) == {"spec": GridSpec(3, 4)}  # answered from the spec
+    hand = graph_from_elements(grid.vertices, grid.edges)
+    assert hand.spec is None and graph_to_json_dict(hand) == {"grid": [3, 4]}
+    # same counts, one edge replaced by a diagonal
+    diagonal = Edge(Vertex(1, 1), Vertex(2, 2))
+    edges = (grid.edges - {Edge(Vertex(1, 1), Vertex(1, 2))}) | {diagonal}
+    bent = graph_from_elements(grid.vertices, edges)
+    assert graph_to_json_dict(bent) == elements_to_json_dict(bent)
+    assert [[1, 1], [2, 2]] in graph_to_json_dict(bent)["edges"]
+    # the counts and dims of a grid: a path of two adjacent vertices, one
+    # in row 0 (the 1-by-2 grid's counts), and an edge left dangling
+    a, b = Vertex(0, 2), Vertex(1, 2)
+    moved = Graph(vertices=frozenset({a, b}), edges=frozenset({Edge(a, b)}))
+    dangling = Graph(vertices=grid.vertices,
+                     edges=(grid.edges - {Edge(Vertex(1, 1), Vertex(1, 2))})
+                     | {Edge(Vertex(3, 4), Vertex(3, 5))})
+    for graph in (moved, dangling):
+        assert graph_to_json_dict(graph) == elements_to_json_dict(graph)
 
 
 @pytest.mark.parametrize(

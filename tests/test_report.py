@@ -1,7 +1,20 @@
 import pytest
 
-from gridirr import LabelingKind, ScopeError
+from gridirr import Edge, LabelingKind, ScopeError, Vertex
 from gridirr.report import strength_report
+
+
+@pytest.fixture
+def made(monkeypatch):
+    """The classes of the vertex and edge objects made, in order."""
+    made = []
+    for cls in (Vertex, Edge):
+        def spy(cls, *args, _new=cls.__new__):
+            made.append(cls)
+            return _new(cls, *args)
+
+        monkeypatch.setattr(cls, "__new__", spy)
+    return made
 
 
 def test_report_fields_total_with_oracle():
@@ -45,3 +58,15 @@ def test_report_lines_are_stable():
         "closed_form=2",
         "construction_verified=true",
     ]
+
+
+@pytest.mark.parametrize("m,c,n", [(2, 2, 2), (3, 4, 12), (4, 6, 40)])
+def test_a_report_row_makes_no_element_but_the_one_it_names(made, m, c, n):
+    for kind in (LabelingKind.VERTEX, LabelingKind.EDGE):
+        assert strength_report(kind, m, c, n).construction_verified
+        assert made == []
+    # the as-printed total variant fails at edge (1,1)-(1,2), made alone
+    report = strength_report(LabelingKind.TOTAL, m, c, n)
+    assert report.construction_verified and report.as_printed_verified is False
+    assert "label 0 at (1,1)-(1,2)" in report.erratum_note
+    assert made == [Vertex, Vertex, Edge]

@@ -14,6 +14,7 @@ from gridirr import (
     RangeViolation,
     StrayLabelError,
     Subgraph,
+    TotalVariant,
     Vertex,
     WeightCollision,
     construct_edge_labeling,
@@ -305,3 +306,58 @@ def test_stray_label_is_found_beside_a_missing_one(family):
     fam = window_or_explicit(make_grid(GridSpec(m, n)), c, family)
     with pytest.raises(StrayLabelError, match=re.escape("label on (1,1), which")):
         verify_irregular(swapped, fam)
+
+
+def outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except Exception as exc:
+        return ("raised", type(exc), str(exc))
+
+
+def as_dict(labeling):
+    """The same labeling with its labels in a dict, read by lookup."""
+    return Labeling(kind=labeling.kind, k=labeling.k, labels=dict(labeling.labels),
+                    m=labeling.m, n=labeling.n)
+
+
+VARIANTS = [(kind, TotalVariant.CORRECTED) for kind in LabelingKind] + [
+    (LabelingKind.TOTAL, TotalVariant.AS_PRINTED)
+]
+
+
+def test_layout_fast_path_matches_the_lookup_path():
+    """Over the acceptance range, a constructed labeling read through its
+    layout gets the verdict, first violation and profile of its dict form."""
+    for m in range(2, 5):
+        for c in range(m, 7):
+            for n in range(c, 41):
+                fam = enumerate_windows(make_grid(GridSpec(m, n)), c)
+                for kind, variant in VARIANTS:
+                    lab = construct_for_kind(kind, m, n, c, variant)
+                    fast = [outcome(fn, lab, fam) for fn in (verify_irregular, weight_profile)]
+                    assert "_labels" not in vars(lab.labels)  # no key was read
+                    slow = [outcome(fn, as_dict(lab), fam) for fn in (verify_irregular, weight_profile)]
+                    assert fast == slow, (kind, variant, m, c, n)
+                    assert fast[0][1].accepted is (variant is TotalVariant.CORRECTED)
+
+
+@pytest.mark.parametrize("kind, variant", VARIANTS)
+@pytest.mark.parametrize("family", ["window", "explicit"])
+def test_with_label_on_a_constructed_labeling_matches_the_dict_form(kind, variant, family):
+    m, c, n = 3, 4, 9
+    lab = construct_for_kind(kind, m, n, c, variant)
+    fam = window_or_explicit(make_grid(GridSpec(m, n)), c, family)
+    in_kind = Vertex(m, 1) if kind is not LabelingKind.EDGE else Edge(Vertex(1, 1), Vertex(2, 1))
+    other = {LabelingKind.VERTEX: Edge(Vertex(1, 1), Vertex(1, 2)),
+             LabelingKind.EDGE: Vertex(1, 1)}.get(kind)
+    cases = [(in_kind, lab.labels[in_kind] + 1), (in_kind, lab.k + 1), (in_kind, 0),
+             (Vertex(m + 1, 1), 1)] + ([(other, 1)] if other else [])
+    for element, label in cases:
+        edited, expected = lab.with_label(element, label), as_dict(lab).with_label(element, label)
+        assert edited.labels == expected.labels
+        for fn in (verify_irregular, weight_profile):
+            assert outcome(fn, edited, fam) == outcome(fn, expected, fam), (element, label)
+    message = f"label on ({m + 1},1), which a {kind.value} labeling of this host does not weigh"
+    assert outcome(verify_irregular, lab.with_label(Vertex(m + 1, 1), 1), fam) == (
+        "raised", StrayLabelError, message)
