@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .construct import LabelingKind, ceil_div, kind_element_count, window_denominator
 from .errors import InvalidParameterError
-from .grid import Graph, require_integers, require_window_scope
+from .grid import Graph, GridSpec, make_grid, require_integers, require_window_scope
 
 
 @dataclass(frozen=True)
@@ -53,13 +53,14 @@ def upper_bound_exponent(kind: LabelingKind, host: Graph) -> int:
 
     e = |V(G)| - 1 for the vertex kind, |E(G)| - 1 for edge and total.
     """
+    vertices, edges = host.counts
     if kind is LabelingKind.VERTEX:
-        if not host.vertices:
+        if not vertices:
             raise InvalidParameterError("host has no vertices")
-        return len(host.vertices) - 1
-    if not host.edges:
+        return vertices - 1
+    if not edges:
         raise InvalidParameterError("host has no edges")
-    return len(host.edges) - 1
+    return edges - 1
 
 
 def closed_form_strength(kind: LabelingKind, m: int, n: int, c: int) -> int:
@@ -73,18 +74,12 @@ def closed_form_strength(kind: LabelingKind, m: int, n: int, c: int) -> int:
 
 
 def grid_bound_report(kind: LabelingKind, m: int, c: int, n: int) -> BoundReport:
-    """Bounds for the m-by-n grid covered by its width-c windows.
-
-    The grid has mn vertices and 2mn - m - n edges, so the upper exponent
-    is mn - 1 (vertex kind) or 2mn - m - n - 1 (edge and total kinds).
-    """
+    """Bounds for the m-by-n grid covered by its width-c windows: the
+    counting bound of t = n - c + 1 windows of mc vertices and 2mc - m - c
+    edges, and :func:`upper_bound_exponent` of the grid."""
     require_window_scope(m, c, n)
-    t = n - c + 1
-    vH = m * c
-    eH = 2 * m * c - m - c
-    elements = m * n if kind is LabelingKind.VERTEX else 2 * m * n - m - n
     return BoundReport(
         kind=kind,
-        lower=lower_bound(kind, t, vH, eH),
-        upper_exponent=elements - 1,
+        lower=lower_bound(kind, n - c + 1, m * c, 2 * m * c - m - c),
+        upper_exponent=upper_bound_exponent(kind, make_grid(GridSpec(m, n))),
     )

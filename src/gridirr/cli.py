@@ -258,10 +258,12 @@ def build_parser() -> _Parser:
     return parser
 
 
+PARSER = build_parser()  # parsing keeps no state, so every call shares it
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -17,8 +17,8 @@ the kind (see :mod:`gridirr.bounds`), which is what makes the
 constructions optimal witnesses.
 
 The labels are written at the rows' positions into one tuple in the
-order of the grid's elements, held by :class:`GridLabels`; no element
-object is made.
+order of the elements of a :func:`~gridirr.grid.make_grid` host, held
+with that host by :class:`GridLabels`; no element object is made.
 
 All ceiling arithmetic is exact integer math.  The numerators are
 frequently negative (j - offset with small j), where truncating division
@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .errors import InvalidParameterError
-from .grid import Element, GridSpec, column_slices, make_grid, require_window_scope
+from .grid import Element, Graph, GridSpec, column_slices, make_grid, require_window_scope
 
 
 class LabelingKind(enum.Enum):
@@ -60,16 +60,16 @@ class TotalVariant(enum.Enum):
 
 
 class GridLabels(Mapping):
-    """Read-only labels of a constructed labeling: ``layout[p]`` labels
-    ``make_grid(spec).elements[lo + p]``.  The keys, in canonical order,
-    are made only when a caller first reads one."""
+    """Read-only labels in host order: ``layout[p]`` labels
+    ``host.elements[lo + p]``.  The keys, in canonical order, are made
+    only when a caller first reads one."""
 
-    def __init__(self, spec: GridSpec, lo: int, layout: tuple[int, ...]) -> None:
-        self.spec, self.lo, self.layout = spec, lo, layout
+    def __init__(self, host: Graph, lo: int, layout: tuple[int, ...]) -> None:
+        self.host, self.lo, self.layout = host, lo, layout
 
     @cached_property
     def _labels(self) -> dict[Element, int]:
-        return dict(zip(make_grid(self.spec).elements[self.lo :], self.layout))
+        return dict(zip(self.host.elements[self.lo :], self.layout))
 
     def __getitem__(self, element: Element) -> int:
         return self._labels[element]
@@ -89,8 +89,8 @@ class Labeling:
     """An assignment of labels in {1, ..., k} to graph elements.
 
     ``labels`` maps vertices and/or edges (per ``kind``) to labels; it is
-    owned by the instance and must not be mutated.  The constructors give
-    a :class:`GridLabels`; loaded, searched and edited labelings a dict.
+    owned by the instance and must not be mutated.  The constructors and
+    the oracle give a :class:`GridLabels`; loaded and edited ones a dict.
     ``m`` and ``n`` record the host grid's dimensions for serialization.
     """
 
@@ -218,6 +218,6 @@ def _construct(
         layout[a], layout[b] = row[:split], row[split:]
     lo = first * n  # the m vertex rows come first, n positions each
     hi = None if last is None else last * n
-    labels = GridLabels(GridSpec(m, n), lo, tuple(layout[lo:hi]))
+    labels = GridLabels(make_grid(GridSpec(m, n)), lo, tuple(layout[lo:hi]))
     k = 1 + ceil_div(n - c, d)
     return Labeling(kind=kind, k=k, labels=labels, m=m, n=n)

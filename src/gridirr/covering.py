@@ -24,7 +24,8 @@ a :func:`make_grid` host is implicit: its covering check is answered from
 
 Every other family is explicit: truncated, reordered, loaded and
 hand-built families alike.  The covering check marks covered edges by
-index; a tuple of member graphs is indexed once, on first need.
+index, from the host's counts, making an element only to name a missed
+edge; a tuple of member graphs is indexed once, on first need.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ class Members(Sequence):
         member = self._built[pos]
         if member is None:
             elements, at = self.host.elements, self.positions(pos)
-            split = bisect_left(at, len(self.host.vertices))
+            split = bisect_left(at, self.host.counts[0])
             member = self._built[pos] = Graph(
                 vertices=frozenset(map(elements.__getitem__, at[:split])),
                 edges=frozenset(map(elements.__getitem__, at[split:])),
@@ -234,15 +235,14 @@ def is_edge_covering(host: Graph, family: CoverFamily) -> CoveringCheck:
     """
     if host is family.host and family.window is not None:
         return CoveringCheck(covers=True, uncovered=())
-    indices = member_indices(host, family)
-    elements, first_edge = host.elements, len(host.vertices)
-    covered = bytearray(len(elements))
-    for member in indices:
+    first_edge, edges = host.counts
+    covered = bytearray(first_edge + edges)
+    for member in member_indices(host, family):
         for pos in member[bisect_left(member, first_edge) :]:
             covered[pos] = 1
     uncovered = tuple(
-        elements[pos]
-        for pos in range(first_edge, len(elements))
+        host.element(pos)
+        for pos in range(first_edge, len(covered))
         if not covered[pos]
     )
     return CoveringCheck(covers=not uncovered, uncovered=uncovered)

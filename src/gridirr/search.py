@@ -15,12 +15,13 @@ weights remain reachable.  It is exact, so the walk meets the same first
 witness as an uncut one; at the root it gives the start budget.
 
 The search runs on integer tables made in one pass over the member
-index tuples (:func:`_prepare`), with no element index of its own and no
-member graph.  A position is an index into the host's elements, shifted
-to the kind's range (:func:`gridirr.verify.kind_range`); a member is its
-sorted index tuple (:func:`gridirr.covering.member_indices`) cut to that
-range.  The walk keeps a label per position and, per member, a weight
-and a count of unlabeled positions.
+index tuples (:func:`_prepare`), with no element object and no member
+graph.  A position is an index into the host's elements, shifted to the
+kind's range (:func:`gridirr.verify.kind_range`); a member is its sorted
+index tuple (:func:`gridirr.covering.member_indices`) cut to that range.
+The walk keeps a label per position and, per member, a weight and a
+count of unlabeled positions; its witness is that label vector, held as
+the constructors hold theirs (:class:`gridirr.construct.GridLabels`).
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
-from .construct import Labeling, LabelingKind
+from .construct import GridLabels, Labeling, LabelingKind
 from .covering import CoverFamily, member_indices, require_covering
 from .errors import InvalidParameterError, ResourceLimitError
-from .grid import Element, Graph, grid_dims, require_integers
+from .grid import Graph, grid_dims, require_integers
 from .verify import kind_range, verify_irregular
 
 DEFAULT_MAX_ELEMENTS = 24
@@ -88,23 +89,22 @@ def _check_size(count: int, max_elements: Optional[int]) -> None:
 
 def _prepare(host: Graph, family: CoverFamily, kind: LabelingKind) -> tuple:
     """Integer tables of one instance, shared by every budget k:
-    (elements, touch, counts).
+    (touch, counts).
 
-    Position p stands for ``elements[p]``, the kind's slice ``lo:hi`` of
-    ``host.elements`` (:func:`gridirr.verify.kind_range`), shifted by lo.
-    ``touch[p]`` holds the members containing it, in member order.
-    ``counts[mi]`` is how many elements of the kind member mi has.
+    Position p stands for ``host.elements[lo + p]``, in the kind's slice
+    ``lo:hi`` (:func:`gridirr.verify.kind_range`).  ``touch[p]`` holds the
+    members containing it, in member order.  ``counts[mi]`` is how many
+    elements of the kind member mi has.
     """
     lo, hi = kind_range(kind, host)
-    elements = host.elements[lo:hi]
-    touch = [[] for _ in elements]
+    touch = [[] for _ in range(hi - lo)]
     counts = []
     for mi, member in enumerate(member_indices(host, family)):
         positions = member[bisect_left(member, lo) : bisect_left(member, hi)]
         counts.append(len(positions))
         for pos in positions:
             touch[pos - lo].append(mi)
-    return elements, [tuple(mis) for mis in touch], counts
+    return [tuple(mis) for mis in touch], counts
 
 
 def _feasible(weight: list[int], left: list[int], k: int) -> bool:
@@ -129,13 +129,13 @@ def _root_bound(counts: list[int]) -> int:
     return next((k for k in range(1, t + 1) if _feasible(zero, counts, k)), t + 1)
 
 
-def _search(tables: tuple, k: int) -> tuple[Optional[dict[Element, int]], int]:
-    """Backtracking core: (lex-least valid assignment or None, node count)."""
-    elements, touch, counts = tables
+def _search(tables: tuple, k: int) -> tuple[Optional[list[int]], int]:
+    """Backtracking core: (lex-least valid label vector or None, node count)."""
+    touch, counts = tables
     weight, left = [0] * len(counts), list(counts)
     if not _feasible(weight, left, k):
         return None, 0
-    size = len(elements)
+    size = len(touch)
     labels = [0] * size  # labels[pos]: the label tried last, 0 for none
     nodes = pos = 0
     while pos < size:
@@ -157,7 +157,7 @@ def _search(tables: tuple, k: int) -> tuple[Optional[dict[Element, int]], int]:
                 left[mi] -= 1
         if _feasible(weight, left, k):
             pos += 1
-    return dict(zip(elements, labels)), nodes
+    return labels, nodes
 
 
 def exists_irregular(
@@ -189,7 +189,7 @@ def family_lower_bound(kind: LabelingKind, family: CoverFamily) -> int:
     :func:`gridirr.bounds.lower_bound` value.  A member with an element
     outside the host raises :class:`MalformedFamilyError`.
     """
-    return _root_bound(_prepare(family.host, family, kind)[2])
+    return _root_bound(_prepare(family.host, family, kind)[1])
 
 
 def min_strength(
@@ -219,14 +219,15 @@ def min_strength(
     lo, hi = kind_range(kind, host)
     _check_size(hi - lo, max_elements)
     tables = _prepare(host, family, kind)
-    start = _root_bound(tables[2]) if start_k is None else start_k
+    start = _root_bound(tables[1]) if start_k is None else start_k
     total_nodes = 0
     for k in range(start, k_max + 1):
-        assignment, nodes = _search(tables, k)
+        vector, nodes = _search(tables, k)
         total_nodes += nodes
-        if assignment is not None:
+        if vector is not None:
             m, n = grid_dims(host)
-            witness = Labeling(kind=kind, k=k, labels=assignment, m=m, n=n)
+            labels = GridLabels(host, lo, tuple(vector))
+            witness = Labeling(kind=kind, k=k, labels=labels, m=m, n=n)
             verdict = verify_irregular(witness, family)
             if not verdict.accepted:
                 raise AssertionError(

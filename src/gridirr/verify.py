@@ -12,8 +12,9 @@ k * (3mc - m - c) per member).
 The labeling is read through one label layout: the labels the kind
 weighs, in the order of the host's elements (None where such an element
 has no label), with 0 at the elements of the other kind.  A constructed
-labeling over its own :func:`gridirr.grid.make_grid` host already holds
-that layout (:class:`gridirr.construct.GridLabels`); any other is looked
+or searched labeling holds that layout with the host it follows
+(:class:`gridirr.construct.GridLabels`), read as is on that host or on
+an equal-spec :func:`gridirr.grid.make_grid` grid; any other is looked
 up element by element.  The verdict's range violation and weights both
 come from the layout, by position: only the element a range violation
 names is made.  A label the layout leaves out is stray (see
@@ -135,8 +136,8 @@ def _label_layout(labeling: Labeling, host: Graph) -> list:
     None if the kind weighs it but it has no label, else 0."""
     lo, hi = kind_range(labeling.kind, host)
     labels = labeling.labels
-    if type(labels) is GridLabels and (labels.spec, labels.lo, len(labels)) == (
-        host.spec, lo, hi - lo
+    if type(labels) is GridLabels and (labels.lo, len(labels)) == (lo, hi - lo) and (
+        labels.host is host or host.spec is not None and labels.host.spec == host.spec
     ):
         values = labels.layout
     else:

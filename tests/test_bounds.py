@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 
 from gridirr import (
+    Graph,
     GridSpec,
     InvalidParameterError,
     LabelingKind,
@@ -46,9 +47,13 @@ def test_upper_bound_exponents():
 def test_upper_bound_exponent_of_an_edgeless_host_is_rejected():
     single = make_grid(GridSpec(1, 1))
     assert upper_bound_exponent(LabelingKind.VERTEX, single) == 0
+    empty = Graph(vertices=frozenset(), edges=frozenset())
     for kind in (LabelingKind.EDGE, LabelingKind.TOTAL):
-        with pytest.raises(InvalidParameterError, match="^host has no edges$"):
-            upper_bound_exponent(kind, single)
+        for host in (single, empty):
+            with pytest.raises(InvalidParameterError, match="^host has no edges$"):
+                upper_bound_exponent(kind, host)
+    with pytest.raises(InvalidParameterError, match="^host has no vertices$"):
+        upper_bound_exponent(LabelingKind.VERTEX, empty)
 
 
 def test_closed_form_values():

@@ -1,8 +1,12 @@
+import dataclasses
 import json
 
 import pytest
 
-from gridirr.cli import main
+import gridirr.cli
+from gridirr import LabelingKind
+from gridirr.cli import build_parser, main
+from gridirr.report import strength_report
 
 
 def run(capsys, *argv):
@@ -177,6 +181,43 @@ def test_strength_with_oracle(capsys):
     assert "construction_verified=true" in lines
     assert "oracle_k=2" in lines
     assert any(l.startswith("erratum_note=") for l in lines)
+
+
+@pytest.mark.parametrize("changes,stderr", [
+    ({"oracle_ran": True, "oracle_k": 3},
+     "DISCREPANCY: oracle found minimal k=3 but the closed form gives 2\n"),
+    ({"oracle_ran": True, "oracle_k": None},
+     "DISCREPANCY: oracle found minimal k=none but the closed form gives 2\n"),
+    ({"construction_verified": False},
+     "DISCREPANCY: constructed labeling failed verification\n"),
+])
+def test_strength_discrepancy_exits_2(capsys, monkeypatch, changes, stderr):
+    report = dataclasses.replace(
+        strength_report(LabelingKind.VERTEX, 2, 2, 5), **changes
+    )
+    monkeypatch.setattr(gridirr.cli, "strength_report", lambda *a, **k: report)
+    result = run(
+        capsys, "strength", "--kind", "vertex", "-m", "2", "-c", "2", "-n", "5"
+    )
+    assert result == (2, "".join(f"{line}\n" for line in report.to_lines()), stderr)
+
+
+def test_the_shared_parser_answers_as_a_fresh_one(tmp_path, capsys, monkeypatch):
+    lab = tmp_path / "lab.json"
+    calls = [
+        ["bound", "--kind", "vertex", "-m", "2", "-c", "2"],
+        ["construct", "--kind", "total", "--variant", "as-printed",
+         "-m", "2", "-c", "2", "-n", "5", "--out", str(lab)],
+        ["verify", "--labeling", str(lab), "--grid", "2,2,5"],
+        ["strength", "--kind", "edge", "-m", "2", "-c", "2", "-n", "4", "--oracle"],
+    ]
+    shared = [run(capsys, *argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(gridirr.cli, "PARSER", build_parser())
+        fresh.append(run(capsys, *argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [1, 0, 2, 0]
 
 
 def test_strength_without_oracle_has_no_oracle_line(capsys):

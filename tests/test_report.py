@@ -1,6 +1,21 @@
 import pytest
 
-from gridirr import Edge, LabelingKind, ScopeError, Vertex
+from gridirr import (
+    CoverFamily,
+    Edge,
+    GridSpec,
+    LabelingKind,
+    ScopeError,
+    Vertex,
+    closed_form_strength,
+    enumerate_windows,
+    make_grid,
+    min_strength,
+    verify_irregular,
+)
+from gridirr.construct import kind_element_count
+from gridirr.covering import Members
+from gridirr.grid import window_positions
 from gridirr.report import strength_report
 
 
@@ -70,3 +85,38 @@ def test_a_report_row_makes_no_element_but_the_one_it_names(made, m, c, n):
     assert report.construction_verified and report.as_printed_verified is False
     assert "label 0 at (1,1)-(1,2)" in report.erratum_note
     assert made == [Vertex, Vertex, Edge]
+
+
+def certify_instances():
+    """(kind, m, c, n) of every kind, 2 <= m <= c <= 6, at most 24 elements."""
+    for kind in LabelingKind:
+        for m in range(2, 7):
+            for c in range(m, 7):
+                for n in range(c, 25):
+                    if kind_element_count(kind, m * n, 2 * m * n - m - n) <= 24:
+                        yield kind, m, c, n
+
+
+def test_the_oracle_makes_no_element(made, monkeypatch):
+    monkeypatch.delenv("GRIDIRR_ORACLE_MAX_ELEMENTS", raising=False)
+    certified = 0
+    for kind, m, c, n in certify_instances():
+        cf, t = closed_form_strength(kind, m, n, c), n - c + 1
+        host = make_grid(GridSpec(m, n))
+        windows = enumerate_windows(host, c)
+        # the windows right to left, as index tuples: an explicit family
+        backwards = CoverFamily(
+            host=host,
+            members=Members(host, t, lambda pos: window_positions(m, c, n, t - pos)),
+        )
+        for family in (windows, backwards):
+            result = min_strength(
+                host, family, kind, k_max=cf, start_k=1, max_elements=24
+            )
+            assert result.minimal_k == cf
+            assert verify_irregular(result.witness, family).accepted
+            certified += 1
+        if kind is not LabelingKind.TOTAL:
+            assert strength_report(kind, m, c, n, oracle=True).oracle_agrees
+    assert certified == 2 * 112
+    assert made == []

@@ -1,13 +1,16 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reference
 
 from gridirr import (
     CoverFamily,
     Edge,
+    Graph,
     GridSpec,
     InvalidParameterError,
     Labeling,
@@ -26,9 +29,12 @@ from gridirr import (
     make_grid,
     min_strength,
     subgraph_weight,
+    transpose,
     verify_irregular,
 )
-from gridirr.construct import kind_element_count
+from gridirr.construct import GridLabels, kind_element_count
+from gridirr.verify import Verdict, WeightCollision
+from strategies import scope_params
 
 
 def brute_force_exists(host, family, kind, k):
@@ -398,24 +404,85 @@ def walk_differential_cases():
             rnd.shuffle(shuffled)
             yield kind, reversed_family(family), cf
             yield kind, CoverFamily(host=host, members=tuple(shuffled)), cf
+            # the same windows over the transpose of the n-by-m grid, an
+            # equal host that records no spec
+            spec = host.spec
+            grid = transpose(make_grid(GridSpec(spec.n, spec.m)))
+            yield kind, enumerate_windows(grid, spec.n - family.t + 1), cf
     for family in (hand_built_family(), *hand_built_cases()):
         if is_edge_covering(family.host, family).covers:
             for kind in LabelingKind:
                 yield kind, family, 4
 
 
+def assert_reference_witness(kind, family, k):
+    """The witness at budget k is the reference walk's dict witness, in the
+    same iteration order.  Against its own host and a distinct equal one it
+    gets the verdicts of its dict form, also with the budget lowered by one
+    and with every label set to 1."""
+    host = family.host
+    ours = exists_irregular(host, family, kind, k, max_elements=CERTIFY_MAX_ELEMENTS)
+    theirs = reference.min_strength(host, family, kind, k, start_k=k).witness
+    assert ours == theirs, (kind, family, k)
+    if ours is None:
+        return
+    labels = ours.labels
+    assert list(labels.items()) == list(theirs.labels.items())
+    equal = Graph(vertices=host.vertices, edges=host.edges)
+    ones = GridLabels(labels.host, labels.lo, (1,) * len(labels))
+    for labeling in (ours, replace(ours, k=k - 1), replace(ours, labels=ones)):
+        as_dict = replace(labeling, labels=dict(labeling.labels))
+        for on in (family, CoverFamily(host=equal, members=family.members)):
+            assert verify_irregular(labeling, on) == verify_irregular(as_dict, on)
+
+
 def test_walk_matches_the_reference_walk_at_every_budget():
     budgets = 0
     for kind, family, k_max in walk_differential_cases():
-        host = family.host
         for k in range(1, k_max + 1):
-            ours = exists_irregular(
-                host, family, kind, k, max_elements=CERTIFY_MAX_ELEMENTS
-            )
-            theirs = reference.min_strength(host, family, kind, k, start_k=k)
-            assert ours == theirs.witness, (kind, family, k)
+            assert_reference_witness(kind, family, k)
             budgets += 1
     assert budgets > 400
+
+
+@settings(max_examples=40, deadline=None)
+@given(scope_params(max_m=3, max_c=5, max_n=8), st.sampled_from(LabelingKind), st.randoms())
+def test_drawn_window_families_give_the_reference_witness(params, kind, rnd):
+    m, c, n = params
+    size = kind_element_count(kind, m * n, 2 * m * n - m - n)
+    if size > 16:
+        return
+    family = enumerate_windows(make_grid(GridSpec(m, n)), c)
+    members = list(family.members)
+    rnd.shuffle(members)
+    family = CoverFamily(host=family.host, members=tuple(members))
+    for k in range(1, closed_form_strength(kind, m, n, c) + 1):
+        assert_reference_witness(kind, family, k)
+
+
+def test_certify_search_tree_is_pinned():
+    # min_strength from k = 1 on every certify instance, as perfbench's
+    # certify workload runs it: minimal_k is the closed form each time
+    budgets = nodes = 0
+    for kind, host, family, cf, _ in certify_instances():
+        result = min_strength(
+            host, family, kind, k_max=cf, start_k=1, max_elements=CERTIFY_MAX_ELEMENTS
+        )
+        assert result.minimal_k == cf
+        budgets, nodes = budgets + cf, nodes + result.nodes_explored
+    assert (budgets, nodes) == (203, 2_230)
+
+
+def test_a_witness_the_verifier_rejects_is_an_error(monkeypatch):
+    rejected = Verdict(accepted=False, violation=WeightCollision(1, 2, 5))
+    monkeypatch.setattr("gridirr.search.verify_irregular", lambda *args: rejected)
+    host = make_grid(GridSpec(2, 3))
+    with pytest.raises(
+        AssertionError,
+        match=r"^search produced a labeling the verifier rejects: "
+        r"members 1 and 2 share weight 5$",
+    ):
+        min_strength(host, enumerate_windows(host, 2), LabelingKind.VERTEX, k_max=2)
 
 
 @pytest.mark.parametrize("bad", [True, False, 0, -5, 1.0, "2"])
