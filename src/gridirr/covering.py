@@ -46,6 +46,7 @@ from .grid import (
     format_element,
     grid_dims,
     make_grid,
+    require_positive,
     require_window_scope,
     window_positions,
 )
@@ -179,6 +180,7 @@ def window_subgraph(m: int, c: int, l: int) -> Graph:
     covered column, and the horizontal edges between consecutive covered
     columns: 2mc - m - c edges in total.
     """
+    require_positive(m=m, c=c, l=l)
     n = l + c - 1  # the narrowest grid holding the window
     host = make_grid(GridSpec(m, n))
     return Members(host, 1, lambda _: window_positions(m, c, n, l))[0]

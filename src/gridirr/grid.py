@@ -90,6 +90,14 @@ def require_integers(**values: object) -> None:
             raise InvalidParameterError(f"{what} must be an integer, got {value!r}")
 
 
+def require_positive(**values: object) -> None:
+    """Require integers >= 1; never clamp or read a bad value as a limit hit."""
+    require_integers(**values)
+    for what, value in values.items():
+        if value < 1:
+            raise InvalidParameterError(f"{what} must be >= 1, got {value}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Shape of a grid graph: ``m`` rows by ``n`` columns.

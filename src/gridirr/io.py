@@ -33,13 +33,18 @@ Family files::
     vertex ids in the same (i, j) scheme, conventionally in a single row
     (i = 1, j = ordinal).
 
-    Members are loaded as sorted index tuples into the host's canonical
-    element order (:class:`gridirr.covering.Members`): each
-    coordinate goes straight to its index through ``host.index``, and no
-    element object is built per occurrence.  A member naming an element
-    outside the host keeps it: such a file loads as a family of member
-    :class:`~gridirr.grid.Graph` objects, and the covering check reports
-    the element.
+Coordinates follow one rule everywhere, in labels, members and explicit
+hosts: a vertex is [i, j] with positive integer indices (not bools), an
+edge [[i, j], [p, q]] of two different vertices, ends in either order.
+The grid shorthand's [m, n] follows the vertex rule.  :func:`_keys` is
+that rule: it reads a whole JSON list into plain keys, (i, j) or
+((i, j), (p, q)) with the lower end first.  Members become sorted index
+tuples into the host's canonical element order
+(:class:`gridirr.covering.Members`) through ``host.index``, with no
+element object per occurrence.  A member naming an element outside the
+host keeps it: such a file loads as a family of member
+:class:`~gridirr.grid.Graph` objects, and the covering check reports
+the element.
 
 DOT output is export-only (never parsed back): element labels become
 ``label`` attributes; anything else rides in comments.
@@ -60,6 +65,7 @@ from .grid import (
     GridSpec,
     Vertex,
     canonical_order,
+    format_element,
     graph_from_elements,
     grid_adjacent,
     grid_dims,
@@ -75,28 +81,53 @@ def _edge_to_json(e: Edge) -> list[list[int]]:
     return [_vertex_to_json(e.a), _vertex_to_json(e.b)]
 
 
-def _vertex_from_json(data: Any, where: str) -> Vertex:
-    if (
-        type(data) is not list
-        or len(data) != 2
-        or not all(type(x) is int for x in data)  # bools are not indices
-    ):
-        raise FormatError(f"{where}: expected a vertex as [i, j], got {data!r}")
-    if data[0] < 1 or data[1] < 1:
-        raise FormatError(f"{where}: vertex indices must be >= 1, got {data!r}")
-    return Vertex(data[0], data[1])
+def _keys(items: list, edges: bool) -> list:
+    """The coordinate rule (see above), over a whole JSON list of vertices
+    or of edges: per item its plain key, or for a malformed item the
+    reason, a str."""
+    keys: list = []
+    if edges:
+        for item in items:
+            if type(item) is not list or len(item) != 2:
+                keys.append(f"expected an edge as [[i, j], [i, j]], got {item!r}")
+                continue
+            a, b = item
+            if type(a) is type(b) is list and len(a) == len(b) == 2:
+                (i, j), (p, q) = a, b
+                if type(i) is type(j) is type(p) is type(q) is int and (
+                    i > 0 < j and p > 0 < q and (a := (i, j)) != (b := (p, q))
+                ):
+                    keys.append((a, b) if a < b else (b, a))
+                    continue
+            bad = [why for why in _keys(item, False) if type(why) is str]  # the ends
+            keys.append(bad[0] if bad else f"edge endpoints are equal: {item!r}")
+    else:
+        for item in items:
+            if type(item) is list and len(item) == 2:
+                i, j = item
+                if type(i) is type(j) is int:
+                    keys.append(
+                        (i, j) if i > 0 < j else f"vertex indices must be >= 1, got {item!r}"
+                    )
+                    continue
+            keys.append(f"expected a vertex as [i, j], got {item!r}")
+    return keys
 
 
-def _edge_from_json(data: Any, where: str) -> Edge:
-    if type(data) is not list or len(data) != 2:
-        raise FormatError(
-            f"{where}: expected an edge as [[i, j], [i, j]], got {data!r}"
-        )
-    a = _vertex_from_json(data[0], where)
-    b = _vertex_from_json(data[1], where)
-    if a == b:
-        raise FormatError(f"{where}: edge endpoints are equal: {data!r}")
-    return Edge(a, b)
+def _decode(items: Any, edges: bool, where: str) -> list:
+    """The keys of the JSON list ``where``, once :func:`_keys` accepts each item."""
+    if type(items) is not list:
+        raise FormatError(f"{where}: expected a list")
+    keys = _keys(items, edges)
+    if str in map(type, keys):
+        pos = next(pos for pos, key in enumerate(keys) if type(key) is str)
+        raise FormatError(f"{where}[{pos}]: {keys[pos]}")
+    return keys
+
+
+def _element(key: tuple) -> Element:
+    """The :class:`Vertex` or :class:`Edge` of a decoded key."""
+    return Vertex(*key) if type(key[0]) is int else Edge(*map(Vertex._make, key))
 
 
 def labeling_to_json_dict(labeling: Labeling) -> dict[str, Any]:
@@ -146,17 +177,17 @@ def labeling_from_json_dict(data: Any) -> Labeling:
                 f"{{'e': [[i, j], [i, j]]}}"
             )
         ((tag, payload),) = element_obj.items()
-        if tag == "v":
-            element = _vertex_from_json(payload, where)
-        elif tag == "e":
-            element = _edge_from_json(payload, where)
-        else:
+        if tag not in ("v", "e"):
             raise FormatError(f"{where}: unknown element tag {tag!r}")
+        (key,) = _keys([payload], tag == "e")
+        if type(key) is str:
+            raise FormatError(f"{where}: {key}")
+        element = _element(key)
         label = entry["label"]
         if not isinstance(label, int) or isinstance(label, bool):
             raise FormatError(f"{where}: label must be an integer, got {label!r}")
         if element in labels:
-            raise FormatError(f"{where}: duplicate element {element}")
+            raise FormatError(f"{where}: duplicate element {format_element(element)}")
         labels[element] = label
     return Labeling(kind=kind, k=k, labels=labels, m=m, n=n)
 
@@ -204,39 +235,18 @@ def graph_from_json_dict(data: Any, where: str = "host") -> Graph:
     if not isinstance(data, dict):
         raise FormatError(f"{where}: expected a JSON object")
     if "grid" in data:
-        shape = data["grid"]
-        if (
-            not isinstance(shape, list)
-            or len(shape) != 2
-            or not all(
-                isinstance(x, int) and not isinstance(x, bool) and x >= 1
-                for x in shape
-            )
-        ):
-            raise FormatError(
-                f"{where}: 'grid' must be [m, n] with positive integers"
-            )
-        return make_grid(GridSpec(shape[0], shape[1]))
+        (shape,) = _keys([data["grid"]], False)  # [m, n] is vertex-shaped
+        if type(shape) is str:
+            raise FormatError(f"{where}: 'grid' must be [m, n] with positive integers")
+        return make_grid(GridSpec(*shape))
     if "vertices" not in data or "edges" not in data:
         raise FormatError(
             f"{where}: expected {{'grid': [m, n]}} or explicit "
             f"'vertices' and 'edges' lists"
         )
-    vertices = [
-        _vertex_from_json(v, f"{where}.vertices[{i}]")
-        for i, v in enumerate(_json_list(data["vertices"], f"{where}.vertices"))
-    ]
-    edges = [
-        _edge_from_json(e, f"{where}.edges[{i}]")
-        for i, e in enumerate(_json_list(data["edges"], f"{where}.edges"))
-    ]
-    return graph_from_elements(vertices, edges)
-
-
-def _json_list(data: Any, where: str) -> list:
-    if type(data) is not list:
-        raise FormatError(f"{where}: expected a list")
-    return data
+    vertices = _decode(data["vertices"], False, f"{where}.vertices")
+    edges = _decode(data["edges"], True, f"{where}.edges")
+    return graph_from_elements(map(_element, vertices), map(_element, edges))
 
 
 def family_to_json_dict(family: CoverFamily) -> dict[str, Any]:
@@ -254,9 +264,17 @@ def family_from_json_dict(data: Any) -> CoverFamily:
         raise FormatError("'members' must be a nonempty list")
     index = host.index
     indices, outside = [], []
-    for pos, raw in enumerate(data["members"]):
-        found, missing = _member_from_json(raw, pos, index)
-        indices.append(tuple(sorted(set(found))))
+    for pos, raw in enumerate(data["members"]):  # each list: one decode, then index
+        if not isinstance(raw, dict) or "vertices" not in raw or "edges" not in raw:
+            raise FormatError(f"members[{pos}]: expected 'vertices' and 'edges' lists")
+        found, missing = set(), []
+        for name, edges in (("vertices", False), ("edges", True)):
+            keys = _decode(raw[name], edges, f"members[{pos}].{name}")
+            at = list(map(index.get, keys))
+            if None in at:  # elements outside the host
+                missing += [_element(key) for key, i in zip(keys, at) if i is None]
+            found.update(at)
+        indices.append(tuple(sorted(found - {None})))
         outside.append(missing)
     members = Members(host, len(indices), indices.__getitem__)
     if any(outside):  # kept, for the covering check to name
@@ -268,43 +286,6 @@ def family_from_json_dict(data: Any) -> CoverFamily:
             for m, extra in zip(members, outside)
         )
     return CoverFamily(host=host, members=members)
-
-
-def _member_from_json(raw: Any, pos: int, index: dict) -> tuple[list, list]:
-    """One member's host indices, and the elements it names that the host
-    lacks.  The checks inline those of :func:`_vertex_from_json` and
-    :func:`_edge_from_json`, which run only to raise the error."""
-    if not isinstance(raw, dict) or "vertices" not in raw or "edges" not in raw:
-        raise FormatError(f"members[{pos}]: expected 'vertices' and 'edges' lists")
-    found: list[int] = []
-    missing: list[Element] = []
-    for k, v in enumerate(_json_list(raw["vertices"], f"members[{pos}].vertices")):
-        if type(v) is list and len(v) == 2:
-            i, j = v
-            if type(i) is type(j) is int and i > 0 < j:
-                at = index.get(key := (i, j))
-                if at is None:
-                    missing.append(Vertex(*key))
-                else:
-                    found.append(at)
-                continue
-        _vertex_from_json(v, f"members[{pos}].vertices[{k}]")
-    for k, e in enumerate(_json_list(raw["edges"], f"members[{pos}].edges")):
-        if type(e) is list and len(e) == 2:
-            a, b = e
-            if type(a) is type(b) is list and len(a) == len(b) == 2:
-                (i, j), (p, q) = a, b
-                if type(i) is type(j) is type(p) is type(q) is int and (
-                    i > 0 < j and p > 0 < q and (a := (i, j)) != (b := (p, q))
-                ):
-                    at = index.get((a, b) if a < b else (b, a))
-                    if at is None:
-                        missing.append(Edge(Vertex(*a), Vertex(*b)))
-                    else:
-                        found.append(at)
-                    continue
-        _edge_from_json(e, f"members[{pos}].edges[{k}]")
-    return found, missing
 
 
 def dump_family(family: CoverFamily, fp: IO[str]) -> None:

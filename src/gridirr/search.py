@@ -34,7 +34,7 @@ from typing import Optional
 from .construct import GridLabels, Labeling, LabelingKind
 from .covering import CoverFamily, member_indices, require_covering
 from .errors import InvalidParameterError, ResourceLimitError
-from .grid import Graph, grid_dims, require_integers
+from .grid import Graph, grid_dims, require_positive
 from .verify import kind_range, verify_irregular
 
 DEFAULT_MAX_ELEMENTS = 24
@@ -57,13 +57,6 @@ class SearchResult:
     witness: Optional[Labeling]
     nodes_explored: int
     k_max: int
-
-
-def _require_positive(what: str, value: object) -> None:
-    """Require an integer >= 1; never clamp or read a bad value as a limit hit."""
-    require_integers(**{what: value})
-    if value < 1:
-        raise InvalidParameterError(f"{what} must be >= 1, got {value}")
 
 
 def _check_size(count: int, max_elements: Optional[int]) -> None:
@@ -175,7 +168,7 @@ def exists_irregular(
     elements than the size cap, and :class:`MalformedFamilyError` when the
     family does not cover the host.
     """
-    _require_positive("budget", k)
+    require_positive(budget=k)
     return min_strength(
         host, family, kind, k_max=k, start_k=k, max_elements=max_elements
     ).witness
@@ -207,10 +200,10 @@ def min_strength(
     each.  A ``start_k`` above ``k_max`` leaves nothing to search and is
     rejected, so that None keeps meaning "searched and infeasible".
     """
-    _require_positive("budget cap", k_max)
+    require_positive(**{"budget cap": k_max})
     for what, value in (("start budget", start_k), ("element cap", max_elements)):
         if value is not None:
-            _require_positive(what, value)
+            require_positive(**{what: value})
     if start_k is not None and start_k > k_max:
         raise InvalidParameterError(
             f"start budget {start_k} is above the budget cap {k_max}"

@@ -36,7 +36,14 @@ from typing import Optional, Union
 from .construct import GridLabels, Labeling, LabelingKind, kind_element_count
 from .covering import CoverFamily, require_covering
 from .errors import IncompleteLabelingError, StrayLabelError
-from .grid import Element, Graph, canonical_order, column_slices, format_element
+from .grid import (
+    Element,
+    Graph,
+    canonical_order,
+    column_slices,
+    format_element,
+    require_integers,
+)
 
 WeightProfile = list[int]
 
@@ -98,8 +105,10 @@ def weight_profile(labeling: Labeling, family: CoverFamily) -> WeightProfile:
 
     Raises :class:`IncompleteLabelingError` naming the first element, in
     member order and then canonical order, that the kind weighs and the
-    labeling leaves unlabeled, and :class:`MalformedFamilyError` for a
-    member with an element outside the host.  Stray labels are ignored.
+    labeling leaves unlabeled, :class:`MalformedFamilyError` for a member
+    with an element outside the host, and :class:`InvalidParameterError`
+    for the first, in host order, whose label is not an int (a labeling
+    read by lookup; a layout holds ints).  Stray labels are ignored.
     """
     return _profile(_label_layout(labeling, family.host), labeling.kind, family)
 
@@ -139,10 +148,14 @@ def _label_layout(labeling: Labeling, host: Graph) -> list:
     if type(labels) is GridLabels and (labels.lo, len(labels)) == (lo, hi - lo) and (
         labels.host is host or host.spec is not None and labels.host.spec == host.spec
     ):
-        values = labels.layout
+        values = list(labels.layout)
     else:
-        values = map(labels.get, host.elements[lo:hi])
-    return [0] * lo + list(values) + [0] * (sum(host.counts) - hi)
+        values = list(map(labels.get, host.elements[lo:hi]))
+        if not set(map(type, values)) <= {int, type(None)}:
+            for element, label in zip(host.elements[lo:hi], values):
+                if label is not None:
+                    require_integers(**{f"label at {format_element(element)}": label})
+    return [0] * lo + values + [0] * (sum(host.counts) - hi)
 
 
 def require_no_stray_labels(labeling: Labeling, host: Graph) -> list:
@@ -196,13 +209,15 @@ def verify_irregular(labeling: Labeling, family: CoverFamily) -> Verdict:
     The family must be an edge covering of its host; otherwise
     :class:`MalformedFamilyError` is raised (irregularity is undefined
     without a covering).  A stray label (on an element outside the host,
-    or of the kind the labeling does not weigh) raises :class:`StrayLabelError`.
+    or of the kind the labeling does not weigh) raises :class:`StrayLabelError`,
+    and a k or weighed label that is not an int :class:`InvalidParameterError`.
     """
     host = family.host
     require_covering(host, family)
     values = require_no_stray_labels(labeling, host)
     lo, hi = kind_range(labeling.kind, host)
     k = labeling.k
+    require_integers(k=k)
     labels = values[lo:hi]
     outside = {label for label in set(labels) if label is not None and not 1 <= label <= k}
     if outside:  # the violation is at the first position holding one

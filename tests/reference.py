@@ -20,14 +20,20 @@ element counts from its own index tuples: it reads every member graph.
 The search is the walk the oracle used before it checked Hall's rule at
 every node: it cuts a branch only when two completed members share a
 weight, and starts at the counting bound.
+
+The coordinate readers are the per-item checks the file loader used
+before every JSON list went through one decoder: one function per vertex
+and per edge, raising at the first malformed item.
 """
 
 from bisect import bisect_left
+from typing import Any
 
 from gridirr import (
     CoveringCheck,
     Edge,
     Element,
+    FormatError,
     Graph,
     IncompleteLabelingError,
     Labeling,
@@ -346,3 +352,27 @@ def construct_total_labeling(
                 j - (2 * m + i - 1) * c + i, d_horizontal
             )
     return Labeling(kind=LabelingKind.TOTAL, k=k, labels=labels, m=m, n=n)
+
+
+def _vertex_from_json(data: Any, where: str) -> Vertex:
+    if (
+        type(data) is not list
+        or len(data) != 2
+        or not all(type(x) is int for x in data)  # bools are not indices
+    ):
+        raise FormatError(f"{where}: expected a vertex as [i, j], got {data!r}")
+    if data[0] < 1 or data[1] < 1:
+        raise FormatError(f"{where}: vertex indices must be >= 1, got {data!r}")
+    return Vertex(data[0], data[1])
+
+
+def _edge_from_json(data: Any, where: str) -> Edge:
+    if type(data) is not list or len(data) != 2:
+        raise FormatError(
+            f"{where}: expected an edge as [[i, j], [i, j]], got {data!r}"
+        )
+    a = _vertex_from_json(data[0], where)
+    b = _vertex_from_json(data[1], where)
+    if a == b:
+        raise FormatError(f"{where}: edge endpoints are equal: {data!r}")
+    return Edge(a, b)

@@ -2,7 +2,9 @@ import io as stdio
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference
 from gridirr import (
     CoverFamily,
     Edge,
@@ -113,10 +115,7 @@ def test_duplicate_edge_with_swapped_endpoints_is_rejected():
     data = labeling_to_json_dict(construct_edge_labeling(2, 3, 2))
     assert len(data["labels"]) == 7
     data["labels"].append({"element": {"e": [[1, 2], [1, 1]]}, "label": 1})
-    message = (
-        "labels[7]: duplicate element "
-        "Edge(a=Vertex(i=1, j=1), b=Vertex(i=1, j=2))"
-    )
+    message = "labels[7]: duplicate element (1,1)-(1,2)"
     with pytest.raises(FormatError) as excinfo:
         labeling_from_json_dict(data)
     assert str(excinfo.value) == message
@@ -266,3 +265,77 @@ def test_exported_labeling_verifies_after_reload():
     lab = construct_edge_labeling(2, 5, 2)
     restored = roundtrip_labeling(lab)
     assert verify_irregular(restored, family).accepted
+
+
+SCALARS = st.one_of(
+    st.integers(-1, 3), st.integers(), st.booleans(), st.floats(), st.text(max_size=2), st.none()
+)
+SHORT_LISTS = st.lists(SCALARS, max_size=3)
+VERTICES = st.lists(st.integers(-1, 3), min_size=2, max_size=2)
+PAIRS = st.lists(st.one_of(st.integers(1, 3), SCALARS), min_size=2, max_size=2)
+JSON_VALUES = st.sampled_from([  # one kind of value, then the value
+    VERTICES,
+    PAIRS,
+    st.lists(VERTICES, min_size=2, max_size=2),
+    st.lists(PAIRS, min_size=2, max_size=2),
+    st.one_of(VERTICES, PAIRS, SHORT_LISTS).map(lambda end: [end, list(end)]),  # equal ends
+    st.lists(st.one_of(PAIRS, SHORT_LISTS), min_size=2, max_size=2),
+    SCALARS,
+    SHORT_LISTS,
+    st.lists(st.one_of(SCALARS, SHORT_LISTS), max_size=3),
+]).flatmap(lambda kind: kind)
+
+
+def decoded(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except FormatError as exc:
+        return ("FormatError", str(exc))
+
+
+@settings(max_examples=300)
+@given(JSON_VALUES)
+def test_every_site_decodes_as_the_reference(value):
+    """Labels, member lists, explicit hosts and the grid shorthand accept
+    the element the reference reads, or raise its error text."""
+    for tag, read in (("v", reference._vertex_from_json), ("e", reference._edge_from_json)):
+        edge = tag == "e"
+        label = {"kind": "total", "k": 1, "m": 1, "n": 1,
+                 "labels": [{"element": {tag: value}, "label": 1}]}
+        expected = decoded(read, value, "labels[0]")
+        got = decoded(labeling_from_json_dict, label)
+        if expected[0] == "ok":
+            ((key, _),) = got[1].labels.items()
+            assert key == expected[1] and type(key) is type(expected[1])
+            assert not edge or type(key.a) is type(key.b) is Vertex
+        else:
+            assert got == expected
+
+        name = "edges" if edge else "vertices"
+        first = [[1, 1], [1, 2]] if edge else [1, 1]
+        member = {"vertices": [], "edges": [], name: [first, value]}
+        expected = decoded(read, value, f"members[0].{name}[1]")
+        got = decoded(family_from_json_dict, {"host": {"grid": [1, 2]}, "members": [member]})
+        kind = Edge if edge else Vertex
+        if expected[0] == "ok":
+            elements = getattr(got[1].members[0], name)
+            assert elements == {read(first, ""), expected[1]}
+            assert {type(e) for e in elements} == {kind}
+        else:
+            assert got == expected
+
+        expected = decoded(read, value, f"host.{name}[0]")
+        ends = [list(expected[1].a), list(expected[1].b)] if edge and expected[0] == "ok" else []
+        got = decoded(graph_from_json_dict, {"vertices": ends, "edges": [], name: [value]})
+        if expected[0] == "ok":
+            (element,) = getattr(got[1], name)
+            assert element == expected[1] and type(element) is kind
+        else:
+            assert got == expected
+
+    expected = decoded(reference._vertex_from_json, value, "host")
+    got = decoded(graph_from_json_dict, {"grid": value})
+    if expected[0] == "ok":
+        assert got[1].spec == GridSpec(*expected[1])
+    else:
+        assert got == ("FormatError", "host: 'grid' must be [m, n] with positive integers")

@@ -8,6 +8,7 @@ from gridirr import (
     Edge,
     GridSpec,
     IncompleteLabelingError,
+    InvalidParameterError,
     Labeling,
     LabelingKind,
     MalformedFamilyError,
@@ -361,3 +362,42 @@ def test_with_label_on_a_constructed_labeling_matches_the_dict_form(kind, varian
     message = f"label on ({m + 1},1), which a {kind.value} labeling of this host does not weigh"
     assert outcome(verify_irregular, lab.with_label(Vertex(m + 1, 1), 1), fam) == (
         "raised", StrayLabelError, message)
+
+
+@pytest.mark.parametrize("kind", list(LabelingKind))
+@pytest.mark.parametrize("family", ["window", "explicit"])
+@pytest.mark.parametrize("label", [1.5, 2.0, True, "1"])
+def test_a_label_that_is_not_an_int_is_rejected(kind, family, label):
+    m, c, n = 2, 2, 4
+    if kind is LabelingKind.EDGE:
+        first, later = Edge(Vertex(1, 1), Vertex(2, 1)), Edge(Vertex(2, 3), Vertex(2, 4))
+    else:
+        first, later = Vertex(1, 2), Edge(Vertex(2, 3), Vertex(2, 4))
+    if kind is LabelingKind.VERTEX:
+        later = Vertex(2, 4)
+    lab = construct_for_kind(kind, m, n, c)
+    # a dict labeling, read by lookup, that holds the later bad label first
+    labels = {later: 0.5, **{e: v for e, v in lab.labels.items() if e != later}}
+    labels[first] = label
+    edited = Labeling(kind=kind, k=lab.k, labels=labels, m=m, n=n)
+    fam = window_or_explicit(make_grid(GridSpec(m, n)), c, family)
+    message = f"label at {format_element(first)} must be an integer, got {label!r}"
+    for fn, member in ((verify_irregular, fam), (weight_profile, fam),
+                       (subgraph_weight, fam.members[0])):
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+            fn(edited, member)
+
+
+@pytest.mark.parametrize("kind", list(LabelingKind))
+@pytest.mark.parametrize("family", ["window", "explicit"])
+@pytest.mark.parametrize("k", [2.5, True])
+@pytest.mark.parametrize("read", ["layout", "lookup"])
+def test_a_budget_that_is_not_an_int_is_rejected(kind, family, k, read):
+    m, c, n = 2, 2, 4
+    lab = construct_for_kind(kind, m, n, c)
+    labels = lab.labels if read == "layout" else dict(lab.labels)
+    edited = Labeling(kind=kind, k=k, labels=labels, m=m, n=n)
+    fam = window_or_explicit(make_grid(GridSpec(m, n)), c, family)
+    assert verify_irregular(lab, fam).accepted
+    with pytest.raises(InvalidParameterError, match=f"^k must be an integer, got {k!r}$"):
+        verify_irregular(edited, fam)
