@@ -89,8 +89,10 @@ class Labeling:
     """An assignment of labels in {1, ..., k} to graph elements.
 
     ``labels`` maps vertices and/or edges (per ``kind``) to labels; it is
-    owned by the instance and must not be mutated.  The constructors and
-    the oracle give a :class:`GridLabels`; loaded and edited ones a dict.
+    owned by the instance and must not be mutated.  The constructors, the
+    oracle and the file loader give a :class:`GridLabels` (the loader when
+    the file labels each element its kind weighs on the m-by-n grid once);
+    other loaded and edited labelings hold a dict.
     ``m`` and ``n`` record the host grid's dimensions for serialization.
     """
 

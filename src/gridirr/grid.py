@@ -23,9 +23,9 @@ user-supplied hosts round-trip unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import chain, islice
-from typing import Iterable, NamedTuple, Optional, Union
+from functools import cached_property, partial
+from itertools import chain, count, islice, repeat
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from .errors import InvalidEdgeError, InvalidParameterError, ScopeError
 
@@ -148,26 +148,19 @@ class Graph:
 
     @cached_property
     def elements(self) -> tuple[Element, ...]:
-        """All elements in :func:`canonical_order`.  A grid with a spec makes
-        them in that order: its vertices row-major, then from each vertex
-        the horizontal edge (whose far end sorts first) and the vertical one."""
+        """All elements in :func:`canonical_order`; a grid with a spec makes
+        them in that order (see :func:`_grid_order`)."""
         if self.spec is None:
             return tuple(sorted((*self.vertices, *self.edges), key=canonical_order))
-        m, n = self.spec.m, self.spec.n
-        vertices = [Vertex(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
-        edges = []
-        for pos, v in enumerate(vertices):
-            if v.j < n:
-                edges.append(Edge(v, vertices[pos + 1]))
-            if v.i < m:
-                edges.append(Edge(v, vertices[pos + n]))
-        return (*vertices, *edges)
+        return tuple(_grid_order(self.spec, Vertex._make, partial(map, Edge)))
 
     @cached_property
     def index(self) -> dict:
         """Element -> index in :attr:`elements`.  Elements equal their plain
-        coordinates, so those look up without building elements."""
-        return {e: pos for pos, e in enumerate(self.elements)}
+        coordinates, so those look up without building elements; a grid with
+        a spec is indexed by those keys and makes no element."""
+        keys = self.elements if self.spec is None else _grid_order(self.spec, tuple, zip)
+        return dict(zip(keys, count()))
 
     @cached_property
     def counts(self) -> tuple[int, int]:
@@ -196,6 +189,23 @@ class Graph:
 
     def sorted_edges(self) -> list[Edge]:
         return list(self.elements[self.counts[0] :])
+
+
+def _grid_order(spec: GridSpec, vertex: Callable, pairs: Callable) -> list:
+    """The elements of the spec's grid in canonical order, each vertex made
+    by ``vertex((i, j))`` and each row of edges by ``pairs(ends, far_ends)``:
+    the vertices row-major, then from each vertex the horizontal edge (whose
+    far end sorts first) and the vertical one."""
+    rows = [
+        list(map(vertex, zip(repeat(i), range(1, spec.n + 1))))
+        for i in range(1, spec.m + 1)
+    ]
+    order = [v for row in rows for v in row]
+    for row, below in zip(rows, rows[1:]):
+        order += chain.from_iterable(zip(pairs(row, row[1:]), pairs(row, below)))
+        order += pairs(row[-1:], below[-1:])  # the last column has no horizontal edge
+    order += pairs(rows[-1], rows[-1][1:])
+    return order
 
 
 def graph_from_elements(

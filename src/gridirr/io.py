@@ -15,8 +15,20 @@ Labeling files::
     }
 
     Vertex entries come first in row-major order, then edges in canonical
-    order.  Labels are not range-checked on load, nor checked against a
-    host: out-of-range and stray labels are the verifier's to report.
+    order, though a file may list them in any order.  Labels are not
+    range-checked on load, nor checked against a host: out-of-range and
+    stray labels are the verifier's to report.
+
+    A file whose entries label exactly the elements its kind weighs on the
+    m-by-n grid, each once, loads into host order: one label tuple over
+    :func:`gridirr.grid.make_grid`'s elements, held by
+    :class:`gridirr.construct.GridLabels`, as a constructed labeling is,
+    and no element object is made.  Every other file (a missing, stray or
+    other-kind label, or an element off the grid, as on a non-grid host)
+    loads as a dict of elements, for the verifier to report or to read by
+    lookup.  Each check runs over all entries at once; a rejected file is
+    read again to name the first bad entry, entry by entry only within
+    the first chunk of 1024 entries that holds a malformed one.
 
 Family files::
 
@@ -31,7 +43,8 @@ Family files::
     The host is either a grid shorthand {"grid": [m, n]} or an explicit
     graph {"vertices": [...], "edges": [...]}.  Non-grid hosts embed their
     vertex ids in the same (i, j) scheme, conventionally in a single row
-    (i = 1, j = ordinal).
+    (i = 1, j = ordinal).  A host or member holding any other field is
+    rejected, as a label entry with a third field is.
 
 Coordinates follow one rule everywhere, in labels, members and explicit
 hosts: a vertex is [i, j] with positive integer indices (not bools), an
@@ -53,9 +66,11 @@ DOT output is export-only (never parsed back): element labels become
 from __future__ import annotations
 
 import json
-from typing import Any, IO, Optional
+from itertools import compress, repeat
+from operator import getitem, itemgetter, not_
+from typing import Any, IO, Optional, Union
 
-from .construct import Labeling, LabelingKind
+from .construct import GridLabels, Labeling, LabelingKind
 from .covering import CoverFamily, Members
 from .errors import FormatError
 from .grid import (
@@ -71,6 +86,7 @@ from .grid import (
     grid_dims,
     make_grid,
 )
+from .verify import kind_range
 
 
 def _vertex_to_json(v: Vertex) -> list[int]:
@@ -161,35 +177,71 @@ def labeling_from_json_dict(data: Any) -> Labeling:
     for name, value in (("k", k), ("m", m), ("n", n)):
         if not isinstance(value, int) or isinstance(value, bool) or value < 1:
             raise FormatError(f"{name!r} must be a positive integer, got {value!r}")
-    if not isinstance(data["labels"], list):
+    entries = data["labels"]
+    if not isinstance(entries, list):
         raise FormatError("'labels' must be a list of entries")
-    labels: dict[Any, int] = {}
-    for pos, entry in enumerate(data["labels"]):
-        where = f"labels[{pos}]"
-        if not isinstance(entry, dict) or set(entry) != {"element", "label"}:
-            raise FormatError(
-                f"{where}: expected {{'element': ..., 'label': ...}}"
-            )
-        element_obj = entry["element"]
-        if not isinstance(element_obj, dict) or len(element_obj) != 1:
-            raise FormatError(
-                f"{where}: element must be {{'v': [i, j]}} or "
-                f"{{'e': [[i, j], [i, j]]}}"
-            )
-        ((tag, payload),) = element_obj.items()
-        if tag not in ("v", "e"):
-            raise FormatError(f"{where}: unknown element tag {tag!r}")
-        (key,) = _keys([payload], tag == "e")
-        if type(key) is str:
-            raise FormatError(f"{where}: {key}")
-        element = _element(key)
-        label = entry["label"]
-        if not isinstance(label, int) or isinstance(label, bool):
-            raise FormatError(f"{where}: label must be an integer, got {label!r}")
-        if element in labels:
-            raise FormatError(f"{where}: duplicate element {format_element(element)}")
-        labels[element] = label
-    return Labeling(kind=kind, k=k, labels=labels, m=m, n=n)
+    read = _entries(entries)
+    if type(read) is tuple:
+        keys, values = read
+        host = make_grid(GridSpec(m, n))
+        lo, hi = kind_range(kind, host)
+        if len(keys) == hi - lo:  # only then can the keys fill the slice
+            placed = dict(zip(map(host.index.get, keys), values))
+            layout = tuple(map(placed.get, range(lo, hi)))
+            if None not in layout:  # so each key has its own place in the slice
+                return Labeling(kind=kind, k=k, labels=GridLabels(host, lo, layout), m=m, n=n)
+        labels = dict(zip(map(_element, keys), values))
+        if len(labels) == len(keys):
+            return Labeling(kind=kind, k=k, labels=labels, m=m, n=n)
+    # name the first malformed entry, read in chunks, then one by one, or an earlier repeat
+    bad, why = len(entries), None
+    if type(read) is str:
+        start = next(at for at in range(0, len(entries), 1024)
+                     if type(_entries(entries[at : at + 1024])) is str)
+        chunk = zip(entries[start : start + 1024])  # each entry as a list of one
+        bad, why = next((pos, one) for pos, one in enumerate(map(_entries, chunk), start)
+                        if type(one) is str)
+    seen = set()
+    for pos, key in enumerate(_entries(entries[:bad])[0]):
+        if key in seen:
+            element = format_element(_element(key))
+            raise FormatError(f"labels[{pos}]: duplicate element {element}")
+        seen.add(key)
+    raise FormatError(f"labels[{bad}]: {why}")
+
+
+_ENTRY = "expected {'element': ..., 'label': ...}"
+_ELEMENT = "element must be {'v': [i, j]} or {'e': [[i, j], [i, j]]}"
+
+
+def _entries(entries: list) -> Union[tuple[list, list], str]:
+    """The keys (see :func:`_keys`) and labels of the label entries, in
+    order, or a reason why one is malformed: for a list of one entry, that
+    entry's reason.  Each check runs over all entries at once."""
+    if not all(map(isinstance, entries, repeat(dict))) or {*map(len, entries)} - {2}:
+        return _ENTRY
+    try:
+        elements = list(map(itemgetter("element"), entries))
+        labels = list(map(itemgetter("label"), entries))
+    except KeyError:
+        return _ENTRY
+    if not all(map(isinstance, elements, repeat(dict))) or {*map(len, elements)} - {1}:
+        return _ELEMENT
+    tags = list(map(next, map(iter, elements)))
+    if {*tags} - {"v", "e"}:
+        return f"unknown element tag {next(tag for tag in tags if tag not in ('v', 'e'))!r}"
+    is_edge = list(map("e".__eq__, tags))
+    payloads = list(map(getitem, elements, tags))
+    vertices = iter(_keys(list(compress(payloads, map(not_, is_edge))), False))
+    edges = iter(_keys(list(compress(payloads, is_edge)), True))
+    keys = list(map(next, map((vertices, edges).__getitem__, is_edge)))  # in entry order
+    if str in {*map(type, keys)}:
+        return next(key for key in keys if type(key) is str)
+    if {*map(type, labels)} - {int}:
+        for label in labels:
+            if not isinstance(label, int) or isinstance(label, bool):
+                return f"label must be an integer, got {label!r}"
+    return keys, labels
 
 
 def dump_labeling(labeling: Labeling, fp: IO[str]) -> None:
@@ -238,15 +290,24 @@ def graph_from_json_dict(data: Any, where: str = "host") -> Graph:
         (shape,) = _keys([data["grid"]], False)  # [m, n] is vertex-shaped
         if type(shape) is str:
             raise FormatError(f"{where}: 'grid' must be [m, n] with positive integers")
+        _no_other_fields(data, ("grid",), where)
         return make_grid(GridSpec(*shape))
     if "vertices" not in data or "edges" not in data:
         raise FormatError(
             f"{where}: expected {{'grid': [m, n]}} or explicit "
             f"'vertices' and 'edges' lists"
         )
+    _no_other_fields(data, ("vertices", "edges"), where)
     vertices = _decode(data["vertices"], False, f"{where}.vertices")
     edges = _decode(data["edges"], True, f"{where}.edges")
     return graph_from_elements(map(_element, vertices), map(_element, edges))
+
+
+def _no_other_fields(data: dict, fields: tuple[str, ...], where: str) -> None:
+    """Reject an object holding a field besides ``fields``, which it holds."""
+    if len(data) > len(fields):
+        other = min(map(repr, data.keys() - set(fields)))
+        raise FormatError(f"{where}: unknown field {other}")
 
 
 def family_to_json_dict(family: CoverFamily) -> dict[str, Any]:
@@ -267,6 +328,7 @@ def family_from_json_dict(data: Any) -> CoverFamily:
     for pos, raw in enumerate(data["members"]):  # each list: one decode, then index
         if not isinstance(raw, dict) or "vertices" not in raw or "edges" not in raw:
             raise FormatError(f"members[{pos}]: expected 'vertices' and 'edges' lists")
+        _no_other_fields(raw, ("vertices", "edges"), f"members[{pos}]")
         found, missing = set(), []
         for name, edges in (("vertices", False), ("edges", True)):
             keys = _decode(raw[name], edges, f"members[{pos}].{name}")

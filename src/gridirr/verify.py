@@ -12,7 +12,8 @@ k * (3mc - m - c) per member).
 The labeling is read through one label layout: the labels the kind
 weighs, in the order of the host's elements (None where such an element
 has no label), with 0 at the elements of the other kind.  A constructed
-or searched labeling holds that layout with the host it follows
+or searched labeling, and a loaded one that labels each element of its
+grid's kind slice once, holds that layout with the host it follows
 (:class:`gridirr.construct.GridLabels`), read as is on that host or on
 an equal-spec :func:`gridirr.grid.make_grid` grid; any other is looked
 up element by element.  The verdict's range violation and weights both

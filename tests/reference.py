@@ -24,6 +24,10 @@ weight, and starts at the counting bound.
 The coordinate readers are the per-item checks the file loader used
 before every JSON list went through one decoder: one function per vertex
 and per edge, raising at the first malformed item.
+
+The labeling loader is the entry-by-entry loop the package used before
+files loaded into host order: it checks and reads one entry at a time,
+makes its element, and returns a dict of elements.
 """
 
 from bisect import bisect_left
@@ -376,3 +380,46 @@ def _edge_from_json(data: Any, where: str) -> Edge:
     if a == b:
         raise FormatError(f"{where}: edge endpoints are equal: {data!r}")
     return Edge(a, b)
+
+
+def labeling_from_json_dict(data: Any) -> Labeling:
+    if not isinstance(data, dict):
+        raise FormatError("labeling file must contain a JSON object")
+    for field in ("kind", "k", "m", "n", "labels"):
+        if field not in data:
+            raise FormatError(f"labeling file is missing the {field!r} field")
+    try:
+        kind = LabelingKind(data["kind"])
+    except ValueError:
+        raise FormatError(f"unknown labeling kind {data['kind']!r}") from None
+    k, m, n = data["k"], data["m"], data["n"]
+    for name, value in (("k", k), ("m", m), ("n", n)):
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise FormatError(f"{name!r} must be a positive integer, got {value!r}")
+    if not isinstance(data["labels"], list):
+        raise FormatError("'labels' must be a list of entries")
+    labels: dict[Any, int] = {}
+    for pos, entry in enumerate(data["labels"]):
+        where = f"labels[{pos}]"
+        if not isinstance(entry, dict) or set(entry) != {"element", "label"}:
+            raise FormatError(
+                f"{where}: expected {{'element': ..., 'label': ...}}"
+            )
+        element_obj = entry["element"]
+        if not isinstance(element_obj, dict) or len(element_obj) != 1:
+            raise FormatError(
+                f"{where}: element must be {{'v': [i, j]}} or "
+                f"{{'e': [[i, j], [i, j]]}}"
+            )
+        ((tag, payload),) = element_obj.items()
+        if tag not in ("v", "e"):
+            raise FormatError(f"{where}: unknown element tag {tag!r}")
+        read = _edge_from_json if tag == "e" else _vertex_from_json
+        element = read(payload, where)
+        label = entry["label"]
+        if not isinstance(label, int) or isinstance(label, bool):
+            raise FormatError(f"{where}: label must be an integer, got {label!r}")
+        if element in labels:
+            raise FormatError(f"{where}: duplicate element {format_element(element)}")
+        labels[element] = label
+    return Labeling(kind=kind, k=k, labels=labels, m=m, n=n)

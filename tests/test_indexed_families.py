@@ -29,7 +29,6 @@ from gridirr import (
     construct_for_kind,
     construct_total_labeling,
     enumerate_windows,
-    graph_from_elements,
     is_edge_covering,
     make_grid,
     verify_irregular,
@@ -37,7 +36,7 @@ from gridirr import (
 )
 from gridirr.covering import Members
 from gridirr.io import dump_family, family_from_json_dict, load_family
-from strategies import scope_params
+from strategies import hand_built_cases, scope_params
 
 
 def outcome(fn, *args):
@@ -147,43 +146,6 @@ def test_window_member_families_match_reference(
         make_grid(GridSpec(m, n + 1)),
     )
     assert_matches_reference(labeling, family, other_hosts)
-
-
-@st.composite
-def hand_built_cases(draw):
-    """A one-row host with arbitrary edges, members drawn from its elements
-    and a few outside it, and labels on some elements of each kind."""
-    size = draw(st.integers(2, 6))
-    row = [Vertex(1, j) for j in range(1, size + 1)]
-    pairs = [Edge(a, b) for a in row for b in row if a < b]
-    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
-    host = graph_from_elements(row, edges)
-    outside_vertices = [Vertex(2, 1), Vertex(1, size + 1)]
-    outside_edges = [Edge(Vertex(1, 1), Vertex(2, 1))] + [
-        e for e in pairs if e not in host.edges
-    ]
-    vertex_pool = row + draw(st.lists(st.sampled_from(outside_vertices), max_size=1))
-    edge_pool = edges + draw(st.lists(st.sampled_from(outside_edges), max_size=1))
-    member = st.builds(
-        Subgraph,
-        vertices=st.frozensets(st.sampled_from(vertex_pool)),
-        edges=st.frozensets(st.sampled_from(edge_pool)),
-    )
-    members = draw(st.lists(member, min_size=1, max_size=5, unique=True))
-    kind = draw(st.sampled_from(list(LabelingKind)))
-    k = draw(st.integers(1, 3))
-    labelled = draw(
-        st.lists(
-            st.sampled_from(row + edges + outside_vertices + outside_edges),
-            unique=True,
-        )
-    )
-    labels = {e: draw(st.integers(0, k + 1)) for e in labelled}
-    labeling = Labeling(kind=kind, k=k, labels=labels, m=1, n=size)
-    wider = graph_from_elements(
-        row + outside_vertices, edges + outside_edges
-    )
-    return labeling, CoverFamily(host=host, members=tuple(members)), wider
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,5 +1,7 @@
 import io as stdio
 import json
+import random
+from itertools import cycle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,7 @@ from gridirr import (
     TotalVariant,
     Vertex,
     construct_edge_labeling,
+    construct_for_kind,
     construct_total_labeling,
     construct_vertex_labeling,
     enumerate_windows,
@@ -37,6 +40,8 @@ from gridirr.io import (
     load_family,
     load_labeling,
 )
+from gridirr.construct import GridLabels
+from strategies import hand_built_cases
 
 
 def roundtrip_labeling(labeling):
@@ -227,11 +232,33 @@ def test_only_a_graph_equal_to_a_grid_takes_the_shorthand():
          "members": [{"vertices": [], "edges": [[[1, 1], [1, False]]]}]},
         # a host that is not an object
         {"host": [2, 3], "members": [{"vertices": [[1, 1]], "edges": []}]},
+        # fields besides the ones the format names
+        {"host": {"grid": [2, 3]},
+         "members": [{"vertices": [[1, 1]], "edges": [], "junk": 1}]},
+        {"host": {"grid": [2, 3], "vertices": [[9, 9]], "edges": []},
+         "members": [{"vertices": [[1, 1]], "edges": []}]},
     ],
 )
 def test_malformed_family_files_rejected(data):
     with pytest.raises(FormatError):
         family_from_json_dict(data)
+
+
+def test_unknown_family_fields_are_named():
+    member = {"vertices": [[1, 1]], "edges": []}
+    for data, message in (
+        ({"host": {"grid": [2, 3]}, "members": [member, {**member, "junk": 1}]},
+         "members[1]: unknown field 'junk'"),
+        ({"host": {"grid": [2, 3], "vertices": [[9, 9]], "edges": []}, "members": [member]},
+         "host: unknown field 'edges'"),
+        ({"host": {"vertices": [[1, 1]], "edges": [], "grid": 5}, "members": [member]},
+         "host: 'grid' must be [m, n] with positive integers"),
+        ({"host": {"vertices": [[1, 1]], "edges": [], "size": 1}, "members": [member]},
+         "host: unknown field 'size'"),
+    ):
+        with pytest.raises(FormatError) as excinfo:
+            family_from_json_dict(data)
+        assert str(excinfo.value) == message
 
 
 def test_dot_export_plain_grid():
@@ -267,6 +294,98 @@ def test_exported_labeling_verifies_after_reload():
     assert verify_irregular(restored, family).accepted
 
 
+def decoded(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except FormatError as exc:
+        return ("FormatError", str(exc))
+
+
+def load_both(data):
+    """``data`` loaded by the loader and by the reference, which must give
+    the same fields and labels, as mappings, or the same FormatError text;
+    the loader's labeling, or that text."""
+    got, expected = (
+        decoded(read, data) for read in (labeling_from_json_dict, reference.labeling_from_json_dict)
+    )
+    if got[0] == expected[0] == "ok":
+        ours, theirs = got[1], expected[1]
+        assert (ours.kind, ours.k, ours.m, ours.n) == (theirs.kind, theirs.k, theirs.m, theirs.n)
+        assert ours.labels == theirs.labels
+    else:
+        assert got == expected
+    return got[1]
+
+
+ACCEPTANCE = [(m, c, n) for m in range(2, 5) for c in range(m, 7) for n in range(c, 41)]
+
+
+def changed_entries(entries, kind, m, n, change, rng):
+    """The entries shuffled, one short, with a stray entry (off the grid,
+    diagonal, or of the other kind) or with one repeated, an edge with its
+    ends swapped; each at a random place."""
+    entries = entries[:]
+    if change == "shuffled":
+        rng.shuffle(entries)
+    elif change == "short":
+        del entries[rng.randrange(len(entries))]
+    else:
+        if change == "stray":
+            strays = [{"v": [m + 1, n]}, {"e": [[1, n], [1, n + 1]]}, {"e": [[1, 1], [2, 2]]}]
+            if kind is not LabelingKind.TOTAL:
+                strays.append({"v": [1, 1]} if kind is LabelingKind.EDGE else {"e": [[1, 1], [1, 2]]})
+            element = rng.choice(strays)
+        else:
+            ((tag, payload),) = rng.choice(entries)["element"].items()
+            element = {tag: payload[::-1] if tag == "e" else payload}
+        entries.insert(rng.randrange(len(entries) + 1), {"element": element, "label": 1})
+    return entries
+
+
+def test_constructed_labelings_load_as_the_reference():
+    """Every construction of the acceptance range loads as the reference
+    loads it, as dumped and with one change, the changes taken in turn: only
+    files that fill the kind's slice, each element once, load into host
+    order; a repeat is rejected."""
+    rng = random.Random(15)
+    changes = cycle(["shuffled", "short", "stray", "repeated"])
+    for m, c, n in ACCEPTANCE:
+        for labeling in (
+            *(construct_for_kind(kind, m, n, c) for kind in LabelingKind),
+            construct_total_labeling(m, n, c, TotalVariant.AS_PRINTED),
+        ):
+            data = labeling_to_json_dict(labeling)
+            assert type(load_both(data).labels) is GridLabels
+            change = next(changes)
+            entries = changed_entries(data["labels"], labeling.kind, m, n, change, rng)
+            got = load_both({**data, "labels": entries})
+            if change == "repeated":
+                assert got.startswith("labels[") and "duplicate element" in got
+            else:
+                assert type(got.labels) is (GridLabels if change == "shuffled" else dict)
+
+
+def test_a_bad_entry_deep_in_a_file_is_named_as_the_reference_names_it():
+    data = labeling_to_json_dict(construct_total_labeling(4, 400, 6))
+    entries = data["labels"]
+    assert len(entries) > 4 * 1024
+    for bad in (0, 1023, 1024, 3000, len(entries) - 1):
+        for repeat in (None, 1, 1500, 2999):
+            changed = entries[:]
+            changed[bad] = {**entries[bad], "label": "x"}
+            if repeat is not None:
+                changed.insert(repeat, entries[0])
+            assert load_both({**data, "labels": changed}).startswith("labels[")
+
+
+@settings(max_examples=100, deadline=None)
+@given(hand_built_cases())
+def test_one_row_labelings_load_as_the_reference(case):
+    labeling, _, _ = case
+    data = json.loads(json.dumps(labeling_to_json_dict(labeling)))
+    assert load_both(data).labels == labeling.labels
+
+
 SCALARS = st.one_of(
     st.integers(-1, 3), st.integers(), st.booleans(), st.floats(), st.text(max_size=2), st.none()
 )
@@ -286,22 +405,40 @@ JSON_VALUES = st.sampled_from([  # one kind of value, then the value
 ]).flatmap(lambda kind: kind)
 
 
-def decoded(fn, *args):
-    try:
-        return ("ok", fn(*args))
-    except FormatError as exc:
-        return ("FormatError", str(exc))
+ONE_ROW_ENTRIES = [  # of the 1-by-2 grid, one edge twice with its ends swapped
+    {"element": {"v": [1, 1]}, "label": 1},
+    {"element": {"v": [1, 2]}, "label": 2},
+    {"element": {"e": [[1, 2], [1, 1]]}, "label": 1},
+    {"element": {"e": [[1, 1], [1, 2]]}, "label": 3},
+]
+ENTRIES = st.one_of(
+    st.sampled_from(ONE_ROW_ENTRIES),
+    st.builds(
+        lambda tag, value, label: {"element": {tag: value}, "label": label},
+        st.sampled_from(["v", "e", "x"]), JSON_VALUES, SCALARS,
+    ),
+    st.dictionaries(
+        st.sampled_from(["element", "label", "junk"]),
+        st.one_of(SCALARS, st.dictionaries(st.sampled_from(["v", "e"]), JSON_VALUES, max_size=2)),
+        max_size=3,
+    ),
+    SCALARS,
+)
 
 
 @settings(max_examples=300)
-@given(JSON_VALUES)
-def test_every_site_decodes_as_the_reference(value):
+@given(JSON_VALUES, st.lists(ENTRIES, max_size=4))
+def test_every_site_decodes_as_the_reference(value, entries):
     """Labels, member lists, explicit hosts and the grid shorthand accept
-    the element the reference reads, or raise its error text."""
+    the element the reference reads, or raise its error text; a list of
+    label entries, well-formed or not, loads as the reference loads it."""
+    for kind in LabelingKind:
+        load_both({"kind": kind.value, "k": 1, "m": 1, "n": 2, "labels": entries})
     for tag, read in (("v", reference._vertex_from_json), ("e", reference._edge_from_json)):
         edge = tag == "e"
         label = {"kind": "total", "k": 1, "m": 1, "n": 1,
                  "labels": [{"element": {tag: value}, "label": 1}]}
+        load_both(label)
         expected = decoded(read, value, "labels[0]")
         got = decoded(labeling_from_json_dict, label)
         if expected[0] == "ok":

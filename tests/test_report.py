@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from gridirr import (
@@ -8,12 +10,15 @@ from gridirr import (
     ScopeError,
     Vertex,
     closed_form_strength,
+    construct_for_kind,
     enumerate_windows,
     make_grid,
     min_strength,
     verify_irregular,
 )
+from gridirr.cli import main
 from gridirr.construct import kind_element_count
+from gridirr.io import family_to_json_dict, labeling_to_json_dict
 from gridirr.covering import Members
 from gridirr.grid import window_positions
 from gridirr.report import strength_report
@@ -120,3 +125,40 @@ def test_the_oracle_makes_no_element(made, monkeypatch):
             assert strength_report(kind, m, c, n, oracle=True).oracle_agrees
     assert certified == 2 * 112
     assert made == []
+
+
+@pytest.mark.parametrize("kind", list(LabelingKind))
+def test_verify_accepts_a_file_without_making_an_element(made, tmp_path, capsys, kind):
+    m, c, n = 3, 4, 12
+    labeling = construct_for_kind(kind, m, n, c)
+    data = labeling_to_json_dict(labeling)
+    family = tmp_path / "windows.json"
+    family.write_text(json.dumps(family_to_json_dict(enumerate_windows(make_grid(GridSpec(m, n)), c))))
+    accepted, over = tmp_path / "accepted.json", tmp_path / "over.json"
+    accepted.write_text(json.dumps(data))
+    data["labels"][-1]["label"] = labeling.k + 1  # the last vertex, or the last edge
+    over.write_text(json.dumps(data))
+    assert json.loads(family.read_text())["host"] == {"grid": [m, n]}
+    made.clear()
+    assert main(["verify", "--labeling", str(accepted), "--family", str(family)]) == 0
+    assert main(["verify", "--labeling", str(accepted), "--grid", f"{m},{c},{n}"]) == 0
+    assert capsys.readouterr().out.count("ACCEPT: 9 member weights") == 2
+    assert made == []
+    # a range reject makes the one element it names
+    assert main(["verify", "--labeling", str(over), "--family", str(family)]) == 2
+    if kind is LabelingKind.VERTEX:
+        assert made == [Vertex]
+        assert f"label {labeling.k + 1} at (3,12) outside" in capsys.readouterr().err
+    else:
+        assert made == [Vertex, Vertex, Edge]
+        assert f"label {labeling.k + 1} at (3,11)-(3,12) outside" in capsys.readouterr().err
+
+
+def test_a_grid_index_holds_plain_keys(made):
+    for m, n in {(m, n) for m in range(2, 5) for n in range(m, 41)}:  # the acceptance grids
+        index = make_grid(GridSpec(m, n)).index
+        assert made == []
+        assert {type(key) for key in index} == {tuple}
+        assert {type(end) for key in index for end in key} <= {int, tuple}
+        assert index == {e: pos for pos, e in enumerate(make_grid(GridSpec(m, n)).elements)}
+        made.clear()
