@@ -23,9 +23,10 @@ a :func:`make_grid` host is implicit: its covering check is answered from
 (m, c, n), and :mod:`gridirr.verify` weighs it from column sums.
 
 Every other family is explicit: truncated, reordered, loaded and
-hand-built families alike.  The covering check marks covered edges by
-index, from the host's counts, making an element only to name a missed
-edge; a tuple of member graphs is indexed once, on first need.
+hand-built families alike.  The covering check takes the members' index
+tuples from the set of the host's edge positions, making an element only
+to name a missed edge; a tuple of member graphs is indexed once, on
+first need.
 """
 
 from __future__ import annotations
@@ -238,15 +239,8 @@ def is_edge_covering(host: Graph, family: CoverFamily) -> CoveringCheck:
     if host is family.host and family.window is not None:
         return CoveringCheck(covers=True, uncovered=())
     first_edge, edges = host.counts
-    covered = bytearray(first_edge + edges)
-    for member in member_indices(host, family):
-        for pos in member[bisect_left(member, first_edge) :]:
-            covered[pos] = 1
-    uncovered = tuple(
-        host.element(pos)
-        for pos in range(first_edge, len(covered))
-        if not covered[pos]
-    )
+    missed = {*range(first_edge, first_edge + edges)}.difference(*member_indices(host, family))
+    uncovered = tuple(map(host.element, sorted(missed)))
     return CoveringCheck(covers=not uncovered, uncovered=uncovered)
 
 

@@ -15,7 +15,8 @@ Labeling files::
     }
 
     Vertex entries come first in row-major order, then edges in canonical
-    order, though a file may list them in any order.  Labels are not
+    order (for labels in host order, read off the grid's layout), though a
+    file may list them in any order.  Labels are not
     range-checked on load, nor checked against a host: out-of-range and
     stray labels are the verifier's to report.
 
@@ -50,8 +51,10 @@ Coordinates follow one rule everywhere, in labels, members and explicit
 hosts: a vertex is [i, j] with positive integer indices (not bools), an
 edge [[i, j], [p, q]] of two different vertices, ends in either order.
 The grid shorthand's [m, n] follows the vertex rule.  :func:`_keys` is
-that rule: it reads a whole JSON list into plain keys, (i, j) or
-((i, j), (p, q)) with the lower end first.  Members become sorted index
+that rule: one list comprehension reads a whole JSON list into plain
+keys, (i, j) or ((i, j), (p, q)) with the lower end first.  Only a list it
+rejects is read again, item by item, and that pass only names the first
+malformed item.  Members become sorted index
 tuples into the host's canonical element order
 (:class:`gridirr.covering.Members`) through ``host.index``, with no
 element object per occurrence.  A member naming an element outside the
@@ -79,6 +82,7 @@ from .grid import (
     Graph,
     GridSpec,
     Vertex,
+    _grid_order,
     canonical_order,
     format_element,
     graph_from_elements,
@@ -97,47 +101,47 @@ def _edge_to_json(e: Edge) -> list[list[int]]:
     return [_vertex_to_json(e.a), _vertex_to_json(e.b)]
 
 
-def _keys(items: list, edges: bool) -> list:
+def _keys(items: list, edges: bool) -> Optional[list]:
     """The coordinate rule (see above), over a whole JSON list of vertices
-    or of edges: per item its plain key, or for a malformed item the
-    reason, a str."""
-    keys: list = []
+    or of edges: the plain key of every item, or None when one is
+    malformed (:func:`_why` names it)."""
+    try:
+        if edges:
+            keys = [
+                ((i, j), (p, q)) if i < p or i == p and j < q else ((p, q), (i, j))
+                for (i, j), (p, q) in items
+                if type(i) is type(j) is type(p) is type(q) is int
+                and i > 0 < j and p > 0 < q and (i != p or j != q)
+            ]
+        else:
+            keys = [(i, j) for i, j in items if type(i) is type(j) is int and i > 0 < j]
+    except (TypeError, ValueError):  # an item that does not unpack into coordinates
+        return None
+    return keys if len(keys) == len(items) else None
+
+
+def _why(item: Any, edges: bool) -> str:
+    """Why :func:`_keys` rejects the one item."""
+    shaped = type(item) is list and len(item) == 2
+    if edges and not shaped:
+        return f"expected an edge as [[i, j], [i, j]], got {item!r}"
     if edges:
-        for item in items:
-            if type(item) is not list or len(item) != 2:
-                keys.append(f"expected an edge as [[i, j], [i, j]], got {item!r}")
-                continue
-            a, b = item
-            if type(a) is type(b) is list and len(a) == len(b) == 2:
-                (i, j), (p, q) = a, b
-                if type(i) is type(j) is type(p) is type(q) is int and (
-                    i > 0 < j and p > 0 < q and (a := (i, j)) != (b := (p, q))
-                ):
-                    keys.append((a, b) if a < b else (b, a))
-                    continue
-            bad = [why for why in _keys(item, False) if type(why) is str]  # the ends
-            keys.append(bad[0] if bad else f"edge endpoints are equal: {item!r}")
-    else:
-        for item in items:
-            if type(item) is list and len(item) == 2:
-                i, j = item
-                if type(i) is type(j) is int:
-                    keys.append(
-                        (i, j) if i > 0 < j else f"vertex indices must be >= 1, got {item!r}"
-                    )
-                    continue
-            keys.append(f"expected a vertex as [i, j], got {item!r}")
-    return keys
+        bad = [_why(end, False) for end in item if _keys([end], False) is None]
+        return bad[0] if bad else f"edge endpoints are equal: {item!r}"
+    if shaped and type(item[0]) is type(item[1]) is int:
+        return f"vertex indices must be >= 1, got {item!r}"
+    return f"expected a vertex as [i, j], got {item!r}"
 
 
 def _decode(items: Any, edges: bool, where: str) -> list:
-    """The keys of the JSON list ``where``, once :func:`_keys` accepts each item."""
+    """The keys of the JSON list ``where``, once :func:`_keys` accepts it;
+    else the first item it rejects is named, item by item."""
     if type(items) is not list:
         raise FormatError(f"{where}: expected a list")
     keys = _keys(items, edges)
-    if str in map(type, keys):
-        pos = next(pos for pos, key in enumerate(keys) if type(key) is str)
-        raise FormatError(f"{where}[{pos}]: {keys[pos]}")
+    if keys is None:
+        pos = next(pos for pos, item in enumerate(items) if _keys([item], edges) is None)
+        raise FormatError(f"{where}[{pos}]: {_why(items[pos], edges)}")
     return keys
 
 
@@ -147,19 +151,29 @@ def _element(key: tuple) -> Element:
 
 
 def labeling_to_json_dict(labeling: Labeling) -> dict[str, Any]:
-    entries: list[dict[str, Any]] = []
-    for e in sorted(labeling.labels, key=canonical_order):
-        if isinstance(e, Edge):
-            tagged = {"e": _edge_to_json(e)}
-        else:
-            tagged = {"v": _vertex_to_json(e)}
-        entries.append({"element": tagged, "label": labeling.labels[e]})
+    """The labeling file's object, entries in canonical order.  Labels in
+    host order on a grid with a spec are written from their layout, making
+    no element; entries may then share coordinate lists."""
+    labels = labeling.labels
+    if type(labels) is GridLabels and labels.host.spec is not None:
+        host, lo, values = labels.host, labels.lo, labels.layout
+        plain = _grid_order(host.spec, list, lambda *ends: map(list, zip(*ends)))
+        plain = plain[lo : lo + len(values)]  # each edge as [end, far end]
+        split = max(host.counts[0] - lo, 0)  # the vertices come first
+        elements = [{"v": v} for v in plain[:split]] + [{"e": e} for e in plain[split:]]
+    else:
+        order = sorted(labels, key=canonical_order)
+        elements = [
+            {"e": _edge_to_json(e)} if isinstance(e, Edge) else {"v": _vertex_to_json(e)}
+            for e in order
+        ]
+        values = map(labels.__getitem__, order)
     return {
         "kind": labeling.kind.value,
         "k": labeling.k,
         "m": labeling.m,
         "n": labeling.n,
-        "labels": entries,
+        "labels": [{"element": e, "label": x} for e, x in zip(elements, values)],
     }
 
 
@@ -232,11 +246,11 @@ def _entries(entries: list) -> Union[tuple[list, list], str]:
         return f"unknown element tag {next(tag for tag in tags if tag not in ('v', 'e'))!r}"
     is_edge = list(map("e".__eq__, tags))
     payloads = list(map(getitem, elements, tags))
-    vertices = iter(_keys(list(compress(payloads, map(not_, is_edge))), False))
-    edges = iter(_keys(list(compress(payloads, is_edge)), True))
-    keys = list(map(next, map((vertices, edges).__getitem__, is_edge)))  # in entry order
-    if str in {*map(type, keys)}:
-        return next(key for key in keys if type(key) is str)
+    vertices = _keys(list(compress(payloads, map(not_, is_edge))), False)
+    edges = _keys(list(compress(payloads, is_edge)), True)
+    if vertices is None or edges is None:  # the first malformed payload, in entry order
+        return next(_why(p, e) for p, e in zip(payloads, is_edge) if _keys([p], e) is None)
+    keys = list(map(next, map((iter(vertices), iter(edges)).__getitem__, is_edge)))
     if {*map(type, labels)} - {int}:
         for label in labels:
             if not isinstance(label, int) or isinstance(label, bool):
@@ -287,11 +301,11 @@ def graph_from_json_dict(data: Any, where: str = "host") -> Graph:
     if not isinstance(data, dict):
         raise FormatError(f"{where}: expected a JSON object")
     if "grid" in data:
-        (shape,) = _keys([data["grid"]], False)  # [m, n] is vertex-shaped
-        if type(shape) is str:
+        shape = _keys([data["grid"]], False)  # [m, n] is vertex-shaped
+        if shape is None:
             raise FormatError(f"{where}: 'grid' must be [m, n] with positive integers")
         _no_other_fields(data, ("grid",), where)
-        return make_grid(GridSpec(*shape))
+        return make_grid(GridSpec(*shape[0]))
     if "vertices" not in data or "edges" not in data:
         raise FormatError(
             f"{where}: expected {{'grid': [m, n]}} or explicit "
@@ -329,14 +343,14 @@ def family_from_json_dict(data: Any) -> CoverFamily:
         if not isinstance(raw, dict) or "vertices" not in raw or "edges" not in raw:
             raise FormatError(f"members[{pos}]: expected 'vertices' and 'edges' lists")
         _no_other_fields(raw, ("vertices", "edges"), f"members[{pos}]")
-        found, missing = set(), []
-        for name, edges in (("vertices", False), ("edges", True)):
-            keys = _decode(raw[name], edges, f"members[{pos}].{name}")
-            at = list(map(index.get, keys))
-            if None in at:  # elements outside the host
-                missing += [_element(key) for key, i in zip(keys, at) if i is None]
-            found.update(at)
-        indices.append(tuple(sorted(found - {None})))
+        vertices = _decode(raw["vertices"], False, f"members[{pos}].vertices")
+        edges = _decode(raw["edges"], True, f"members[{pos}].edges")
+        found = {*map(index.get, vertices), *map(index.get, edges)}
+        missing = []
+        if None in found:  # elements outside the host
+            found.discard(None)
+            missing = [_element(key) for key in (*vertices, *edges) if key not in index]
+        indices.append(tuple(sorted(found)))
         outside.append(missing)
     members = Members(host, len(indices), indices.__getitem__)
     if any(outside):  # kept, for the covering check to name

@@ -28,6 +28,10 @@ and per edge, raising at the first malformed item.
 The labeling loader is the entry-by-entry loop the package used before
 files loaded into host order: it checks and reads one entry at a time,
 makes its element, and returns a dict of elements.
+
+The labeling writer is the body the package used before host-order labels
+were written from their layout: it makes every element, sorts them and
+writes each entry from its element.
 """
 
 from bisect import bisect_left
@@ -55,7 +59,7 @@ from gridirr import (
     require_window_scope,
 )
 from gridirr.covering import member_indices
-from gridirr.grid import grid_dims
+from gridirr.grid import canonical_order, grid_dims
 from gridirr.verify import kind_range
 
 
@@ -423,3 +427,20 @@ def labeling_from_json_dict(data: Any) -> Labeling:
             raise FormatError(f"{where}: duplicate element {format_element(element)}")
         labels[element] = label
     return Labeling(kind=kind, k=k, labels=labels, m=m, n=n)
+
+
+def labeling_to_json_dict(labeling: Labeling) -> dict[str, Any]:
+    entries: list[dict[str, Any]] = []
+    for e in sorted(labeling.labels, key=canonical_order):
+        if isinstance(e, Edge):
+            tagged = {"e": [[e.a.i, e.a.j], [e.b.i, e.b.j]]}
+        else:
+            tagged = {"v": [e.i, e.j]}
+        entries.append({"element": tagged, "label": labeling.labels[e]})
+    return {
+        "kind": labeling.kind.value,
+        "k": labeling.k,
+        "m": labeling.m,
+        "n": labeling.n,
+        "labels": entries,
+    }

@@ -137,8 +137,8 @@ def test_criterion_3_oracle_optimality(sweep_families):
                                  max_elements=ORACLE_CAP)
                 skipped += 1
                 continue
-            # start_k=1 searches below the bound too, so minimality is
-            # established empirically, not by the counting argument
+            # start_k=1 tries every budget below the closed form too; each
+            # below the root bound ends at the root Hall check with 0 nodes
             result = min_strength(host, family, kind, k_max=cf, start_k=1,
                                   max_elements=ORACLE_CAP)
             if result.minimal_k != cf:

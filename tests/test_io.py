@@ -27,6 +27,7 @@ from gridirr import (
     verify_irregular,
 )
 from gridirr.io import (
+    _decode,
     dot_export,
     dump_family,
     dump_labeling,
@@ -365,6 +366,21 @@ def test_constructed_labelings_load_as_the_reference():
                 assert type(got.labels) is (GridLabels if change == "shuffled" else dict)
 
 
+def test_constructed_labelings_write_as_the_reference():
+    """Every construction of the acceptance range, every kind and the
+    as-printed variant, writes the object the element-by-element writer
+    writes, and the same file text."""
+    for m, c, n in ACCEPTANCE:
+        for labeling in (
+            *(construct_for_kind(kind, m, n, c) for kind in LabelingKind),
+            construct_total_labeling(m, n, c, TotalVariant.AS_PRINTED),
+        ):
+            ours = labeling_to_json_dict(labeling)
+            theirs = reference.labeling_to_json_dict(labeling)
+            assert ours == theirs
+            assert json.dumps(ours) == json.dumps(theirs)  # key order too
+
+
 def test_a_bad_entry_deep_in_a_file_is_named_as_the_reference_names_it():
     data = labeling_to_json_dict(construct_total_labeling(4, 400, 6))
     entries = data["labels"]
@@ -383,6 +399,7 @@ def test_a_bad_entry_deep_in_a_file_is_named_as_the_reference_names_it():
 def test_one_row_labelings_load_as_the_reference(case):
     labeling, _, _ = case
     data = json.loads(json.dumps(labeling_to_json_dict(labeling)))
+    assert data == reference.labeling_to_json_dict(labeling)
     assert load_both(data).labels == labeling.labels
 
 
@@ -476,3 +493,27 @@ def test_every_site_decodes_as_the_reference(value, entries):
         assert got[1].spec == GridSpec(*expected[1])
     else:
         assert got == ("FormatError", "host: 'grid' must be [m, n] with positive integers")
+
+
+COORDINATES = st.lists(st.integers(1, 4), min_size=2, max_size=2)
+WELL_FORMED = {  # vertices, and edges of two different ends in either order
+    False: COORDINATES,
+    True: st.lists(COORDINATES, min_size=2, max_size=2, unique_by=tuple),
+}
+
+
+@settings(max_examples=300)
+@given(st.booleans(), st.data())
+def test_a_list_decodes_as_the_reference_reads_it_item_by_item(edges, data):
+    """A list of 0-40 well-formed items, with at most one arbitrary value
+    at a random place, decodes to the keys the per-item reference reads,
+    or raises the reference's error text for the first malformed item."""
+    items = data.draw(st.lists(WELL_FORMED[edges], max_size=40))
+    if data.draw(st.booleans()):
+        items.insert(data.draw(st.integers(0, len(items))), data.draw(JSON_VALUES))
+    read = reference._edge_from_json if edges else reference._vertex_from_json
+    expected = decoded(lambda: [read(item, f"list[{pos}]") for pos, item in enumerate(items)])
+    got = decoded(_decode, items, edges, "list")
+    assert got == expected
+    if got[0] == "ok":
+        assert {type(key) for key in got[1]} <= {tuple}

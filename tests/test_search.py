@@ -33,6 +33,7 @@ from gridirr import (
     verify_irregular,
 )
 from gridirr.construct import GridLabels, kind_element_count
+from gridirr.search import _feasible
 from gridirr.verify import Verdict, WeightCollision
 from strategies import scope_params
 
@@ -666,3 +667,21 @@ def test_family_lower_bound_rejects_a_member_outside_its_host():
         with pytest.raises(MalformedFamilyError) as raised:
             family_lower_bound(kind, family)
         assert str(raised.value) == str(covering.value)
+
+
+def distinct_weights_exist(weight, left, k):
+    """Brute force of Hall's check: some assignment gives each member a
+    distinct final weight, member i one of w + r .. w + r*k (r unlabeled
+    positions, each taking a label in 1..k, reach every value between)."""
+    values = [range(w + r, w + r * k + 1) for w, r in zip(weight, left)]
+    return any(len(set(chosen)) == len(chosen) for chosen in itertools.product(*values))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 6), st.integers(0, 3)), max_size=5),
+    st.integers(1, 4),
+)
+def test_hall_check_equals_brute_force_over_small_interval_sets(members, k):
+    weight, left = [w for w, _ in members], [r for _, r in members]
+    assert _feasible(weight, left, k) == distinct_weights_exist(weight, left, k)
