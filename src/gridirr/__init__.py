@@ -28,7 +28,6 @@ from .construct import (
 from .covering import (
     CoverFamily,
     CoveringCheck,
-    Subgraph,
     enumerate_windows,
     is_edge_covering,
     window_subgraph,
@@ -50,20 +49,16 @@ from .grid import (
     Graph,
     GridSpec,
     Vertex,
-    canonical_edge,
     format_element,
     graph_from_elements,
-    grid_adjacent,
     grid_dims,
     make_grid,
     require_window_scope,
-    transpose,
 )
 from .report import StrengthReport, strength_report
 from .search import (
     DEFAULT_MAX_ELEMENTS,
     SearchResult,
-    exists_irregular,
     family_lower_bound,
     min_strength,
 )
@@ -100,13 +95,11 @@ __all__ = [
     "SearchResult",
     "StrayLabelError",
     "StrengthReport",
-    "Subgraph",
     "TotalVariant",
     "Verdict",
     "Vertex",
     "WeightCollision",
     "WeightProfile",
-    "canonical_edge",
     "ceil_div",
     "closed_form_strength",
     "construct_edge_labeling",
@@ -114,11 +107,9 @@ __all__ = [
     "construct_total_labeling",
     "construct_vertex_labeling",
     "enumerate_windows",
-    "exists_irregular",
     "family_lower_bound",
     "format_element",
     "graph_from_elements",
-    "grid_adjacent",
     "grid_bound_report",
     "grid_dims",
     "is_edge_covering",
@@ -128,7 +119,6 @@ __all__ = [
     "require_window_scope",
     "strength_report",
     "subgraph_weight",
-    "transpose",
     "upper_bound_exponent",
     "verify_irregular",
     "weight_profile",

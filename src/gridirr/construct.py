@@ -102,9 +102,6 @@ class Labeling:
     m: int
     n: int
 
-    def label(self, element: Element) -> int:
-        return self.labels[element]
-
     def with_label(self, element: Element, label: int) -> "Labeling":
         """Copy with one label replaced (used by mutation tests and tools)."""
         updated = dict(self.labels)

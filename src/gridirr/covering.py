@@ -6,13 +6,12 @@ element sets and flow through the same verification and search paths as
 enumerated windows.
 
 There is one graph type: hosts and members are both
-:class:`~gridirr.grid.Graph` (``Subgraph`` is another name for it), and
-there is one integer indexing of elements, the host's canonical order
-:attr:`~gridirr.grid.Graph.elements`.  The covering check here, the
-weights in :mod:`gridirr.verify` and the oracle's tables in
-:mod:`gridirr.search` all read members as the same sorted index tuples,
-:attr:`CoverFamily.indices` (through :func:`member_indices` when the host
-is not the family's own).
+:class:`~gridirr.grid.Graph`, and there is one integer indexing of
+elements, the host's canonical order :attr:`~gridirr.grid.Graph.elements`.
+The covering check here, the weights in :mod:`gridirr.verify` and the
+oracle's tables in :mod:`gridirr.search` all read members as the same
+sorted index tuples, :attr:`CoverFamily.indices` (through
+:func:`member_indices` when the host is not the family's own).
 
 Window and loaded families arrive as index tuples, held by the one
 members class :class:`Members`: window l's tuple is
@@ -51,9 +50,6 @@ from .grid import (
     require_window_scope,
     window_positions,
 )
-
-
-Subgraph = Graph  # a family member is a plain Graph; the name stays public
 
 
 class Members(Sequence):

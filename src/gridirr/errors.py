@@ -15,7 +15,7 @@ class InvalidParameterError(GridirrError, ValueError):
 
 
 class InvalidEdgeError(GridirrError, ValueError):
-    """Endpoints do not form a valid edge (equal, or not grid-adjacent)."""
+    """Endpoints do not form a valid edge: the two are equal."""
 
 
 class ScopeError(GridirrError, ValueError):

@@ -15,9 +15,9 @@ and :func:`window_positions` reads a window's positions.
 
 The same ``Graph`` container also serves arbitrary simple graphs: vertex
 identities stay (i, j) pairs, with non-grid inputs conventionally embedded
-in a single row (i = 1, j = ordinal).  Only :func:`canonical_edge` insists
-on grid adjacency; ``Edge`` itself accepts any pair of distinct vertices so
-user-supplied hosts round-trip unchanged.
+in a single row (i = 1, j = ordinal).  ``Edge`` accepts any pair of
+distinct vertices, grid-adjacent or not, so user-supplied hosts round-trip
+unchanged.
 """
 
 from __future__ import annotations
@@ -122,8 +122,8 @@ class Graph:
     """Immutable simple graph: a vertex set and an edge set.
 
     ``spec`` is set only by :func:`make_grid`, so a graph that carries one
-    is exactly that full grid; hand-built and transposed graphs carry None
-    even when they equal a grid.  It takes no part in equality or hashing.
+    is exactly that full grid; hand-built graphs carry None even when they
+    equal a grid.  It takes no part in equality or hashing.
     Such a graph holds only the spec until its elements are first read.
 
     Every element has one integer index, its position in :attr:`elements`
@@ -183,12 +183,6 @@ class Graph:
         j, down = (q, 0) if i == m - 1 else divmod(q, 2)
         down = down or j == n - 1
         return Edge(Vertex(i + 1, j + 1), Vertex(i + 1 + down, j + 2 - down))
-
-    def sorted_vertices(self) -> list[Vertex]:
-        return list(self.elements[: self.counts[0]])
-
-    def sorted_edges(self) -> list[Edge]:
-        return list(self.elements[self.counts[0] :])
 
 
 def _grid_order(spec: GridSpec, vertex: Callable, pairs: Callable) -> list:
@@ -284,47 +278,6 @@ def grid_dims(graph: Graph) -> tuple[int, int]:
     return (
         max(v.i for v in graph.vertices),
         max(v.j for v in graph.vertices),
-    )
-
-
-def grid_adjacent(a: Vertex, b: Vertex) -> bool:
-    """True iff the two vertices are orthogonal neighbours."""
-    if a.i == b.i:
-        return abs(a.j - b.j) == 1
-    if a.j == b.j:
-        return abs(a.i - b.i) == 1
-    return False
-
-
-def canonical_edge(a: Vertex, b: Vertex) -> Edge:
-    """Grid edge between two adjacent vertices, endpoints in canonical order.
-
-    Raises :class:`InvalidEdgeError` for equal or non-adjacent endpoints
-    (e.g. diagonal pairs).
-    """
-    if a == b:
-        raise InvalidEdgeError(
-            f"cannot form an edge from {format_element(a)} to itself"
-        )
-    if not grid_adjacent(a, b):
-        raise InvalidEdgeError(
-            f"{format_element(a)} and {format_element(b)} are not "
-            f"grid-adjacent"
-        )
-    return Edge(a, b)
-
-
-def transpose(graph: Graph) -> Graph:
-    """Swap rows and columns of every element.
-
-    Maps an m-by-n grid onto the n-by-m grid; window coverings sliding
-    along columns of the transpose correspond to row-direction windows of
-    the original.
-    """
-    vmap = {v: Vertex(v.j, v.i) for v in graph.vertices}
-    return Graph(
-        vertices=frozenset(vmap.values()),
-        edges=frozenset(Edge(vmap[e.a], vmap[e.b]) for e in graph.edges),
     )
 
 

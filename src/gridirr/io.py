@@ -86,7 +86,6 @@ from .grid import (
     canonical_order,
     format_element,
     graph_from_elements,
-    grid_adjacent,
     grid_dims,
     make_grid,
 )
@@ -272,28 +271,18 @@ def load_labeling(fp: IO[str]) -> Labeling:
 
 
 def graph_to_json_dict(graph: Graph) -> dict[str, Any]:
-    """The grid shorthand for a graph equal to a full grid, else the explicit
-    form: without a spec, mn vertices from (1, 1) on, 2mn - m - n edges
-    each joining two of them that are grid-adjacent, make the grid."""
+    """The grid shorthand for a :func:`make_grid` graph, else the explicit
+    form, for a hand-built graph equal to a grid too."""
     if graph.spec is not None:
         return {"grid": [graph.spec.m, graph.spec.n]}
-    vertices, edges = graph.vertices, graph.edges
-    if vertices:
-        m, n = grid_dims(graph)
-        if (
-            (len(vertices), len(edges)) == (m * n, 2 * m * n - m - n)
-            and all(v.i >= 1 and v.j >= 1 for v in vertices)
-            and all(a in vertices and b in vertices and grid_adjacent(a, b) for a, b in edges)
-        ):
-            return {"grid": [m, n]}
     return elements_to_json_dict(graph)
 
 
 def elements_to_json_dict(graph: Graph) -> dict[str, Any]:
     """The explicit form: the vertex and edge lists in canonical order."""
     return {
-        "vertices": [_vertex_to_json(v) for v in graph.sorted_vertices()],
-        "edges": [_edge_to_json(e) for e in graph.sorted_edges()],
+        "vertices": [_vertex_to_json(v) for v in graph.elements[: graph.counts[0]]],
+        "edges": [_edge_to_json(e) for e in graph.elements[graph.counts[0] :]],
     }
 
 
@@ -390,12 +379,13 @@ def dot_export(graph: Graph, labeling: Optional[Labeling] = None) -> str:
         lines.append(
             f"  // {labeling.kind.value} labeling, budget k={labeling.k}"
         )
-    for v in graph.sorted_vertices():
+    split = graph.counts[0]
+    for v in graph.elements[:split]:
         if labeling is not None and v in labeling.labels:
             lines.append(f"  {_node_id(v)} [label={labeling.labels[v]}];")
         else:
             lines.append(f"  {_node_id(v)};")
-    for e in graph.sorted_edges():
+    for e in graph.elements[split:]:
         stmt = f"  {_node_id(e.a)} -- {_node_id(e.b)}"
         if labeling is not None and e in labeling.labels:
             stmt += f" [label={labeling.labels[e]}]"

@@ -153,27 +153,6 @@ def _search(tables: tuple, k: int) -> tuple[Optional[list[int]], int]:
     return labels, nodes
 
 
-def exists_irregular(
-    host: Graph,
-    family: CoverFamily,
-    kind: LabelingKind,
-    k: int,
-    max_elements: Optional[int] = None,
-) -> Optional[Labeling]:
-    """Lexicographically least irregular labeling with budget k, if any:
-    the witness of :func:`min_strength` searching k alone.
-
-    Returns None when the exhaustive search proves no such labeling exists.
-    Raises :class:`ResourceLimitError` when the instance has more labeled
-    elements than the size cap, and :class:`MalformedFamilyError` when the
-    family does not cover the host.
-    """
-    require_positive(budget=k)
-    return min_strength(
-        host, family, kind, k_max=k, start_k=k, max_elements=max_elements
-    ).witness
-
-
 def family_lower_bound(kind: LabelingKind, family: CoverFamily) -> int:
     """Least budget passing the root check, for arbitrary families: the
     default start of :func:`min_strength`, from :func:`_prepare`'s member

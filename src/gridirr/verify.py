@@ -128,9 +128,14 @@ def _profile(values: list, kind: LabelingKind, family: CoverFamily) -> WeightPro
                     element = family.host.element(pos)
                     raise IncompleteLabelingError(
                         f"no label for {format_element(element)} required "
-                        f"by a {kind.value} labeling"
+                        f"by {_with_article(kind)} labeling"
                     ) from None
         raise
+
+
+def _with_article(kind: LabelingKind) -> str:
+    """The kind's name after its article: "a vertex", "an edge", "a total"."""
+    return f"{'an' if kind is LabelingKind.EDGE else 'a'} {kind.value}"
 
 
 def kind_range(kind: LabelingKind, host: Graph) -> tuple[int, int]:
@@ -167,8 +172,8 @@ def require_no_stray_labels(labeling: Labeling, host: Graph) -> list:
     if len(labeling.labels) + values.count(None) > hi - lo:
         stray = min(labeling.labels.keys() - host.elements[lo:hi], key=canonical_order)
         raise StrayLabelError(
-            f"label on {format_element(stray)}, which a "
-            f"{labeling.kind.value} labeling of this host does not weigh"
+            f"label on {format_element(stray)}, which "
+            f"{_with_article(labeling.kind)} labeling of this host does not weigh"
         )
     return values
 

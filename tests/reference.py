@@ -197,6 +197,10 @@ def is_edge_covering(host, family):
     return CoveringCheck(covers=not uncovered, uncovered=uncovered)
 
 
+def article(kind):
+    return "an" if kind.value[0] in "aeiou" else "a"
+
+
 def subgraph_weight(labeling, member):
     elements = []
     if labeling.kind is not LabelingKind.EDGE:
@@ -207,8 +211,8 @@ def subgraph_weight(labeling, member):
     for element in elements:
         if element not in labeling.labels:
             raise IncompleteLabelingError(
-                f"no label for {format_element(element)} required by a "
-                f"{labeling.kind.value} labeling"
+                f"no label for {format_element(element)} required by "
+                f"{article(labeling.kind)} {labeling.kind.value} labeling"
             )
         total += labeling.labels[element]
     return total
@@ -245,7 +249,7 @@ def stray_label_error(labeling, host):
     for element in [*vertices, *edges]:
         if element not in weighed:
             return StrayLabelError(
-                f"label on {format_element(element)}, which a "
+                f"label on {format_element(element)}, which {article(labeling.kind)} "
                 f"{labeling.kind.value} labeling of this host does not weigh"
             )
     return None

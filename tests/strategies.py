@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from gridirr import (
     CoverFamily,
     Edge,
+    Graph,
     Labeling,
     LabelingKind,
-    Subgraph,
     Vertex,
     graph_from_elements,
 )
@@ -38,7 +38,7 @@ def hand_built_cases(draw):
     vertex_pool = row + draw(st.lists(st.sampled_from(outside_vertices), max_size=1))
     edge_pool = edges + draw(st.lists(st.sampled_from(outside_edges), max_size=1))
     member = st.builds(
-        Subgraph,
+        Graph,
         vertices=st.frozensets(st.sampled_from(vertex_pool)),
         edges=st.frozensets(st.sampled_from(edge_pool)),
     )

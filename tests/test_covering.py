@@ -6,11 +6,11 @@ from hypothesis import given
 import reference
 from gridirr import (
     CoverFamily,
+    Graph,
     GridSpec,
     InvalidParameterError,
     MalformedFamilyError,
     ScopeError,
-    Subgraph,
     Vertex,
     enumerate_windows,
     is_edge_covering,
@@ -129,7 +129,7 @@ def test_family_with_no_members_is_malformed():
 
 def test_member_outside_host_is_malformed():
     g = make_grid(GridSpec(2, 3))
-    stray = Subgraph(
+    stray = Graph(
         vertices=frozenset([Vertex(9, 9), Vertex(9, 10)]),
         edges=frozenset(),
     )

@@ -23,7 +23,6 @@ from gridirr import (
     Labeling,
     LabelingKind,
     MalformedFamilyError,
-    Subgraph,
     TotalVariant,
     Vertex,
     construct_for_kind,
@@ -244,7 +243,7 @@ def test_outside_host_error_names_least_element_of_first_member():
 
 def test_hand_built_outside_host_error_is_the_same():
     grid = make_grid(GridSpec(2, 3))
-    stray = Subgraph(
+    stray = Graph(
         vertices=frozenset([Vertex(9, 9), Vertex(3, 1), Vertex(1, 1)]),
         edges=frozenset([Edge(Vertex(1, 1), Vertex(2, 2))]),
     )

@@ -14,7 +14,6 @@ from gridirr import (
     Graph,
     GridSpec,
     LabelingKind,
-    Subgraph,
     TotalVariant,
     Vertex,
     construct_edge_labeling,
@@ -164,7 +163,7 @@ def test_non_grid_host_roundtrips_explicitly():
     host = graph_from_elements(
         [a, b, c], [Edge(a, b), Edge(b, c), Edge(a, c)]
     )
-    member = Subgraph(vertices=host.vertices, edges=host.edges)
+    member = Graph(vertices=host.vertices, edges=host.edges)
     family = CoverFamily(host=host, members=(member,))
     data = family_to_json_dict(family)
     assert "grid" not in data["host"]
@@ -185,8 +184,12 @@ def test_only_a_graph_equal_to_a_grid_takes_the_shorthand():
     grid = make_grid(GridSpec(3, 4))
     assert graph_to_json_dict(grid) == {"grid": [3, 4]}
     assert vars(grid) == {"spec": GridSpec(3, 4)}  # answered from the spec
+    # a hand-built grid is written in the explicit form and reads back equal
     hand = graph_from_elements(grid.vertices, grid.edges)
-    assert hand.spec is None and graph_to_json_dict(hand) == {"grid": [3, 4]}
+    assert hand.spec is None and graph_to_json_dict(hand) == elements_to_json_dict(hand)
+    family = enumerate_windows(hand, 3)
+    restored = family_from_json_dict(json.loads(json.dumps(family_to_json_dict(family))))
+    assert restored == family and restored.host == grid
     # same counts, one edge replaced by a diagonal
     diagonal = Edge(Vertex(1, 1), Vertex(2, 2))
     edges = (grid.edges - {Edge(Vertex(1, 1), Vertex(1, 2))}) | {diagonal}

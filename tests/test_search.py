@@ -17,11 +17,9 @@ from gridirr import (
     LabelingKind,
     MalformedFamilyError,
     ResourceLimitError,
-    Subgraph,
     Vertex,
     closed_form_strength,
     enumerate_windows,
-    exists_irregular,
     family_lower_bound,
     graph_from_elements,
     is_edge_covering,
@@ -29,7 +27,6 @@ from gridirr import (
     make_grid,
     min_strength,
     subgraph_weight,
-    transpose,
     verify_irregular,
 )
 from gridirr.construct import GridLabels, kind_element_count
@@ -40,12 +37,13 @@ from strategies import scope_params
 
 def brute_force_exists(host, family, kind, k):
     """Reference oracle: enumerate every label vector outright."""
+    split = host.counts[0]
     if kind is LabelingKind.VERTEX:
-        elements = host.sorted_vertices()
+        elements = host.elements[:split]
     elif kind is LabelingKind.EDGE:
-        elements = host.sorted_edges()
+        elements = host.elements[split:]
     else:
-        elements = host.sorted_vertices() + host.sorted_edges()
+        elements = host.elements
     m = max(v.i for v in host.vertices)
     n = max(v.j for v in host.vertices)
     for combo in itertools.product(range(1, k + 1), repeat=len(elements)):
@@ -61,13 +59,13 @@ def brute_force_exists(host, family, kind, k):
 def test_vertex_negative_at_k1():
     host = make_grid(GridSpec(2, 3))
     fam = enumerate_windows(host, 2)
-    assert exists_irregular(host, fam, LabelingKind.VERTEX, 1) is None
+    assert min_strength(host, fam, LabelingKind.VERTEX, k_max=1, start_k=1).witness is None
 
 
 def test_vertex_witness_at_k2():
     host = make_grid(GridSpec(2, 3))
     fam = enumerate_windows(host, 2)
-    witness = exists_irregular(host, fam, LabelingKind.VERTEX, 2)
+    witness = min_strength(host, fam, LabelingKind.VERTEX, k_max=2, start_k=2).witness
     assert witness is not None
     assert verify_irregular(witness, fam).accepted
 
@@ -77,7 +75,7 @@ def test_single_member_all_ones():
     fam = enumerate_windows(host, 3)
     assert fam.t == 1
     for kind in LabelingKind:
-        witness = exists_irregular(host, fam, kind, 1)
+        witness = min_strength(host, fam, kind, k_max=1, start_k=1).witness
         assert witness is not None
         assert set(witness.labels.values()) == {1}
 
@@ -87,7 +85,7 @@ def test_agrees_with_brute_force_enumeration(kind):
     host = make_grid(GridSpec(2, 2))
     fam = enumerate_windows(host, 2)
     for k in (1, 2):
-        ours = exists_irregular(host, fam, kind, k)
+        ours = min_strength(host, fam, kind, k_max=k, start_k=k).witness
         reference = brute_force_exists(host, fam, kind, k)
         assert (ours is None) == (reference is None)
 
@@ -97,7 +95,7 @@ def test_brute_force_agreement_with_two_windows():
     fam = enumerate_windows(host, 2)
     for kind in (LabelingKind.VERTEX, LabelingKind.EDGE):
         for k in (1, 2):
-            ours = exists_irregular(host, fam, kind, k)
+            ours = min_strength(host, fam, kind, k_max=k, start_k=k).witness
             reference = brute_force_exists(host, fam, kind, k)
             assert (ours is None) == (reference is None)
             if ours is not None:
@@ -109,10 +107,11 @@ def test_brute_force_agreement_with_two_windows():
 def test_witness_is_lexicographically_least():
     host = make_grid(GridSpec(2, 3))
     fam = enumerate_windows(host, 2)
-    witness = exists_irregular(host, fam, LabelingKind.VERTEX, 2)
-    vector = [witness.labels[v] for v in host.sorted_vertices()]
+    witness = min_strength(host, fam, LabelingKind.VERTEX, k_max=2, start_k=2).witness
+    vertices = host.elements[: host.counts[0]]
+    vector = [witness.labels[v] for v in vertices]
     reference = brute_force_exists(host, fam, LabelingKind.VERTEX, 2)
-    assert vector == [reference.labels[v] for v in host.sorted_vertices()]
+    assert vector == [reference.labels[v] for v in vertices]
 
 
 def test_determinism():
@@ -144,7 +143,7 @@ def test_no_witness_below_lower_bound():
         lb = lower_bound(kind, fam.t, 4, 4)
         # disable the skip: searching below the bound must come back empty
         for k in range(1, lb):
-            assert exists_irregular(host, fam, kind, k) is None
+            assert min_strength(host, fam, kind, k_max=k, start_k=k).witness is None
         result = min_strength(host, fam, kind, k_max=3, start_k=1)
         assert result.minimal_k == lower_bound(kind, fam.t, 4, 4)
 
@@ -163,9 +162,9 @@ def test_reported_negative_is_bounded_not_infinite():
     # two members with equal vertex sets but different edge sets are
     # distinct, yet their vertex weights agree under every labeling
     host = make_grid(GridSpec(2, 2))
-    full = Subgraph(vertices=host.vertices, edges=host.edges)
-    pruned = Subgraph(
-        vertices=host.vertices, edges=frozenset(list(host.sorted_edges())[1:])
+    full = Graph(vertices=host.vertices, edges=host.edges)
+    pruned = Graph(
+        vertices=host.vertices, edges=frozenset(host.elements[host.counts[0] + 1 :])
     )
     family = CoverFamily(host=host, members=(full, pruned))
     result = min_strength(host, family, LabelingKind.VERTEX, k_max=3)
@@ -178,13 +177,13 @@ def test_resource_limit_is_an_error_not_a_negative():
     host = make_grid(GridSpec(2, 7))
     fam = enumerate_windows(host, 2)
     with pytest.raises(ResourceLimitError):
-        exists_irregular(host, fam, LabelingKind.TOTAL, 2, max_elements=24)
+        min_strength(host, fam, LabelingKind.TOTAL, k_max=2, start_k=2, max_elements=24)
     with pytest.raises(ResourceLimitError):
         min_strength(host, fam, LabelingKind.TOTAL, k_max=2, max_elements=24)
     # a generous cap lets the same instance through
-    witness = exists_irregular(
-        host, fam, LabelingKind.VERTEX, 3, max_elements=100
-    )
+    witness = min_strength(
+        host, fam, LabelingKind.VERTEX, k_max=3, start_k=3, max_elements=100
+    ).witness
     assert witness is not None
 
 
@@ -193,7 +192,7 @@ def test_non_covering_family_rejected():
     fam = enumerate_windows(host, 2)
     truncated = CoverFamily(host=host, members=fam.members[:-1])
     with pytest.raises(MalformedFamilyError):
-        exists_irregular(host, truncated, LabelingKind.VERTEX, 2)
+        min_strength(host, truncated, LabelingKind.VERTEX, k_max=2, start_k=2)
 
 
 def test_nodes_explored_accumulates():
@@ -285,7 +284,7 @@ def hand_built_family():
     e = [Edge(v[i], v[(i + 1) % 5]) for i in range(5)]
 
     def member(vs, es):
-        return Subgraph(
+        return Graph(
             vertices=frozenset(v[i] for i in vs),
             edges=frozenset(e[i] for i in es),
         )
@@ -339,9 +338,9 @@ def test_two_members_without_relevant_elements_collide_at_every_budget():
     family = CoverFamily(
         host=host,
         members=(
-            Subgraph(vertices=host.vertices, edges=frozenset()),
-            Subgraph(vertices=frozenset(), edges=host.edges),
-            Subgraph(vertices=frozenset([Vertex(1, 1)]), edges=frozenset()),
+            Graph(vertices=host.vertices, edges=frozenset()),
+            Graph(vertices=frozenset(), edges=host.edges),
+            Graph(vertices=frozenset([Vertex(1, 1)]), edges=frozenset()),
         ),
     )
     kind = LabelingKind.EDGE
@@ -367,7 +366,7 @@ def differential_cases():
 def test_witness_or_none_equals_brute_force():
     for kind, family in differential_cases():
         for k in (1, 2):
-            ours = exists_irregular(family.host, family, kind, k)
+            ours = min_strength(family.host, family, kind, k_max=k, start_k=k).witness
             reference = brute_force_exists(family.host, family, kind, k)
             if reference is None:
                 assert ours is None, (kind, family, k)
@@ -405,11 +404,9 @@ def walk_differential_cases():
             rnd.shuffle(shuffled)
             yield kind, reversed_family(family), cf
             yield kind, CoverFamily(host=host, members=tuple(shuffled)), cf
-            # the same windows over the transpose of the n-by-m grid, an
-            # equal host that records no spec
-            spec = host.spec
-            grid = transpose(make_grid(GridSpec(spec.n, spec.m)))
-            yield kind, enumerate_windows(grid, spec.n - family.t + 1), cf
+            # the same windows over an equal host that records no spec
+            grid = graph_from_elements(host.vertices, host.edges)
+            yield kind, enumerate_windows(grid, host.spec.n - family.t + 1), cf
     for family in (hand_built_family(), *hand_built_cases()):
         if is_edge_covering(family.host, family).covers:
             for kind in LabelingKind:
@@ -422,7 +419,9 @@ def assert_reference_witness(kind, family, k):
     gets the verdicts of its dict form, also with the budget lowered by one
     and with every label set to 1."""
     host = family.host
-    ours = exists_irregular(host, family, kind, k, max_elements=CERTIFY_MAX_ELEMENTS)
+    ours = min_strength(
+        host, family, kind, k_max=k, start_k=k, max_elements=CERTIFY_MAX_ELEMENTS
+    ).witness
     theirs = reference.min_strength(host, family, kind, k, start_k=k).witness
     assert ours == theirs, (kind, family, k)
     if ours is None:
@@ -492,8 +491,8 @@ def test_integer_parameters_are_validated(bad):
     fam = enumerate_windows(host, 2)
     kind = LabelingKind.VERTEX
     calls = [
-        lambda: exists_irregular(host, fam, kind, bad),
-        lambda: exists_irregular(host, fam, kind, 2, max_elements=bad),
+        lambda: min_strength(host, fam, kind, k_max=bad, start_k=bad),
+        lambda: min_strength(host, fam, kind, k_max=2, start_k=2, max_elements=bad),
         lambda: min_strength(host, fam, kind, k_max=bad),
         lambda: min_strength(host, fam, kind, k_max=2, start_k=bad),
         lambda: min_strength(host, fam, kind, k_max=2, max_elements=bad),
@@ -507,8 +506,6 @@ def test_parameter_messages():
     host = make_grid(GridSpec(2, 3))
     fam = enumerate_windows(host, 2)
     kind = LabelingKind.VERTEX
-    with pytest.raises(InvalidParameterError, match=r"^budget must be >= 1, got 0$"):
-        exists_irregular(host, fam, kind, 0)
     with pytest.raises(InvalidParameterError, match=r"^budget cap must be >= 1, got 0$"):
         min_strength(host, fam, kind, k_max=0)
     with pytest.raises(InvalidParameterError, match="start budget must be an integer, got True"):
@@ -584,13 +581,13 @@ def hand_built_cases():
     empties = CoverFamily(
         host=grid,
         members=(
-            Subgraph(vertices=grid.vertices, edges=frozenset()),
-            Subgraph(vertices=frozenset(), edges=grid.edges),
-            Subgraph(vertices=frozenset([Vertex(1, 1)]), edges=frozenset()),
+            Graph(vertices=grid.vertices, edges=frozenset()),
+            Graph(vertices=frozenset(), edges=grid.edges),
+            Graph(vertices=frozenset([Vertex(1, 1)]), edges=frozenset()),
         ),
     )
     windows = enumerate_windows(make_grid(GridSpec(2, 5)), 2)
-    equal_host = Subgraph(vertices=windows.host.vertices, edges=windows.host.edges)
+    equal_host = Graph(vertices=windows.host.vertices, edges=windows.host.edges)
     for own in (family, empties, windows):
         yield own
     yield CoverFamily(host=wider, members=family.members)
@@ -655,7 +652,7 @@ def test_default_start_is_the_reference_counting_bound():
 
 def test_family_lower_bound_rejects_a_member_outside_its_host():
     host = make_grid(GridSpec(2, 3))
-    stray = Subgraph(vertices=frozenset([Vertex(3, 1)]), edges=frozenset())
+    stray = Graph(vertices=frozenset([Vertex(3, 1)]), edges=frozenset())
     family = CoverFamily(
         host=host, members=(*enumerate_windows(host, 2).members, stray)
     )

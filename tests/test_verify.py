@@ -6,6 +6,7 @@ from hypothesis import given
 from gridirr import (
     CoverFamily,
     Edge,
+    Graph,
     GridSpec,
     IncompleteLabelingError,
     InvalidParameterError,
@@ -14,7 +15,6 @@ from gridirr import (
     MalformedFamilyError,
     RangeViolation,
     StrayLabelError,
-    Subgraph,
     TotalVariant,
     Vertex,
     WeightCollision,
@@ -31,6 +31,8 @@ from gridirr import (
     window_denominator,
 )
 from strategies import scope_params
+
+A_KIND = {LabelingKind.VERTEX: "a vertex", LabelingKind.EDGE: "an edge", LabelingKind.TOTAL: "a total"}
 
 
 def brute_weight(labeling, member):
@@ -112,15 +114,15 @@ def test_weight_additivity_on_split_window():
     fam = enumerate_windows(host, 2)
     lab = construct_total_labeling(2, 4, 2)
     member = fam.members[0]
-    left = Subgraph(
+    left = Graph(
         vertices=frozenset(v for v in member.vertices if v.j == 1),
         edges=frozenset(e for e in member.edges if e.a.j == 1 and e.b.j == 1),
     )
-    right = Subgraph(
+    right = Graph(
         vertices=frozenset(v for v in member.vertices if v.j == 2),
         edges=frozenset(e for e in member.edges if e.a.j == 2 and e.b.j == 2),
     )
-    crossing = Subgraph(
+    crossing = Graph(
         vertices=frozenset(),
         edges=frozenset(e for e in member.edges if e.a.j != e.b.j),
     )
@@ -203,6 +205,18 @@ def test_incomplete_labeling_raises():
         verify_irregular(partial, fam)
 
 
+@pytest.mark.parametrize("kind", list(LabelingKind))
+def test_incomplete_labeling_names_the_element_and_the_kind(kind):
+    fam = enumerate_windows(make_grid(GridSpec(2, 3)), 2)
+    lab = construct_for_kind(kind, 2, 3, 2)
+    missing = Edge(Vertex(1, 2), Vertex(2, 2)) if kind is LabelingKind.EDGE else Vertex(1, 2)
+    labels = {e: label for e, label in lab.labels.items() if e != missing}
+    partial = Labeling(kind=kind, k=lab.k, labels=labels, m=2, n=3)
+    message = f"no label for {format_element(missing)} required by {A_KIND[kind]} labeling"
+    with pytest.raises(IncompleteLabelingError, match=f"^{re.escape(message)}$"):
+        verify_irregular(partial, fam)
+
+
 def test_non_covering_family_is_malformed():
     host = make_grid(GridSpec(2, 4))
     fam = enumerate_windows(host, 2)
@@ -268,7 +282,7 @@ def test_stray_label_raises(kind, stray, in_range, family):
     fam = window_or_explicit(make_grid(GridSpec(m, n)), c, family)
     assert verify_irregular(constructed, fam).accepted
     message = (
-        f"label on {format_element(element)}, which a {kind.value} "
+        f"label on {format_element(element)}, which {A_KIND[kind]} "
         f"labeling of this host does not weigh"
     )
     with pytest.raises(StrayLabelError, match=f"^{re.escape(message)}$"):
@@ -359,7 +373,7 @@ def test_with_label_on_a_constructed_labeling_matches_the_dict_form(kind, varian
         assert edited.labels == expected.labels
         for fn in (verify_irregular, weight_profile):
             assert outcome(fn, edited, fam) == outcome(fn, expected, fam), (element, label)
-    message = f"label on ({m + 1},1), which a {kind.value} labeling of this host does not weigh"
+    message = f"label on ({m + 1},1), which {A_KIND[kind]} labeling of this host does not weigh"
     assert outcome(verify_irregular, lab.with_label(Vertex(m + 1, 1), 1), fam) == (
         "raised", StrayLabelError, message)
 

@@ -27,9 +27,9 @@ from gridirr import (
     construct_for_kind,
     construct_total_labeling,
     enumerate_windows,
+    graph_from_elements,
     is_edge_covering,
     make_grid,
-    transpose,
     verify_irregular,
     weight_profile,
 )
@@ -103,7 +103,7 @@ def test_window_family_matches_explicit_family(params, variant, change, rnd):
     elif change == "collide":
         # window 1 gains one: it meets window 2's weight, or leaves 1..k
         element = column_one_element(kind, m)
-        labeling = labeling.with_label(element, labeling.label(element) + 1)
+        labeling = labeling.with_label(element, labeling.labels[element] + 1)
     elif change == "delete":
         labels = dict(labeling.labels)
         del labels[target]
@@ -148,7 +148,7 @@ def test_transposed_and_hand_built_hosts_take_the_generic_path():
     labeling = construct_for_kind(LabelingKind.TOTAL, m, n, c)
     implicit = enumerate_windows(grid, c)
     for host in (
-        transpose(make_grid(GridSpec(n, m))),
+        graph_from_elements(grid.vertices, grid.edges),
         Graph(vertices=grid.vertices, edges=grid.edges),
     ):
         assert host == grid and host.spec is None
@@ -232,7 +232,7 @@ def test_equal_hosts_reuse_the_window_positions(builds):
     grid = make_grid(GridSpec(m, n))
     windows = [(m, c, n, l) for l in range(1, n - c + 2)]
     for host in (
-        transpose(make_grid(GridSpec(n, m))),
+        graph_from_elements(grid.vertices, grid.edges),
         Graph(vertices=grid.vertices, edges=grid.edges),
     ):
         builds.clear()
