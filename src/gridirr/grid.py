@@ -123,8 +123,9 @@ class Graph:
 
     ``spec`` is set only by :func:`make_grid`, so a graph that carries one
     is exactly that full grid; hand-built graphs carry None even when they
-    equal a grid.  It takes no part in equality or hashing.
-    Such a graph holds only the spec until its elements are first read.
+    equal a grid.  Two graphs with a spec compare their specs, other pairs
+    (and hashes) their sets.  Such a graph holds only the spec until its
+    elements are first read.
 
     Every element has one integer index, its position in :attr:`elements`
     (in :func:`canonical_order`); :attr:`index` maps elements, or their
@@ -145,6 +146,13 @@ class Graph:
         object.__setattr__(self, "vertices", frozenset(self.elements[:split]))
         object.__setattr__(self, "edges", frozenset(self.elements[split:]))
         return getattr(self, name)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self.spec is not None and other.spec is not None:
+            return self.spec == other.spec
+        return (self.vertices, self.edges) == (other.vertices, other.edges)
 
     @cached_property
     def elements(self) -> tuple[Element, ...]:

@@ -24,12 +24,12 @@ Labeling files::
     m-by-n grid, each once, loads into host order: one label tuple over
     :func:`gridirr.grid.make_grid`'s elements, held by
     :class:`gridirr.construct.GridLabels`, as a constructed labeling is,
-    and no element object is made.  Every other file (a missing, stray or
-    other-kind label, or an element off the grid, as on a non-grid host)
-    loads as a dict of elements, for the verifier to report or to read by
-    lookup.  Each check runs over all entries at once; a rejected file is
-    read again to name the first bad entry, entry by entry only within
-    the first chunk of 1024 entries that holds a malformed one.
+    placed by the position pass (below).  Every other file (a missing,
+    stray or other-kind label, or an element off the grid, as on a non-grid
+    host) loads as a dict of elements, for the verifier to report or to
+    read by lookup.  Each check runs over all entries at once; a rejected
+    file is read again to name the first bad entry, entry by entry only
+    within the first chunk of 1024 entries that holds a malformed one.
 
 Family files::
 
@@ -54,11 +54,15 @@ The grid shorthand's [m, n] follows the vertex rule.  :func:`_keys` is
 that rule: one list comprehension reads a whole JSON list into plain
 keys, (i, j) or ((i, j), (p, q)) with the lower end first.  Only a list it
 rejects is read again, item by item, and that pass only names the first
-malformed item.  Members become sorted index
-tuples into the host's canonical element order
-(:class:`gridirr.covering.Members`) through ``host.index``, with no
-element object per occurrence.  A member naming an element outside the
-host keeps it: such a file loads as a family of member
+malformed item.  On an m-by-n grid the position pass,
+:func:`_positions`, maps a whole list by formula to positions in the
+grid's canonical element order, making no key and reading no index; it
+hands back, for the rule above, any list with an item off the grid or
+that :func:`_keys` rejects.  Members become sorted index tuples into
+that order (:class:`gridirr.covering.Members`), with no element object
+per occurrence: by the position pass on a {"grid": [m, n]} host, else
+through ``host.index``.  A member naming an element outside the host
+keeps it: such a file loads as a family of member
 :class:`~gridirr.grid.Graph` objects, and the covering check reports
 the element.
 
@@ -117,6 +121,32 @@ def _keys(items: list, edges: bool) -> Optional[list]:
     except (TypeError, ValueError):  # an item that does not unpack into coordinates
         return None
     return keys if len(keys) == len(items) else None
+
+
+def _positions(items: Any, edges: bool, m: int, n: int) -> Optional[list]:
+    """The position pass: each item's position in the m-by-n grid's
+    elements, inverting :meth:`Graph.element`; None hands back a non-list,
+    or a list with an item :func:`_keys` rejects or the grid lacks."""
+    if type(items) is not list:
+        return None
+    row, two_m, two_n = 2 * n - 1, 2 * m, 2 * n  # row: the edges from one grid row
+    first = m * n - row  # the edges from row i start at first + i * row
+    try:
+        if edges:  # horizontal from column (j + q - 1) / 2, vertical from row (i + p - 1) / 2
+            places = [
+                first + i * row + (j + q - 3 if i < m else j + q - 3 >> 1) if i == p
+                else first + (i + p - 1 >> 1) * row + (2 * j - 1 if j < n else row - 1)
+                for (i, j), (p, q) in items
+                if type(i) is type(j) is type(p) is type(q) is int
+                and (j - q in (1, -1) if i == p else j == q and i - p in (1, -1))
+                and 1 < i + p <= two_m and 1 < j + q <= two_n  # so adjacent ends lie on the grid
+            ]
+        else:
+            places = [i * n + j - n - 1 for i, j in items
+                      if type(i) is type(j) is int and 0 < i <= m and 0 < j <= n]
+    except (TypeError, ValueError):  # an item that does not unpack into coordinates
+        return None
+    return places if len(places) == len(items) else None
 
 
 def _why(item: Any, edges: bool) -> str:
@@ -193,16 +223,15 @@ def labeling_from_json_dict(data: Any) -> Labeling:
     entries = data["labels"]
     if not isinstance(entries, list):
         raise FormatError("'labels' must be a list of entries")
+    host = make_grid(GridSpec(m, n))
+    lo, hi = kind_range(kind, host)
+    if len(entries) == hi - lo:  # only then can they fill the slice
+        layout = _layout(entries, lo, hi, m, n)
+        if layout is not None:
+            return Labeling(kind=kind, k=k, labels=GridLabels(host, lo, layout), m=m, n=n)
     read = _entries(entries)
     if type(read) is tuple:
         keys, values = read
-        host = make_grid(GridSpec(m, n))
-        lo, hi = kind_range(kind, host)
-        if len(keys) == hi - lo:  # only then can the keys fill the slice
-            placed = dict(zip(map(host.index.get, keys), values))
-            layout = tuple(map(placed.get, range(lo, hi)))
-            if None not in layout:  # so each key has its own place in the slice
-                return Labeling(kind=kind, k=k, labels=GridLabels(host, lo, layout), m=m, n=n)
         labels = dict(zip(map(_element, keys), values))
         if len(labels) == len(keys):
             return Labeling(kind=kind, k=k, labels=labels, m=m, n=n)
@@ -221,6 +250,30 @@ def labeling_from_json_dict(data: Any) -> Labeling:
             raise FormatError(f"labels[{pos}]: duplicate element {element}")
         seen.add(key)
     raise FormatError(f"labels[{bad}]: {why}")
+
+
+def _layout(entries: list, lo: int, hi: int, m: int, n: int) -> Optional[tuple]:
+    """The labels of the entries in host order, ``layout[p]`` that of
+    position lo + p of the m-by-n grid, when each entry is well-formed and
+    the position pass places one at each of lo .. hi - 1; else None."""
+    try:
+        elements = [entry["element"] for entry in entries
+                    if type(entry) is dict and len(entry) == 2]
+        labels = [entry["label"] for entry in entries]
+        is_edge = ["e" in element for element in elements]
+        vertices = [element["v"] for element in compress(elements, map(not_, is_edge))]
+        edges = [element["e"] for element in compress(elements, is_edge)]
+    except (KeyError, TypeError):  # an entry or element of another shape
+        return None
+    if len(elements) < len(entries) or {*map(len, elements)} - {1} or {*map(type, labels)} - {int}:
+        return None
+    vertices, edges = _positions(vertices, False, m, n), _positions(edges, True, m, n)
+    if vertices is None or edges is None:
+        return None
+    placed = dict(zip(vertices, compress(labels, map(not_, is_edge))))
+    placed.update(zip(edges, compress(labels, is_edge)))
+    layout = tuple(map(placed.get, range(lo, hi)))
+    return None if None in layout else layout
 
 
 _ENTRY = "expected {'element': ..., 'label': ...}"
@@ -326,19 +379,27 @@ def family_from_json_dict(data: Any) -> CoverFamily:
     host = graph_from_json_dict(data["host"])
     if not isinstance(data["members"], list) or not data["members"]:
         raise FormatError("'members' must be a nonempty list")
-    index = host.index
+    grid = host.spec and (host.spec.m, host.spec.n)
     indices, outside = [], []
-    for pos, raw in enumerate(data["members"]):  # each list: one decode, then index
+    for pos, raw in enumerate(data["members"]):  # each list: placed by formula, or decoded
         if not isinstance(raw, dict) or "vertices" not in raw or "edges" not in raw:
             raise FormatError(f"members[{pos}]: expected 'vertices' and 'edges' lists")
         _no_other_fields(raw, ("vertices", "edges"), f"members[{pos}]")
-        vertices = _decode(raw["vertices"], False, f"members[{pos}].vertices")
-        edges = _decode(raw["edges"], True, f"members[{pos}].edges")
-        found = {*map(index.get, vertices), *map(index.get, edges)}
+        vertices, edges = raw["vertices"], raw["edges"]
+        found = grid and (_positions(vertices, False, *grid), _positions(edges, True, *grid))
         missing = []
-        if None in found:  # elements outside the host
-            found.discard(None)
-            missing = [_element(key) for key in (*vertices, *edges) if key not in index]
+        if found and None not in found:
+            found = found[0] + found[1]
+            if len({*found}) < len(found):  # an element named twice
+                found = {*found}
+        else:  # an explicit host, or a list the pass hands back
+            vertices = _decode(vertices, False, f"members[{pos}].vertices")
+            edges = _decode(edges, True, f"members[{pos}].edges")
+            index = host.index
+            found = {*map(index.get, vertices), *map(index.get, edges)}
+            if None in found:  # elements outside the host
+                found.discard(None)
+                missing = [_element(key) for key in (*vertices, *edges) if key not in index]
         indices.append(tuple(sorted(found)))
         outside.append(missing)
     members = Members(host, len(indices), indices.__getitem__)

@@ -255,3 +255,15 @@ def test_make_grid_makes_its_elements_when_first_read():
             for pos in (len(hand.elements), -len(hand.elements) - 1):
                 with pytest.raises(IndexError):
                     make_grid(spec).element(pos)
+
+
+def test_grids_with_a_spec_compare_their_specs():
+    grid, same, other = make_grid(GridSpec(4, 40)), make_grid(GridSpec(4, 40)), make_grid(GridSpec(40, 4))
+    assert grid == same and not grid != same
+    assert grid != other and grid != make_grid(GridSpec(4, 41))
+    for g in (grid, same, other):
+        assert "elements" not in g.__dict__ and vars(g) == {"spec": g.spec}
+    hand = _hand_built_grid(4, 40)  # sets compared, and hashed alike
+    assert grid == hand and hand == grid and hash(grid) == hash(hand) == hash(same)
+    assert hand != _hand_built_grid(4, 41) and grid != Graph(vertices=hand.vertices, edges=frozenset())
+    assert grid != (grid.vertices, grid.edges) and grid.__eq__(grid.spec) is NotImplemented

@@ -34,7 +34,7 @@ from gridirr import (
     weight_profile,
 )
 from gridirr.covering import Members
-from gridirr.io import dump_family, family_from_json_dict, load_family
+from gridirr.io import dump_family, family_from_json_dict, family_to_json_dict, load_family
 from strategies import hand_built_cases, scope_params
 
 
@@ -60,11 +60,18 @@ def assert_matches_reference(labeling, family, other_hosts=()):
         )
 
 
-def reloaded(family):
+def reloaded(family, swapped=False):
+    """The family through its file, each edge's ends swapped if asked."""
     buf = stdio.StringIO()
     dump_family(family, buf)
     buf.seek(0)
-    return load_family(buf)
+    if not swapped:
+        return load_family(buf)
+    data = json.load(buf)
+    for member in data["members"]:
+        for edge in member["edges"]:
+            edge.reverse()
+    return family_from_json_dict(data)
 
 
 def changed_labeling(labeling, change, rnd):
@@ -110,11 +117,12 @@ CHANGES = [
     st.sampled_from(["vertex", "edge", "total", "as_printed"]),
     st.sampled_from(GRID_SHAPES),
     st.booleans(),
+    st.booleans(),
     st.sampled_from(CHANGES),
     st.randoms(use_true_random=False),
 )
 def test_window_member_families_match_reference(
-    params, variant, shape, load, change, rnd
+    params, variant, shape, load, swapped, change, rnd
 ):
     m, c, n = params
     if variant == "as_printed":
@@ -136,8 +144,8 @@ def test_window_member_families_match_reference(
     elif shape == "borrowed_shorter":  # column n lies outside the host
         host = make_grid(GridSpec(m, n - 1))
     family = CoverFamily(host=host, members=tuple(members))
-    if load:
-        family = reloaded(family)
+    if load:  # on a grid host, through the position pass or its fallback
+        family = reloaded(family, swapped)
         assert family.members == tuple(members)
     other_hosts = (
         make_grid(GridSpec(m, n)),  # equal to the grid, not the same object
@@ -167,6 +175,30 @@ def test_make_grid_orders_elements_by_formula():
             (e if isinstance(e, Vertex) else (e.a, e.b)): pos
             for pos, e in enumerate(plain.elements)
         }
+
+
+ACCEPTANCE = [(m, c, n) for m in range(2, 5) for c in range(m, 7) for n in range(c, 41)]
+
+
+def test_window_family_files_of_the_acceptance_range_load_by_position():
+    """Every window family of the acceptance range loads, as written,
+    reversed and with each edge's ends swapped, into the window's index
+    tuples, and its grid host's index is never made."""
+    for m, c, n in ACCEPTANCE:
+        window = enumerate_windows(make_grid(GridSpec(m, n)), c)
+        data = family_to_json_dict(window)
+        swapped = json.loads(json.dumps(data))
+        for member in swapped["members"]:
+            for edge in member["edges"]:
+                edge.reverse()
+        for members, expected in (
+            (data["members"], window.indices),
+            (data["members"][::-1], window.indices[::-1]),
+            (swapped["members"], window.indices),
+        ):
+            family = family_from_json_dict({**data, "members": members})
+            assert family.indices == expected, (m, c, n)
+            assert isinstance(family.members, Members) and "index" not in vars(family.host)
 
 
 def test_loaded_members_are_indexed_and_read_as_subgraphs():

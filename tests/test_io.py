@@ -27,6 +27,8 @@ from gridirr import (
 )
 from gridirr.io import (
     _decode,
+    _keys,
+    _positions,
     dot_export,
     dump_family,
     dump_labeling,
@@ -520,3 +522,65 @@ def test_a_list_decodes_as_the_reference_reads_it_item_by_item(edges, data):
     assert got == expected
     if got[0] == "ok":
         assert {type(key) for key in got[1]} <= {tuple}
+
+
+@settings(max_examples=500)
+@given(st.integers(1, 6), st.integers(1, 6), st.booleans(), st.data())
+def test_the_position_pass_places_items_as_the_host_index_does(m, n, edges, data):
+    """On the m-by-n grid, the position pass gives a list of vertices, or
+    of edges (adjacent or not, ends in either order), on and off the grid
+    and with at most one arbitrary value, the positions the grid's index
+    gives the keys :func:`_keys` reads; it hands back only a list with an
+    item that ``_keys`` rejects or that the index lacks."""
+    grid = make_grid(GridSpec(m, n))
+    split = grid.counts[0]
+    pool = grid.elements[split:] if edges else grid.elements[:split]
+    chosen = data.draw(st.lists(st.sampled_from(pool), max_size=12)) if pool else []
+    coordinate = lambda top: st.one_of(st.integers(1, top), st.sampled_from([0, top + 1, True]))
+    end = st.tuples(coordinate(m), coordinate(n))  # on the grid, beside it, or 1 as a bool
+    if edges:  # grid edges, ends in either order; or two ends a step apart
+        items = [[list(e.a), list(e.b)][:: data.draw(st.sampled_from([1, -1]))] for e in chosen]
+        steps = st.sampled_from([(0, 1), (1, 0), (0, -1), (-1, 0), (1, 1), (1, -1), (0, 2), (0, 0)])
+        odd = st.builds(
+            lambda a, d, order: [list(a), [a[0] + d[0], a[1] + d[1]]][::order],
+            end, steps, st.sampled_from([1, -1]),
+        )
+    else:
+        items = [list(v) for v in chosen]
+        odd = end.map(list)
+    extra = data.draw(st.sampled_from([None, odd, odd, JSON_VALUES]))
+    if extra is not None:
+        items.insert(data.draw(st.integers(0, len(items))), data.draw(extra))
+    index = grid.index
+    keys = _keys(items, edges)
+    places = _positions(items, edges, m, n)
+    if places is None:
+        assert keys is None or None in map(index.get, keys)
+    else:
+        assert keys is not None and places == list(map(index.get, keys))
+    assert _positions(tuple(items), edges, m, n) is None  # a list or nothing
+
+
+def test_the_position_pass_places_every_item_of_a_small_grid_as_the_host_index_does():
+    """Every vertex, and every pair of ends, with coordinates on an m-by-n
+    grid (m, n <= 4), beside it or a bool, alone in a list."""
+    for m in range(1, 5):
+        for n in range(1, 5):
+            index = make_grid(GridSpec(m, n)).index
+            ends = [[i, j] for i in (*range(m + 2), True, False) for j in (*range(n + 2), True, False)]
+            for edges, items in ((False, ends), (True, [[a, b] for a in ends for b in ends])):
+                for item in items:
+                    keys = _keys([item], edges)
+                    places = [index.get(keys[0])] if keys else None
+                    assert _positions([item], edges, m, n) == (None if places == [None] else places)
+
+
+def test_constructed_labelings_load_without_the_host_index():
+    """A constructed labeling file loads by position: its grid's index is
+    never made (window family files: test_indexed_families)."""
+    for m, c, n in ((2, 2, 5), (4, 6, 40)):
+        for kind in LabelingKind:
+            labeling = construct_for_kind(kind, m, n, c)
+            loaded = labeling_from_json_dict(json.loads(json.dumps(labeling_to_json_dict(labeling))))
+            assert type(loaded.labels) is GridLabels and loaded.labels.layout == labeling.labels.layout
+            assert "index" not in vars(loaded.labels.host)
