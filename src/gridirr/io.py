@@ -21,15 +21,14 @@ Labeling files::
     stray labels are the verifier's to report.
 
     A file whose entries label exactly the elements its kind weighs on the
-    m-by-n grid, each once, loads into host order: one label tuple over
-    :func:`gridirr.grid.make_grid`'s elements, held by
+    m-by-n grid, each once, loads in one pass into host order: one label
+    tuple over :func:`gridirr.grid.make_grid`'s elements, held by
     :class:`gridirr.construct.GridLabels`, as a constructed labeling is,
-    placed by the position pass (below).  Every other file (a missing,
+    placed by the position pass (below).  Any other file (a missing,
     stray or other-kind label, or an element off the grid, as on a non-grid
-    host) loads as a dict of elements, for the verifier to report or to
-    read by lookup.  Each check runs over all entries at once; a rejected
-    file is read again to name the first bad entry, entry by entry only
-    within the first chunk of 1024 entries that holds a malformed one.
+    host) is read entry by entry into a dict of elements, for the verifier
+    to report or to read by lookup; the read stops at the first malformed
+    or repeated entry, and names it.
 
 Family files::
 
@@ -73,8 +72,8 @@ DOT output is export-only (never parsed back): element labels become
 from __future__ import annotations
 
 import json
-from itertools import compress, repeat
-from operator import getitem, itemgetter, not_
+from itertools import compress
+from operator import not_
 from typing import Any, IO, Optional, Union
 
 from .construct import GridLabels, Labeling, LabelingKind
@@ -229,27 +228,16 @@ def labeling_from_json_dict(data: Any) -> Labeling:
         layout = _layout(entries, lo, hi, m, n)
         if layout is not None:
             return Labeling(kind=kind, k=k, labels=GridLabels(host, lo, layout), m=m, n=n)
-    read = _entries(entries)
-    if type(read) is tuple:
-        keys, values = read
-        labels = dict(zip(map(_element, keys), values))
-        if len(labels) == len(keys):
-            return Labeling(kind=kind, k=k, labels=labels, m=m, n=n)
-    # name the first malformed entry, read in chunks, then one by one, or an earlier repeat
-    bad, why = len(entries), None
-    if type(read) is str:
-        start = next(at for at in range(0, len(entries), 1024)
-                     if type(_entries(entries[at : at + 1024])) is str)
-        chunk = zip(entries[start : start + 1024])  # each entry as a list of one
-        bad, why = next((pos, one) for pos, one in enumerate(map(_entries, chunk), start)
-                        if type(one) is str)
-    seen = set()
-    for pos, key in enumerate(_entries(entries[:bad])[0]):
-        if key in seen:
-            element = format_element(_element(key))
-            raise FormatError(f"labels[{pos}]: duplicate element {element}")
-        seen.add(key)
-    raise FormatError(f"labels[{bad}]: {why}")
+    labels = {}
+    for pos, entry in enumerate(entries):  # to the first malformed or repeated entry
+        read = _entry(entry)
+        if type(read) is str:
+            raise FormatError(f"labels[{pos}]: {read}")
+        element, label = read
+        if element in labels:
+            raise FormatError(f"labels[{pos}]: duplicate element {format_element(element)}")
+        labels[element] = label
+    return Labeling(kind=kind, k=k, labels=labels, m=m, n=n)
 
 
 def _layout(entries: list, lo: int, hi: int, m: int, n: int) -> Optional[tuple]:
@@ -276,38 +264,24 @@ def _layout(entries: list, lo: int, hi: int, m: int, n: int) -> Optional[tuple]:
     return None if None in layout else layout
 
 
-_ENTRY = "expected {'element': ..., 'label': ...}"
-_ELEMENT = "element must be {'v': [i, j]} or {'e': [[i, j], [i, j]]}"
-
-
-def _entries(entries: list) -> Union[tuple[list, list], str]:
-    """The keys (see :func:`_keys`) and labels of the label entries, in
-    order, or a reason why one is malformed: for a list of one entry, that
-    entry's reason.  Each check runs over all entries at once."""
-    if not all(map(isinstance, entries, repeat(dict))) or {*map(len, entries)} - {2}:
-        return _ENTRY
-    try:
-        elements = list(map(itemgetter("element"), entries))
-        labels = list(map(itemgetter("label"), entries))
-    except KeyError:
-        return _ENTRY
-    if not all(map(isinstance, elements, repeat(dict))) or {*map(len, elements)} - {1}:
-        return _ELEMENT
-    tags = list(map(next, map(iter, elements)))
-    if {*tags} - {"v", "e"}:
-        return f"unknown element tag {next(tag for tag in tags if tag not in ('v', 'e'))!r}"
-    is_edge = list(map("e".__eq__, tags))
-    payloads = list(map(getitem, elements, tags))
-    vertices = _keys(list(compress(payloads, map(not_, is_edge))), False)
-    edges = _keys(list(compress(payloads, is_edge)), True)
-    if vertices is None or edges is None:  # the first malformed payload, in entry order
-        return next(_why(p, e) for p, e in zip(payloads, is_edge) if _keys([p], e) is None)
-    keys = list(map(next, map((iter(vertices), iter(edges)).__getitem__, is_edge)))
-    if {*map(type, labels)} - {int}:
-        for label in labels:
-            if not isinstance(label, int) or isinstance(label, bool):
-                return f"label must be an integer, got {label!r}"
-    return keys, labels
+def _entry(entry: Any) -> Union[tuple[Element, int], str]:
+    """The element and label of one label entry, or why it is malformed:
+    its shape, its element's shape, tag and coordinates (:func:`_keys`),
+    then its label, checked in that order."""
+    if not isinstance(entry, dict) or entry.keys() != {"element", "label"}:
+        return "expected {'element': ..., 'label': ...}"
+    element, label = entry["element"], entry["label"]
+    if not isinstance(element, dict) or len(element) != 1:
+        return "element must be {'v': [i, j]} or {'e': [[i, j], [i, j]]}"
+    ((tag, payload),) = element.items()
+    if tag not in ("v", "e"):
+        return f"unknown element tag {tag!r}"
+    keys = _keys([payload], tag == "e")
+    if keys is None:
+        return _why(payload, tag == "e")
+    if not isinstance(label, int) or isinstance(label, bool):
+        return f"label must be an integer, got {label!r}"
+    return _element(keys[0]), label
 
 
 def dump_labeling(labeling: Labeling, fp: IO[str]) -> None:

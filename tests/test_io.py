@@ -1,10 +1,11 @@
 import io as stdio
 import json
 import random
-from itertools import cycle
+from enum import IntEnum
+from itertools import cycle, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference
 from gridirr import (
@@ -390,13 +391,15 @@ def test_a_bad_entry_deep_in_a_file_is_named_as_the_reference_names_it():
     data = labeling_to_json_dict(construct_total_labeling(4, 400, 6))
     entries = data["labels"]
     assert len(entries) > 4 * 1024
-    for bad in (0, 1023, 1024, 3000, len(entries) - 1):
-        for repeat in (None, 1, 1500, 2999):
-            changed = entries[:]
-            changed[bad] = {**entries[bad], "label": "x"}
-            if repeat is not None:
-                changed.insert(repeat, entries[0])
-            assert load_both({**data, "labels": changed}).startswith("labels[")
+    bads = (0, 1023, 1024, 3000, len(entries) - 1)
+    for bad, repeat, short in product(bads, (None, 1, 1500, 2999), (False, True)):
+        changed = entries[:]
+        changed[bad] = {**entries[bad], "label": "x"}
+        if short and bad:  # one entry deleted before the bad one: the file cannot fill its slice
+            del changed[bad // 2]
+        if repeat is not None:
+            changed.insert(repeat, entries[0])
+        assert load_both({**data, "labels": changed}).startswith("labels[")
 
 
 @settings(max_examples=100, deadline=None)
@@ -450,6 +453,7 @@ ENTRIES = st.one_of(
 
 @settings(max_examples=300)
 @given(JSON_VALUES, st.lists(ENTRIES, max_size=4))
+@example([1, 1], [ONE_ROW_ENTRIES[0], {"element": {"v": [1, 2]}, "label": IntEnum("L", "ONE TWO").TWO}])
 def test_every_site_decodes_as_the_reference(value, entries):
     """Labels, member lists, explicit hosts and the grid shorthand accept
     the element the reference reads, or raise its error text; a list of
