@@ -30,7 +30,6 @@ from .covering import (
     CoveringCheck,
     enumerate_windows,
     is_edge_covering,
-    window_subgraph,
 )
 from .errors import (
     FormatError,
@@ -57,7 +56,6 @@ from .grid import (
 )
 from .report import StrengthReport, strength_report
 from .search import (
-    DEFAULT_MAX_ELEMENTS,
     SearchResult,
     family_lower_bound,
     min_strength,
@@ -76,7 +74,6 @@ __all__ = [
     "BoundReport",
     "CoverFamily",
     "CoveringCheck",
-    "DEFAULT_MAX_ELEMENTS",
     "Edge",
     "Element",
     "FormatError",
@@ -123,7 +120,6 @@ __all__ = [
     "verify_irregular",
     "weight_profile",
     "window_denominator",
-    "window_subgraph",
 ]
 
 __version__ = "0.1.0"

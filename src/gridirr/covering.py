@@ -46,7 +46,6 @@ from .grid import (
     format_element,
     grid_dims,
     make_grid,
-    require_positive,
     require_window_scope,
     window_positions,
 )
@@ -128,13 +127,13 @@ class CoverFamily:
 
     @property
     def window(self) -> Optional[tuple[int, int, int]]:
-        """(m, c, n) when this is the width-c window family of its own
-        :func:`make_grid` host, else None (an explicit family)."""
-        members, spec = self.members, self.host.spec
-        window = members.window if isinstance(members, Members) else None
-        if window is None or spec is None or (spec.m, spec.n) != window[::2]:
-            return None  # window[::2] is (m, n)
-        return window
+        """(m, c, n) when the members are the width-c windows that
+        :func:`enumerate_windows` made over this very host, else None (an
+        explicit family, also when the members are lent to an equal grid)."""
+        members = self.members
+        if isinstance(members, Members) and members.host is self.host:
+            return members.window
+        return None
 
     @cached_property
     def indices(self) -> tuple[tuple[int, ...], ...]:
@@ -168,19 +167,6 @@ def index_members(
             )
         out.append(tuple(sorted(found)))
     return tuple(out)
-
-
-def window_subgraph(m: int, c: int, l: int) -> Graph:
-    """The window spanning columns l .. l+c-1 of an m-row grid.
-
-    Contains all m*c vertices in those columns, the vertical edges of every
-    covered column, and the horizontal edges between consecutive covered
-    columns: 2mc - m - c edges in total.
-    """
-    require_positive(m=m, c=c, l=l)
-    n = l + c - 1  # the narrowest grid holding the window
-    host = make_grid(GridSpec(m, n))
-    return Members(host, 1, lambda _: window_positions(m, c, n, l))[0]
 
 
 def enumerate_windows(grid: Graph, c: int) -> CoverFamily:

@@ -165,10 +165,8 @@ class Graph:
     @cached_property
     def index(self) -> dict:
         """Element -> index in :attr:`elements`.  Elements equal their plain
-        coordinates, so those look up without building elements; a grid with
-        a spec is indexed by those keys and makes no element."""
-        keys = self.elements if self.spec is None else _grid_order(self.spec, tuple, zip)
-        return dict(zip(keys, count()))
+        coordinates, so those look up too."""
+        return dict(zip(self.elements, count()))
 
     @cached_property
     def counts(self) -> tuple[int, int]:

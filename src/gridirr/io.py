@@ -313,7 +313,8 @@ def elements_to_json_dict(graph: Graph) -> dict[str, Any]:
     }
 
 
-def graph_from_json_dict(data: Any, where: str = "host") -> Graph:
+def graph_from_json_dict(data: Any) -> Graph:
+    where = "host"
     if not isinstance(data, dict):
         raise FormatError(f"{where}: expected a JSON object")
     if "grid" in data:

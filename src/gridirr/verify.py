@@ -169,12 +169,13 @@ def require_no_stray_labels(labeling: Labeling, host: Graph) -> list:
     :class:`StrayLabelError` naming the least element labeled but not weighed."""
     values = _label_layout(labeling, host)
     lo, hi = kind_range(labeling.kind, host)
-    if len(labeling.labels) + values.count(None) > hi - lo:
-        stray = min(labeling.labels.keys() - host.elements[lo:hi], key=canonical_order)
-        raise StrayLabelError(
-            f"label on {format_element(stray)}, which "
-            f"{_with_article(labeling.kind)} labeling of this host does not weigh"
-        )
+    if len(labeling.labels) + values.count(None) > hi - lo:  # a layout may hold None
+        stray = labeling.labels.keys() - host.elements[lo:hi]
+        if stray:
+            raise StrayLabelError(
+                f"label on {format_element(min(stray, key=canonical_order))}, which "
+                f"{_with_article(labeling.kind)} labeling of this host does not weigh"
+            )
     return values
 
 

@@ -1,5 +1,3 @@
-import re
-
 import pytest
 from hypothesis import given
 
@@ -8,14 +6,12 @@ from gridirr import (
     CoverFamily,
     Graph,
     GridSpec,
-    InvalidParameterError,
     MalformedFamilyError,
     ScopeError,
     Vertex,
     enumerate_windows,
     is_edge_covering,
     make_grid,
-    window_subgraph,
 )
 from strategies import scope_params
 
@@ -80,31 +76,6 @@ def test_consecutive_windows_overlap(params):
     fam = enumerate_windows(make_grid(GridSpec(m, n)), c)
     for first, second in zip(fam.members, fam.members[1:]):
         assert len(first.vertices & second.vertices) == m * (c - 1)
-
-
-@pytest.mark.parametrize("m", range(1, 6))
-@pytest.mark.parametrize("c", range(1, 6))
-def test_window_subgraph_matches_the_reference(m, c):
-    # every shape, in the window scope or not (m = 1, c < m)
-    for l in range(1, 5):
-        assert window_subgraph(m, c, l) == reference.window_subgraph(m, c, l)
-
-
-@pytest.mark.parametrize(
-    "args, message",
-    [
-        ((2, 3, 0), "l must be >= 1, got 0"),
-        ((2, 3, -1), "l must be >= 1, got -1"),
-        ((2, 0, 5), "c must be >= 1, got 0"),
-        ((0, 2, 1), "m must be >= 1, got 0"),
-        ((2, 2, True), "l must be an integer, got True"),
-        ((2, 2.0, 1), "c must be an integer, got 2.0"),
-        ((None, 2, 1), "m must be an integer, got None"),
-    ],
-)
-def test_window_subgraph_rejects_bad_arguments(args, message):
-    with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
-        window_subgraph(*args)
 
 
 def test_enumeration_is_deterministic():

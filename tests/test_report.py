@@ -154,11 +154,9 @@ def test_verify_accepts_a_file_without_making_an_element(made, tmp_path, capsys,
         assert f"label {labeling.k + 1} at (3,11)-(3,12) outside" in capsys.readouterr().err
 
 
-def test_a_grid_index_holds_plain_keys(made):
+def test_a_grid_index_maps_elements_and_plain_keys_to_positions():
     for m, n in {(m, n) for m in range(2, 5) for n in range(m, 41)}:  # the acceptance grids
         index = make_grid(GridSpec(m, n)).index
-        assert made == []
-        assert {type(key) for key in index} == {tuple}
-        assert {type(end) for key in index for end in key} <= {int, tuple}
         assert index == {e: pos for pos, e in enumerate(make_grid(GridSpec(m, n)).elements)}
-        made.clear()
+        assert index[(1, 1)] == 0
+        assert index[((1, 1), (1, 2))] == m * n  # the first edge

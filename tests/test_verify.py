@@ -30,6 +30,8 @@ from gridirr import (
     weight_profile,
     window_denominator,
 )
+from gridirr.construct import GridLabels
+from gridirr.verify import kind_range
 from strategies import scope_params
 
 A_KIND = {LabelingKind.VERTEX: "a vertex", LabelingKind.EDGE: "an edge", LabelingKind.TOTAL: "a total"}
@@ -211,10 +213,14 @@ def test_incomplete_labeling_names_the_element_and_the_kind(kind):
     lab = construct_for_kind(kind, 2, 3, 2)
     missing = Edge(Vertex(1, 2), Vertex(2, 2)) if kind is LabelingKind.EDGE else Vertex(1, 2)
     labels = {e: label for e, label in lab.labels.items() if e != missing}
-    partial = Labeling(kind=kind, k=lab.k, labels=labels, m=2, n=3)
+    # the same gap in a host-order layout, as None
+    host, lo = make_grid(GridSpec(2, 3)), kind_range(kind, fam.host)[0]
+    layout = tuple(None if e == missing else label for e, label in lab.labels.items())
     message = f"no label for {format_element(missing)} required by {A_KIND[kind]} labeling"
-    with pytest.raises(IncompleteLabelingError, match=f"^{re.escape(message)}$"):
-        verify_irregular(partial, fam)
+    for labels in (labels, GridLabels(host, lo, layout)):
+        partial = Labeling(kind=kind, k=lab.k, labels=labels, m=2, n=3)
+        with pytest.raises(IncompleteLabelingError, match=f"^{re.escape(message)}$"):
+            verify_irregular(partial, fam)
 
 
 def test_non_covering_family_is_malformed():

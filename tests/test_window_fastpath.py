@@ -188,6 +188,11 @@ def test_covering_is_checked_generically_against_another_host():
     )
     with pytest.raises(MalformedFamilyError, match="not in the host"):
         is_edge_covering(make_grid(GridSpec(2, 4)), family)
+    # window members lent to the equal grid are weighed by index
+    lent = CoverFamily(host=other, members=family.members)
+    assert family.window == (2, 2, 5)
+    for kind in LabelingKind:
+        assert_same_results(construct_for_kind(kind, 2, 5, 2), family, lent)
 
 
 @pytest.fixture
