@@ -31,12 +31,12 @@ for l, member in enumerate(family.members, start=1):
     print(f"  window {l}: columns {cols[0]}..{cols[-1]}, "
           f"{len(member.vertices)} vertices, {len(member.edges)} edges")
 
-check = is_edge_covering(grid, family)
+check = is_edge_covering(family)
 print(f"edge covering: {check.covers}")
 
 # drop the last window and the covering breaks in column n
 truncated = CoverFamily(host=grid, members=family.members[:-1])
-check = is_edge_covering(grid, truncated)
+check = is_edge_covering(truncated)
 print(f"without window {family.t}: covers={check.covers}, "
       f"first uncovered edge = {format_element(check.uncovered[0])}")
 

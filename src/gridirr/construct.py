@@ -62,7 +62,9 @@ class TotalVariant(enum.Enum):
 class GridLabels(Mapping):
     """Read-only labels in host order: ``layout[p]`` labels
     ``host.elements[lo + p]``.  The keys, in canonical order, are made
-    only when a caller first reads one."""
+    only when a caller first reads one.  The layout holds ints: the
+    constructors, the oracle and the loader make it so, and the verifier
+    reads it without a type check."""
 
     def __init__(self, host: Graph, lo: int, layout: tuple[int, ...]) -> None:
         self.host, self.lo, self.layout = host, lo, layout

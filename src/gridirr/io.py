@@ -58,12 +58,12 @@ malformed item.  On an m-by-n grid the position pass,
 grid's canonical element order, making no key and reading no index; it
 hands back, for the rule above, any list with an item off the grid or
 that :func:`_keys` rejects.  Members become sorted index tuples into
-that order (:class:`gridirr.covering.Members`), with no element object
-per occurrence: by the position pass on a {"grid": [m, n]} host, else
-through ``host.index``.  A member naming an element outside the host
-keeps it: such a file loads as a family of member
-:class:`~gridirr.grid.Graph` objects, and the covering check reports
-the element.
+that order (:attr:`gridirr.covering.CoverFamily.indices`), with no
+element object per occurrence: by the position pass on a {"grid": [m, n]}
+host, else through ``host.index``.  A file naming an element outside the
+host is rejected once every member has decoded, so a malformed item in a
+later member is named first: the error names the first such member and,
+in it, the least such vertex, or else the least such edge.
 
 DOT output is export-only (never parsed back): element labels become
 ``label`` attributes; anything else rides in comments.
@@ -77,7 +77,7 @@ from operator import not_
 from typing import Any, IO, Optional, Union
 
 from .construct import GridLabels, Labeling, LabelingKind
-from .covering import CoverFamily, Members
+from .covering import CoverFamily, _outside_the_host
 from .errors import FormatError
 from .grid import (
     Edge,
@@ -355,14 +355,13 @@ def family_from_json_dict(data: Any) -> CoverFamily:
     if not isinstance(data["members"], list) or not data["members"]:
         raise FormatError("'members' must be a nonempty list")
     grid = host.spec and (host.spec.m, host.spec.n)
-    indices, outside = [], []
+    indices, outside = [], None
     for pos, raw in enumerate(data["members"]):  # each list: placed by formula, or decoded
         if not isinstance(raw, dict) or "vertices" not in raw or "edges" not in raw:
             raise FormatError(f"members[{pos}]: expected 'vertices' and 'edges' lists")
         _no_other_fields(raw, ("vertices", "edges"), f"members[{pos}]")
         vertices, edges = raw["vertices"], raw["edges"]
         found = grid and (_positions(vertices, False, *grid), _positions(edges, True, *grid))
-        missing = []
         if found and None not in found:
             found = found[0] + found[1]
             if len({*found}) < len(found):  # an element named twice
@@ -372,21 +371,14 @@ def family_from_json_dict(data: Any) -> CoverFamily:
             edges = _decode(edges, True, f"members[{pos}].edges")
             index = host.index
             found = {*map(index.get, vertices), *map(index.get, edges)}
-            if None in found:  # elements outside the host
-                found.discard(None)
-                missing = [_element(key) for key in (*vertices, *edges) if key not in index]
+            if None in found and outside is None:  # named once every member decodes
+                keys = [key for key in (*vertices, *edges) if key not in index]
+                outside = _outside_the_host(pos + 1, map(_element, keys))
+            found.discard(None)
         indices.append(tuple(sorted(found)))
-        outside.append(missing)
-    members = Members(host, len(indices), indices.__getitem__)
-    if any(outside):  # kept, for the covering check to name
-        members = tuple(
-            Graph(
-                vertices=m.vertices.union(e for e in extra if isinstance(e, Vertex)),
-                edges=m.edges.union(e for e in extra if isinstance(e, Edge)),
-            )
-            for m, extra in zip(members, outside)
-        )
-    return CoverFamily(host=host, members=members)
+    if outside is not None:
+        raise outside
+    return CoverFamily._from_indices(host, indices)
 
 
 def dump_family(family: CoverFamily, fp: IO[str]) -> None:

@@ -18,7 +18,7 @@ The search runs on integer tables made in one pass over the member
 index tuples (:func:`_prepare`), with no element object and no member
 graph.  A position is an index into the host's elements, shifted to the
 kind's range (:func:`gridirr.verify.kind_range`); a member is its sorted
-index tuple (:func:`gridirr.covering.member_indices`) cut to that range.
+index tuple (:attr:`gridirr.covering.CoverFamily.indices`) cut to that range.
 The walk keeps a label per position and, per member, a weight and a
 count of unlabeled positions; its witness is that label vector, held as
 the constructors hold theirs (:class:`gridirr.construct.GridLabels`).
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .construct import GridLabels, Labeling, LabelingKind
-from .covering import CoverFamily, member_indices, require_covering
+from .covering import CoverFamily, require_covering
 from .errors import InvalidParameterError, ResourceLimitError
 from .grid import Graph, grid_dims, require_positive
 from .verify import kind_range, verify_irregular
@@ -80,19 +80,19 @@ def _check_size(count: int, max_elements: Optional[int]) -> None:
         )
 
 
-def _prepare(host: Graph, family: CoverFamily, kind: LabelingKind) -> tuple:
+def _prepare(family: CoverFamily, kind: LabelingKind) -> tuple:
     """Integer tables of one instance, shared by every budget k:
     (touch, counts).
 
-    Position p stands for ``host.elements[lo + p]``, in the kind's slice
+    Position p stands for ``family.host.elements[lo + p]``, in the kind's slice
     ``lo:hi`` (:func:`gridirr.verify.kind_range`).  ``touch[p]`` holds the
     members containing it, in member order.  ``counts[mi]`` is how many
     elements of the kind member mi has.
     """
-    lo, hi = kind_range(kind, host)
+    lo, hi = kind_range(kind, family.host)
     touch = [[] for _ in range(hi - lo)]
     counts = []
-    for mi, member in enumerate(member_indices(host, family)):
+    for mi, member in enumerate(family.indices):
         positions = member[bisect_left(member, lo) : bisect_left(member, hi)]
         counts.append(len(positions))
         for pos in positions:
@@ -156,12 +156,11 @@ def _search(tables: tuple, k: int) -> tuple[Optional[list[int]], int]:
 def family_lower_bound(kind: LabelingKind, family: CoverFamily) -> int:
     """Least budget passing the root check, for arbitrary families: the
     default start of :func:`min_strength`, from :func:`_prepare`'s member
-    element counts on the family's own host.  Never below counting's
-    (d_min + t - 1) / d_max; with equal-sized members it is exactly the
-    :func:`gridirr.bounds.lower_bound` value.  A member with an element
-    outside the host raises :class:`MalformedFamilyError`.
+    element counts.  Never below counting's (d_min + t - 1) / d_max; with
+    equal-sized members it is exactly the :func:`gridirr.bounds.lower_bound`
+    value.
     """
-    return _root_bound(_prepare(family.host, family, kind)[1])
+    return _root_bound(_prepare(family, kind)[1])
 
 
 def min_strength(
@@ -174,10 +173,12 @@ def min_strength(
 ) -> SearchResult:
     """Exact minimum budget admitting an irregular labeling, up to k_max.
 
-    Budgets below :func:`family_lower_bound` fail the root check and are
-    skipped; an explicit ``start_k`` searches them anyway, at no node
-    each.  A ``start_k`` above ``k_max`` leaves nothing to search and is
-    rejected, so that None keeps meaning "searched and infeasible".
+    ``host`` must be the family's own host or equal to it, else
+    :class:`InvalidParameterError` is raised.  Budgets below
+    :func:`family_lower_bound` fail the root check and are skipped; an
+    explicit ``start_k`` searches them anyway, at no node each.  A
+    ``start_k`` above ``k_max`` leaves nothing to search and is rejected,
+    so that None keeps meaning "searched and infeasible".
     """
     require_positive(**{"budget cap": k_max})
     for what, value in (("start budget", start_k), ("element cap", max_elements)):
@@ -187,10 +188,13 @@ def min_strength(
         raise InvalidParameterError(
             f"start budget {start_k} is above the budget cap {k_max}"
         )
-    require_covering(host, family)
+    if host is not family.host and host != family.host:
+        raise InvalidParameterError("host must be the family's own host")
+    host = family.host
+    require_covering(family)
     lo, hi = kind_range(kind, host)
     _check_size(hi - lo, max_elements)
-    tables = _prepare(host, family, kind)
+    tables = _prepare(family, kind)
     start = _root_bound(tables[1]) if start_k is None else start_k
     total_nodes = 0
     for k in range(start, k_max + 1):

@@ -20,12 +20,11 @@ up element by element.  The verdict's range violation and weights both
 come from the layout, by position: only the element a range violation
 names is made.  A label the layout leaves out is stray (see
 :func:`verify_irregular`), and :func:`weight_profile` ignores it.  A window
-family over its own :func:`gridirr.grid.make_grid` host (see
-:attr:`gridirr.covering.CoverFamily.window`) is weighed from column sums
-(vertex and vertical-edge labels) and gap sums (horizontal-edge labels),
-taken from slices of the layout (:func:`gridirr.grid.column_slices`); a
-window's weight is then c consecutive column sums and the c - 1 gap sums
-between them.  Every other family is weighed by index: each member sums
+family (see :attr:`gridirr.covering.CoverFamily.window`) is weighed
+from column sums (vertex and vertical-edge labels) and gap sums
+(horizontal-edge labels), taken from slices of the layout
+(:func:`gridirr.grid.column_slices`); a window's weight is then c
+consecutive column sums and the c - 1 gap sums between them.  Every other family is weighed by index: each member sums
 its index tuple (:attr:`gridirr.covering.CoverFamily.indices`).
 """
 
@@ -106,10 +105,9 @@ def weight_profile(labeling: Labeling, family: CoverFamily) -> WeightProfile:
 
     Raises :class:`IncompleteLabelingError` naming the first element, in
     member order and then canonical order, that the kind weighs and the
-    labeling leaves unlabeled, :class:`MalformedFamilyError` for a member
-    with an element outside the host, and :class:`InvalidParameterError`
-    for the first, in host order, whose label is not an int (a labeling
-    read by lookup; a layout holds ints).  Stray labels are ignored.
+    labeling leaves unlabeled, and :class:`InvalidParameterError` for the
+    first, in host order, whose label is not an int (a labeling read by
+    lookup; a layout holds ints).  Stray labels are ignored.
     """
     return _profile(_label_layout(labeling, family.host), labeling.kind, family)
 
@@ -220,7 +218,7 @@ def verify_irregular(labeling: Labeling, family: CoverFamily) -> Verdict:
     and a k or weighed label that is not an int :class:`InvalidParameterError`.
     """
     host = family.host
-    require_covering(host, family)
+    require_covering(family)
     values = require_no_stray_labels(labeling, host)
     lo, hi = kind_range(labeling.kind, host)
     k = labeling.k

@@ -58,7 +58,6 @@ from gridirr import (
     format_element,
     require_window_scope,
 )
-from gridirr.covering import member_indices
 from gridirr.grid import canonical_order, grid_dims
 from gridirr.verify import kind_range
 
@@ -88,7 +87,7 @@ def _tables(host, family, kind):
     elements = host.elements[lo:hi]
     touch, finish = [[] for _ in elements], [[] for _ in elements]
     counts = []
-    for mi, member in enumerate(member_indices(host, family)):
+    for mi, member in enumerate(family.indices):
         positions = member[bisect_left(member, lo) : bisect_left(member, hi)]
         counts.append(len(positions))
         for pos in positions:
@@ -186,12 +185,12 @@ def outside_host_error(host, family_members):
     return None
 
 
-def is_edge_covering(host, family):
-    error = outside_host_error(host, family.members)
+def is_edge_covering(host, members):
+    error = outside_host_error(host, members)
     if error is not None:
         raise error
     covered = set()
-    for member in family.members:
+    for member in members:
         covered.update(member.edges)
     uncovered = tuple(sorted(host.edges - covered))
     return CoveringCheck(covers=not uncovered, uncovered=uncovered)
@@ -256,7 +255,7 @@ def stray_label_error(labeling, host):
 
 
 def verify_irregular(labeling, family):
-    check = is_edge_covering(family.host, family)
+    check = is_edge_covering(family.host, family.members)
     if not check.covers:
         raise MalformedFamilyError(
             f"family does not cover the host: edge "

@@ -4,7 +4,6 @@ labeled families on hand-built one-row hosts."""
 from hypothesis import strategies as st
 
 from gridirr import (
-    CoverFamily,
     Edge,
     Graph,
     Labeling,
@@ -25,7 +24,10 @@ def scope_params(draw, max_m=4, max_c=6, max_n=12):
 @st.composite
 def hand_built_cases(draw):
     """A one-row host with arbitrary edges, members drawn from its elements
-    and a few outside it, and labels on some elements of each kind."""
+    and a few outside it, and labels on some elements of each kind:
+    (labeling, host, members, wider), where ``wider`` holds every element
+    drawn.  The members are graphs, not a family: on ``host`` an outside
+    member makes building the family raise."""
     size = draw(st.integers(2, 6))
     row = [Vertex(1, j) for j in range(1, size + 1)]
     pairs = [Edge(a, b) for a in row for b in row if a < b]
@@ -56,4 +58,4 @@ def hand_built_cases(draw):
     wider = graph_from_elements(
         row + outside_vertices, edges + outside_edges
     )
-    return labeling, CoverFamily(host=host, members=tuple(members)), wider
+    return labeling, host, tuple(members), wider

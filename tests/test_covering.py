@@ -67,7 +67,7 @@ def test_windows_cover_grid(params):
     m, c, n = params
     g = make_grid(GridSpec(m, n))
     fam = enumerate_windows(g, c)
-    assert is_edge_covering(g, fam).covers
+    assert is_edge_covering(fam).covers
 
 
 @given(scope_params())
@@ -87,7 +87,7 @@ def test_missing_last_window_reports_uncovered_column():
     g = make_grid(GridSpec(2, 5))
     fam = enumerate_windows(g, 2)
     truncated = CoverFamily(host=g, members=fam.members[:-1])
-    check = is_edge_covering(g, truncated)
+    check = is_edge_covering(truncated)
     assert not check.covers
     assert any(e.a.j == 5 or e.b.j == 5 for e in check.uncovered)
 
@@ -105,4 +105,4 @@ def test_member_outside_host_is_malformed():
         edges=frozenset(),
     )
     with pytest.raises(MalformedFamilyError):
-        is_edge_covering(g, CoverFamily(host=g, members=(stray,)))
+        CoverFamily(host=g, members=(stray,))

@@ -4,7 +4,9 @@ Explicit families (reordered, truncated, borrowed, loaded and hand-built)
 are checked and weighed through sorted index tuples into the host's
 canonical element order.  ``reference`` holds the set-based loops they
 replace.  Every result must be equal, or both must raise the same
-exception with the same message.
+exception with the same message.  Members with an element outside a host
+build no family on it: the constructor and the loader raise the
+reference's error.
 """
 
 import io as stdio
@@ -33,8 +35,14 @@ from gridirr import (
     verify_irregular,
     weight_profile,
 )
-from gridirr.covering import Members
-from gridirr.io import dump_family, family_from_json_dict, family_to_json_dict, load_family
+from gridirr.io import (
+    dump_family,
+    elements_to_json_dict,
+    family_from_json_dict,
+    family_to_json_dict,
+    graph_to_json_dict,
+    load_family,
+)
 from strategies import hand_built_cases, scope_params
 
 
@@ -45,19 +53,28 @@ def outcome(fn, *args):
         return ("raised", type(exc), str(exc))
 
 
-def assert_matches_reference(labeling, family, other_hosts=()):
-    assert family.window is None
-    for host in (family.host, *other_hosts):
-        assert outcome(is_edge_covering, host, family) == outcome(
-            reference.is_edge_covering, host, family
+def assert_matches_reference(labeling, host, members, other_hosts=()):
+    """The members build a family on ``host`` and on each other host
+    exactly when the reference finds no element outside it; then the
+    family is checked and weighed as the reference does."""
+    for on in (host, *other_hosts):
+        built = outcome(CoverFamily, on, members)
+        error = reference.outside_host_error(on, members)
+        if error is not None:
+            assert built == ("raised", MalformedFamilyError, str(error))
+            continue
+        family = built[1]
+        assert family.window is None
+        assert outcome(is_edge_covering, family) == outcome(
+            reference.is_edge_covering, on, members
         )
-    for ours, theirs in (
-        (weight_profile, reference.weight_profile),
-        (verify_irregular, reference.verify_irregular),
-    ):
-        assert outcome(ours, labeling, family) == outcome(
-            theirs, labeling, family
-        )
+        for ours, theirs in (
+            (weight_profile, reference.weight_profile),
+            (verify_irregular, reference.verify_irregular),
+        ):
+            assert outcome(ours, labeling, family) == outcome(
+                theirs, labeling, family
+            )
 
 
 def reloaded(family, swapped=False):
@@ -72,6 +89,17 @@ def reloaded(family, swapped=False):
         for edge in member["edges"]:
             edge.reverse()
     return family_from_json_dict(data)
+
+
+def as_loaded(host, members, swapped=False):
+    """Loading ``host`` and ``members`` from a family file, each edge's
+    ends swapped if asked: its outcome."""
+    data = {"host": graph_to_json_dict(host),
+            "members": [elements_to_json_dict(member) for member in members]}
+    for member in data["members"] if swapped else ():
+        for edge in member["edges"]:
+            edge.reverse()
+    return outcome(family_from_json_dict, json.loads(json.dumps(data)))
 
 
 def changed_labeling(labeling, change, rnd):
@@ -143,25 +171,26 @@ def test_window_member_families_match_reference(
         host = make_grid(GridSpec(m + 1, n))
     elif shape == "borrowed_shorter":  # column n lies outside the host
         host = make_grid(GridSpec(m, n - 1))
-    family = CoverFamily(host=host, members=tuple(members))
+    members = tuple(members)
     if load:  # on a grid host, through the position pass or its fallback
-        family = reloaded(family, swapped)
-        assert family.members == tuple(members)
+        got = as_loaded(host, members, swapped)
+        assert got == outcome(CoverFamily, host, members)
+        assert got[0] == "raised" or tuple(got[1].members) == members
     other_hosts = (
         make_grid(GridSpec(m, n)),  # equal to the grid, not the same object
         Graph(vertices=grid.vertices, edges=grid.edges),
         make_grid(GridSpec(m, n + 1)),
     )
-    assert_matches_reference(labeling, family, other_hosts)
+    assert_matches_reference(labeling, host, members, other_hosts)
 
 
 @settings(max_examples=200, deadline=None)
 @given(hand_built_cases(), st.booleans())
 def test_hand_built_families_match_reference(case, load):
-    labeling, family, wider = case
+    labeling, host, members, wider = case
     if load:
-        family = reloaded(family)
-    assert_matches_reference(labeling, family, (wider,))
+        assert as_loaded(host, members) == outcome(CoverFamily, host, members)
+    assert_matches_reference(labeling, host, members, (wider,))
 
 
 def test_make_grid_orders_elements_by_formula():
@@ -198,7 +227,7 @@ def test_window_family_files_of_the_acceptance_range_load_by_position():
         ):
             family = family_from_json_dict({**data, "members": members})
             assert family.indices == expected, (m, c, n)
-            assert isinstance(family.members, Members) and "index" not in vars(family.host)
+            assert "index" not in vars(family.host)
 
 
 def test_loaded_members_are_indexed_and_read_as_subgraphs():
@@ -206,22 +235,16 @@ def test_loaded_members_are_indexed_and_read_as_subgraphs():
     window = enumerate_windows(grid, 3)
     family = reloaded(window)
     members = family.members
-    assert isinstance(members, Members) and members.window is None
-    assert members.host is family.host
+    assert family.window is None
     indices = family.indices
     assert family.indices is indices  # computed once
-    for pos, member in enumerate(indices):  # the very tuples the loader made
-        assert members.positions(pos) is member
-    assert members == window.members and window.members == members
-    assert members == tuple(window.members) and tuple(window.members) == members
-    assert hash(members) == hash(tuple(window.members))
+    assert tuple(members) == tuple(window.members)
     assert members[1:3] == tuple(window.members)[1:3]
-    assert members[-1] is members[-1]  # built once, then kept
     assert family == window
     backwards = reloaded(
         CoverFamily(host=grid, members=tuple(reversed(window.members)))
     )
-    assert backwards.members != members
+    assert tuple(backwards.members) != tuple(members)
     assert backwards.indices == tuple(reversed(family.indices))
 
 
@@ -252,25 +275,19 @@ def test_outside_host_error_names_least_element_of_first_member():
         {"vertices": [[4, 4], [1, 2], [3, 1]], "edges": [[[1, 4], [1, 3]]]},
         {"vertices": [[3, 3]], "edges": []},
     ])
-    family = family_from_json_dict(data)
     message = r"^member 2 contains vertex \(3,1\) not in the host$"
     with pytest.raises(MalformedFamilyError, match=message):
-        is_edge_covering(family.host, family)
-    labeling = construct_for_kind(LabelingKind.VERTEX, 2, 3, 2)
-    for check in (weight_profile, verify_irregular):
-        with pytest.raises(MalformedFamilyError, match=message):
-            check(labeling, family)
+        family_from_json_dict(data)
     # with no vertex outside, the least edge, endpoints in canonical order
     data["members"][1] = {
         "vertices": [[1, 2]],
         "edges": [[[2, 3], [1, 2]], [[2, 2], [1, 1]], [[1, 3], [1, 4]]],
     }
-    family = family_from_json_dict(data)
     with pytest.raises(
         MalformedFamilyError,
         match=r"^member 2 contains edge \(1,1\)-\(2,2\) not in the host$",
     ):
-        weight_profile(labeling, family)
+        family_from_json_dict(data)
 
 
 def test_hand_built_outside_host_error_is_the_same():
@@ -279,17 +296,11 @@ def test_hand_built_outside_host_error_is_the_same():
         vertices=frozenset([Vertex(9, 9), Vertex(3, 1), Vertex(1, 1)]),
         edges=frozenset([Edge(Vertex(1, 1), Vertex(2, 2))]),
     )
-    family = CoverFamily(host=grid, members=(stray,))
-    labeling = construct_for_kind(LabelingKind.EDGE, 2, 3, 2)
-    for call in (
-        lambda: is_edge_covering(grid, family),
-        lambda: weight_profile(labeling, family),
+    with pytest.raises(
+        MalformedFamilyError,
+        match=r"^member 1 contains vertex \(3,1\) not in the host$",
     ):
-        with pytest.raises(
-            MalformedFamilyError,
-            match=r"^member 1 contains vertex \(3,1\) not in the host$",
-        ):
-            call()
+        CoverFamily(host=grid, members=(stray,))
 
 
 def test_format_errors_win_over_elements_outside_the_host():
@@ -314,13 +325,12 @@ def test_loaded_members_are_element_sets():
                                    [[1, 3], [2, 3]]]},
     ])
     family = family_from_json_dict(data)
-    assert isinstance(family.members, Members)  # nothing outside
     first = family.members[0]
     assert first.vertices == {Vertex(1, 1), Vertex(1, 2)}
     assert first.edges == {
         Edge(Vertex(1, 1), Vertex(1, 2)), Edge(Vertex(1, 1), Vertex(2, 1))
     }
-    assert is_edge_covering(family.host, family).covers
+    assert is_edge_covering(family).covers
     labeling = construct_for_kind(LabelingKind.TOTAL, 2, 3, 2)
     assert weight_profile(labeling, family) == reference.weight_profile(
         labeling, family
@@ -340,8 +350,7 @@ def test_loaded_members_on_another_host_are_indexed_against_it():
     grid = make_grid(GridSpec(2, 5))
     loaded = reloaded(enumerate_windows(grid, 2))
     labeling = construct_for_kind(LabelingKind.EDGE, 2, 5, 2)
-    taller = CoverFamily(host=make_grid(GridSpec(3, 5)), members=loaded.members)
-    assert taller.indices != loaded.indices
-    shorter = CoverFamily(host=make_grid(GridSpec(2, 4)), members=loaded.members)
-    for family in (taller, shorter):  # not covering; member 4 outside
-        assert_matches_reference(labeling, family)
+    taller = make_grid(GridSpec(3, 5))
+    assert CoverFamily(host=taller, members=loaded.members).indices != loaded.indices
+    for host in (taller, make_grid(GridSpec(2, 4))):  # not covering; member 4 outside
+        assert_matches_reference(labeling, host, tuple(loaded.members))

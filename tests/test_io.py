@@ -15,6 +15,7 @@ from gridirr import (
     Graph,
     GridSpec,
     LabelingKind,
+    MalformedFamilyError,
     TotalVariant,
     Vertex,
     construct_edge_labeling,
@@ -22,6 +23,7 @@ from gridirr import (
     construct_total_labeling,
     construct_vertex_labeling,
     enumerate_windows,
+    format_element,
     graph_from_elements,
     make_grid,
     verify_irregular,
@@ -405,7 +407,7 @@ def test_a_bad_entry_deep_in_a_file_is_named_as_the_reference_names_it():
 @settings(max_examples=100, deadline=None)
 @given(hand_built_cases())
 def test_one_row_labelings_load_as_the_reference(case):
-    labeling, _, _ = case
+    labeling, _, _, _ = case
     data = json.loads(json.dumps(labeling_to_json_dict(labeling)))
     assert data == reference.labeling_to_json_dict(labeling)
     assert load_both(data).labels == labeling.labels
@@ -478,12 +480,19 @@ def test_every_site_decodes_as_the_reference(value, entries):
         first = [[1, 1], [1, 2]] if edge else [1, 1]
         member = {"vertices": [], "edges": [], name: [first, value]}
         expected = decoded(read, value, f"members[0].{name}[1]")
-        got = decoded(family_from_json_dict, {"host": {"grid": [1, 2]}, "members": [member]})
+        try:
+            got = decoded(family_from_json_dict, {"host": {"grid": [1, 2]}, "members": [member]})
+        except MalformedFamilyError as exc:  # a decoded element off the host
+            got = ("MalformedFamilyError", str(exc))
         kind = Edge if edge else Vertex
-        if expected[0] == "ok":
+        if expected[0] == "ok" and expected[1] in make_grid(GridSpec(1, 2)).index:
             elements = getattr(got[1].members[0], name)
             assert elements == {read(first, ""), expected[1]}
             assert {type(e) for e in elements} == {kind}
+        elif expected[0] == "ok":
+            what = "edge" if edge else "vertex"
+            assert got == ("MalformedFamilyError", f"member 1 contains {what} "
+                           f"{format_element(expected[1])} not in the host")
         else:
             assert got == expected
 

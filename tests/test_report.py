@@ -19,8 +19,6 @@ from gridirr import (
 from gridirr.cli import main
 from gridirr.construct import kind_element_count
 from gridirr.io import family_to_json_dict, labeling_to_json_dict
-from gridirr.covering import Members
-from gridirr.grid import window_positions
 from gridirr.report import strength_report
 
 
@@ -106,17 +104,19 @@ def test_the_oracle_makes_no_element(made, monkeypatch):
     monkeypatch.delenv("GRIDIRR_ORACLE_MAX_ELEMENTS", raising=False)
     certified = 0
     for kind, m, c, n in certify_instances():
-        cf, t = closed_form_strength(kind, m, n, c), n - c + 1
-        host = make_grid(GridSpec(m, n))
-        windows = enumerate_windows(host, c)
-        # the windows right to left, as index tuples: an explicit family
+        cf = closed_form_strength(kind, m, n, c)
+        # the windows right to left, an explicit family on an equal grid:
+        # building its member graphs makes that grid's elements, before
+        # the oracle runs
+        other = make_grid(GridSpec(m, n))
         backwards = CoverFamily(
-            host=host,
-            members=Members(host, t, lambda pos: window_positions(m, c, n, t - pos)),
+            host=other, members=tuple(reversed(enumerate_windows(other, c).members))
         )
+        made.clear()
+        windows = enumerate_windows(make_grid(GridSpec(m, n)), c)
         for family in (windows, backwards):
             result = min_strength(
-                host, family, kind, k_max=cf, start_k=1, max_elements=24
+                family.host, family, kind, k_max=cf, start_k=1, max_elements=24
             )
             assert result.minimal_k == cf
             assert verify_irregular(result.witness, family).accepted

@@ -408,7 +408,7 @@ def walk_differential_cases():
             grid = graph_from_elements(host.vertices, host.edges)
             yield kind, enumerate_windows(grid, host.spec.n - family.t + 1), cf
     for family in (hand_built_family(), *hand_built_cases()):
-        if is_edge_covering(family.host, family).covers:
+        if is_edge_covering(family).covers:
             for kind in LabelingKind:
                 yield kind, family, 4
 
@@ -633,7 +633,7 @@ def default_start_cases():
                 yield kind, family, k_max
                 yield kind, reversed_family(family), k_max
         for family in hand_built_cases():
-            if is_edge_covering(family.host, family).covers:
+            if is_edge_covering(family).covers:
                 yield kind, family, 4
 
 
@@ -650,20 +650,24 @@ def test_default_start_is_the_reference_counting_bound():
     assert searched > 0
 
 
-def test_family_lower_bound_rejects_a_member_outside_its_host():
+def test_a_member_outside_its_host_builds_no_family():
     host = make_grid(GridSpec(2, 3))
     stray = Graph(vertices=frozenset([Vertex(3, 1)]), edges=frozenset())
-    family = CoverFamily(
-        host=host, members=(*enumerate_windows(host, 2).members, stray)
+    with pytest.raises(MalformedFamilyError) as raised:
+        CoverFamily(host=host, members=(*enumerate_windows(host, 2).members, stray))
+    assert str(raised.value) == "member 3 contains vertex (3,1) not in the host"
+
+
+def test_min_strength_rejects_a_host_other_than_the_family_s():
+    host = make_grid(GridSpec(2, 3))
+    family = enumerate_windows(host, 2)
+    equal = make_grid(GridSpec(2, 3))
+    assert min_strength(equal, family, LabelingKind.VERTEX, k_max=2) == min_strength(
+        host, family, LabelingKind.VERTEX, k_max=2
     )
-    assert reference.family_lower_bound(LabelingKind.VERTEX, family) == 1
-    with pytest.raises(MalformedFamilyError) as covering:
-        is_edge_covering(host, family)
-    assert str(covering.value) == "member 3 contains vertex (3,1) not in the host"
-    for kind in LabelingKind:
-        with pytest.raises(MalformedFamilyError) as raised:
-            family_lower_bound(kind, family)
-        assert str(raised.value) == str(covering.value)
+    for other in (make_grid(GridSpec(2, 4)), make_grid(GridSpec(3, 3))):
+        with pytest.raises(InvalidParameterError, match="^host must be the family's own host$"):
+            min_strength(other, family, LabelingKind.VERTEX, k_max=2)
 
 
 def distinct_weights_exist(weight, left, k):

@@ -221,7 +221,8 @@ def test_cli_transcript_is_unchanged():
             diff = difflib.unified_diff(
                 want.splitlines(), have.splitlines(), "expected", "got", lineterm=""
             )
-            raise AssertionError("transcript entry differs:\n" + "\n".join(diff))
+            call = have.splitlines()[0]
+            raise AssertionError(f"{call}: output differs\n" + "\n".join(diff))
     assert len(got) == len(expected), "the number of calls changed"
 
 
