@@ -18,25 +18,13 @@ from .construct import Labeling, LabelingKind, TotalVariant, construct_for_kind
 from .covering import CoverFamily, enumerate_windows
 from .errors import GridirrError, ResourceLimitError
 from .grid import Graph, GridSpec, grid_dims, make_grid, require_window_scope
-from .report import strength_report
+from .report import ROW_FIELDS, strength_report
 from .verify import require_no_stray_labels, verify_irregular
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_REJECTED = 2
 EXIT_RESOURCE = 3
-
-SWEEP_HEADER = [
-    "kind",
-    "m",
-    "c",
-    "n",
-    "t",
-    "lower_bound",
-    "closed_form",
-    "construction_verified",
-    "as_printed_verified",
-]
 
 
 class _UsageError(Exception):
@@ -173,7 +161,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     rows.append(strength_report(kind, m, c, n).to_row())
     with open(args.csv, "w", encoding="utf-8", newline="") as fp:
         writer = csv.writer(fp, lineterminator="\n")
-        writer.writerow(SWEEP_HEADER)
+        writer.writerow(ROW_FIELDS)
         writer.writerows(rows)
     print(f"wrote {len(rows)} rows to {args.csv}")
     return EXIT_OK

@@ -2,13 +2,13 @@
 
 :func:`strength_report` is the one report pipeline: ``gridirr strength``
 prints :meth:`StrengthReport.to_lines` and ``gridirr sweep`` writes
-:meth:`StrengthReport.to_row`.
+:meth:`StrengthReport.to_row` under the header :data:`ROW_FIELDS`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Optional
 
 from .bounds import closed_form_strength, grid_bound_report
 from .construct import LabelingKind, TotalVariant, construct_for_kind
@@ -16,6 +16,21 @@ from .covering import enumerate_windows
 from .grid import GridSpec, make_grid
 from .search import min_strength
 from .verify import verify_irregular
+
+ROW_FIELDS = (  # the sweep CSV's columns: StrengthReport attributes, in order
+    "kind", "m", "c", "n", "t", "lower_bound", "closed_form",
+    "construction_verified", "as_printed_verified",
+)
+
+
+def _cell(value: Any) -> str:
+    """A report value as text: an int as itself, a bool as true or false,
+    None as empty, the kind as its value."""
+    if type(value) is int:
+        return str(value)
+    if type(value) is bool:
+        return "true" if value else "false"
+    return "" if value is None else value.value
 
 
 @dataclass(frozen=True)
@@ -51,7 +66,7 @@ class StrengthReport:
             f"kind={self.kind.value} m={self.m} c={self.c} n={self.n} t={self.t}",
             f"lower_bound={self.lower_bound}",
             f"closed_form={self.closed_form}",
-            f"construction_verified={'true' if self.construction_verified else 'false'}",
+            f"construction_verified={_cell(self.construction_verified)}",
         ]
         if self.oracle_ran:
             shown = "none" if self.oracle_k is None else str(self.oracle_k)
@@ -61,15 +76,9 @@ class StrengthReport:
         return lines
 
     def to_row(self) -> list[str]:
-        """One ``gridirr sweep`` CSV row; the last cell is empty for the
-        vertex and edge kinds."""
-        cells = (self.m, self.c, self.n, self.t, self.lower_bound, self.closed_form)
-        flags = (self.construction_verified, self.as_printed_verified)
-        return [
-            self.kind.value,
-            *map(str, cells),
-            *("" if f is None else "true" if f else "false" for f in flags),
-        ]
+        """One ``gridirr sweep`` CSV row, the :data:`ROW_FIELDS` in order;
+        the last cell is empty for the vertex and edge kinds."""
+        return [_cell(getattr(self, name)) for name in ROW_FIELDS]
 
 
 def strength_report(
