@@ -134,6 +134,14 @@ def kind_element_count(kind: LabelingKind, vertices: int, edges: int) -> int:
     return vertices + edges
 
 
+def kind_range(kind: LabelingKind, host: Graph) -> tuple[int, int]:
+    """The elements the kind labels, as the slice ``lo:hi`` of
+    ``host.elements``: the vertices, the edges, or both."""
+    vertices, edges = host.counts
+    lo = vertices if kind is LabelingKind.EDGE else 0
+    return lo, lo + kind_element_count(kind, vertices, edges)
+
+
 def window_denominator(kind: LabelingKind, m: int, c: int) -> int:
     """Relevant element count of one m-by-c window for the given kind."""
     return kind_element_count(kind, m * c, 2 * m * c - m - c)
@@ -217,8 +225,8 @@ def _construct(
         split = len(positions[a])
         row = stairs[denominator][start : start + split + len(positions[b])]
         layout[a], layout[b] = row[:split], row[split:]
-    lo = first * n  # the m vertex rows come first, n positions each
-    hi = None if last is None else last * n
-    labels = GridLabels(make_grid(GridSpec(m, n)), lo, tuple(layout[lo:hi]))
+    host = make_grid(GridSpec(m, n))
+    lo, hi = kind_range(kind, host)
+    labels = GridLabels(host, lo, tuple(layout[lo:hi]))
     k = 1 + ceil_div(n - c, d)
     return Labeling(kind=kind, k=k, labels=labels, m=m, n=n)

@@ -17,7 +17,7 @@ witness as an uncut one; at the root it gives the start budget.
 The search runs on integer tables made in one pass over the member
 index tuples (:func:`_prepare`), with no element object and no member
 graph.  A position is an index into the host's elements, shifted to the
-kind's range (:func:`gridirr.verify.kind_range`); a member is its sorted
+kind's range (:func:`gridirr.construct.kind_range`); a member is its sorted
 index tuple (:attr:`gridirr.covering.CoverFamily.indices`) cut to that range.
 The walk keeps a label per position and, per member, a weight and a
 count of unlabeled positions; its witness is that label vector, held as
@@ -31,11 +31,11 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
-from .construct import GridLabels, Labeling, LabelingKind
+from .construct import GridLabels, Labeling, LabelingKind, kind_range
 from .covering import CoverFamily, require_covering
 from .errors import InvalidParameterError, ResourceLimitError
 from .grid import Graph, grid_dims, require_positive
-from .verify import kind_range, verify_irregular
+from .verify import verify_irregular
 
 DEFAULT_MAX_ELEMENTS = 24
 MAX_ELEMENTS_ENV_VAR = "GRIDIRR_ORACLE_MAX_ELEMENTS"
@@ -85,7 +85,7 @@ def _prepare(family: CoverFamily, kind: LabelingKind) -> tuple:
     (touch, counts).
 
     Position p stands for ``family.host.elements[lo + p]``, in the kind's slice
-    ``lo:hi`` (:func:`gridirr.verify.kind_range`).  ``touch[p]`` holds the
+    ``lo:hi`` (:func:`gridirr.construct.kind_range`).  ``touch[p]`` holds the
     members containing it, in member order.  ``counts[mi]`` is how many
     elements of the kind member mi has.
     """

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .construct import GridLabels, Labeling, LabelingKind, kind_element_count
+from .construct import GridLabels, Labeling, LabelingKind, kind_range
 from .covering import CoverFamily, require_covering
 from .errors import IncompleteLabelingError, StrayLabelError
 from .grid import (
@@ -134,14 +134,6 @@ def _profile(values: list, kind: LabelingKind, family: CoverFamily) -> WeightPro
 def _with_article(kind: LabelingKind) -> str:
     """The kind's name after its article: "a vertex", "an edge", "a total"."""
     return f"{'an' if kind is LabelingKind.EDGE else 'a'} {kind.value}"
-
-
-def kind_range(kind: LabelingKind, host: Graph) -> tuple[int, int]:
-    """The elements the kind labels, as the slice ``lo:hi`` of
-    ``host.elements``: the vertices, the edges, or both."""
-    vertices, edges = host.counts
-    lo = vertices if kind is LabelingKind.EDGE else 0
-    return lo, lo + kind_element_count(kind, vertices, edges)
 
 
 def _label_layout(labeling: Labeling, host: Graph) -> list:
