@@ -49,15 +49,15 @@ Family files::
 Coordinates follow one rule everywhere, in labels, members and explicit
 hosts: a vertex is [i, j] with positive integer indices (not bools), an
 edge [[i, j], [p, q]] of two different vertices, ends in either order.
-The grid shorthand's [m, n] follows the vertex rule.  :func:`_keys` is
-that rule: one list comprehension reads a whole JSON list into plain
-keys, (i, j) or ((i, j), (p, q)) with the lower end first.  Only a list it
-rejects is read again, item by item, and that pass only names the first
-malformed item.  On an m-by-n grid the position pass,
+The grid shorthand's [m, n] follows the vertex rule.  :func:`_key` is
+that rule: it reads one item into its plain key, (i, j) or
+((i, j), (p, q)) with the lower end first, or says why the item is
+malformed.  A list is read item by item up to its first malformed item,
+which is named.  On an m-by-n grid the position pass,
 :func:`_positions`, maps a whole list by formula to positions in the
 grid's canonical element order, making no key and reading no index; it
 hands back, for the rule above, any list with an item off the grid or
-that :func:`_keys` rejects.  Members become sorted index tuples into
+that the rule rejects.  Members become sorted index tuples into
 that order (:attr:`gridirr.covering.CoverFamily.indices`), with no
 element object per occurrence: by the position pass on a {"grid": [m, n]}
 host, else through ``host.index``.  A file naming an element outside the
@@ -76,7 +76,7 @@ from itertools import compress
 from operator import not_
 from typing import Any, IO, Optional, Union
 
-from .construct import GridLabels, Labeling, LabelingKind
+from .construct import GridLabels, Labeling, LabelingKind, kind_range
 from .covering import CoverFamily, _outside_the_host
 from .errors import FormatError
 from .grid import (
@@ -92,40 +92,31 @@ from .grid import (
     grid_dims,
     make_grid,
 )
-from .verify import kind_range
 
 
-def _vertex_to_json(v: Vertex) -> list[int]:
-    return [v.i, v.j]
-
-
-def _edge_to_json(e: Edge) -> list[list[int]]:
-    return [_vertex_to_json(e.a), _vertex_to_json(e.b)]
-
-
-def _keys(items: list, edges: bool) -> Optional[list]:
-    """The coordinate rule (see above), over a whole JSON list of vertices
-    or of edges: the plain key of every item, or None when one is
-    malformed (:func:`_why` names it)."""
-    try:
-        if edges:
-            keys = [
-                ((i, j), (p, q)) if i < p or i == p and j < q else ((p, q), (i, j))
-                for (i, j), (p, q) in items
-                if type(i) is type(j) is type(p) is type(q) is int
-                and i > 0 < j and p > 0 < q and (i != p or j != q)
-            ]
-        else:
-            keys = [(i, j) for i, j in items if type(i) is type(j) is int and i > 0 < j]
-    except (TypeError, ValueError):  # an item that does not unpack into coordinates
-        return None
-    return keys if len(keys) == len(items) else None
+def _key(item: Any, edges: bool) -> Union[tuple, str]:
+    """The coordinate rule (see above) for one JSON vertex or edge: its
+    plain key, or why it is malformed."""
+    if edges:
+        if type(item) is not list or len(item) != 2:
+            return f"expected an edge as [[i, j], [i, j]], got {item!r}"
+        a, b = _key(item[0], False), _key(item[1], False)
+        if type(a) is str or type(b) is str:
+            return a if type(a) is str else b
+        if a == b:
+            return f"edge endpoints are equal: {item!r}"
+        return (a, b) if a < b else (b, a)
+    if type(item) is list and len(item) == 2 and type(item[0]) is type(item[1]) is int:
+        if item[0] > 0 < item[1]:
+            return tuple(item)
+        return f"vertex indices must be >= 1, got {item!r}"
+    return f"expected a vertex as [i, j], got {item!r}"
 
 
 def _positions(items: Any, edges: bool, m: int, n: int) -> Optional[list]:
     """The position pass: each item's position in the m-by-n grid's
     elements, inverting :meth:`Graph.element`; None hands back a non-list,
-    or a list with an item :func:`_keys` rejects or the grid lacks."""
+    or a list with an item :func:`_key` rejects or the grid lacks."""
     if type(items) is not list:
         return None
     row, two_m, two_n = 2 * n - 1, 2 * m, 2 * n  # row: the edges from one grid row
@@ -148,28 +139,17 @@ def _positions(items: Any, edges: bool, m: int, n: int) -> Optional[list]:
     return places if len(places) == len(items) else None
 
 
-def _why(item: Any, edges: bool) -> str:
-    """Why :func:`_keys` rejects the one item."""
-    shaped = type(item) is list and len(item) == 2
-    if edges and not shaped:
-        return f"expected an edge as [[i, j], [i, j]], got {item!r}"
-    if edges:
-        bad = [_why(end, False) for end in item if _keys([end], False) is None]
-        return bad[0] if bad else f"edge endpoints are equal: {item!r}"
-    if shaped and type(item[0]) is type(item[1]) is int:
-        return f"vertex indices must be >= 1, got {item!r}"
-    return f"expected a vertex as [i, j], got {item!r}"
-
-
 def _decode(items: Any, edges: bool, where: str) -> list:
-    """The keys of the JSON list ``where``, once :func:`_keys` accepts it;
-    else the first item it rejects is named, item by item."""
+    """The keys of the JSON list ``where``, read by :func:`_key` up to the
+    first malformed item, which is named."""
     if type(items) is not list:
         raise FormatError(f"{where}: expected a list")
-    keys = _keys(items, edges)
-    if keys is None:
-        pos = next(pos for pos, item in enumerate(items) if _keys([item], edges) is None)
-        raise FormatError(f"{where}[{pos}]: {_why(items[pos], edges)}")
+    keys = []
+    for pos, item in enumerate(items):
+        key = _key(item, edges)
+        if type(key) is str:
+            raise FormatError(f"{where}[{pos}]: {key}")
+        keys.append(key)
     return keys
 
 
@@ -192,7 +172,7 @@ def labeling_to_json_dict(labeling: Labeling) -> dict[str, Any]:
     else:
         order = sorted(labels, key=canonical_order)
         elements = [
-            {"e": _edge_to_json(e)} if isinstance(e, Edge) else {"v": _vertex_to_json(e)}
+            {"e": list(map(list, e))} if isinstance(e, Edge) else {"v": list(e)}
             for e in order
         ]
         values = map(labels.__getitem__, order)
@@ -266,7 +246,7 @@ def _layout(entries: list, lo: int, hi: int, m: int, n: int) -> Optional[tuple]:
 
 def _entry(entry: Any) -> Union[tuple[Element, int], str]:
     """The element and label of one label entry, or why it is malformed:
-    its shape, its element's shape, tag and coordinates (:func:`_keys`),
+    its shape, its element's shape, tag and coordinates (:func:`_key`),
     then its label, checked in that order."""
     if not isinstance(entry, dict) or entry.keys() != {"element", "label"}:
         return "expected {'element': ..., 'label': ...}"
@@ -276,25 +256,34 @@ def _entry(entry: Any) -> Union[tuple[Element, int], str]:
     ((tag, payload),) = element.items()
     if tag not in ("v", "e"):
         return f"unknown element tag {tag!r}"
-    keys = _keys([payload], tag == "e")
-    if keys is None:
-        return _why(payload, tag == "e")
+    key = _key(payload, tag == "e")
+    if type(key) is str:
+        return key
     if not isinstance(label, int) or isinstance(label, bool):
         return f"label must be an integer, got {label!r}"
-    return _element(keys[0]), label
+    return _element(key), label
 
 
-def dump_labeling(labeling: Labeling, fp: IO[str]) -> None:
-    json.dump(labeling_to_json_dict(labeling), fp, indent=2)
+def _read(fp: IO[str]) -> Any:
+    """The file's JSON value.  Text that does not parse (not JSON, not
+    UTF-8, nested too deep or an integer too long) is a format error."""
+    try:
+        return json.load(fp)
+    except (ValueError, RecursionError) as exc:  # JSON and UTF-8 errors are ValueErrors
+        raise FormatError(f"not valid JSON: {exc}") from None
+
+
+def _write(data: dict[str, Any], fp: IO[str]) -> None:
+    json.dump(data, fp, indent=2)
     fp.write("\n")
 
 
+def dump_labeling(labeling: Labeling, fp: IO[str]) -> None:
+    _write(labeling_to_json_dict(labeling), fp)
+
+
 def load_labeling(fp: IO[str]) -> Labeling:
-    try:
-        data = json.load(fp)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"not valid JSON: {exc}") from None
-    return labeling_from_json_dict(data)
+    return labeling_from_json_dict(_read(fp))
 
 
 def graph_to_json_dict(graph: Graph) -> dict[str, Any]:
@@ -308,8 +297,8 @@ def graph_to_json_dict(graph: Graph) -> dict[str, Any]:
 def elements_to_json_dict(graph: Graph) -> dict[str, Any]:
     """The explicit form: the vertex and edge lists in canonical order."""
     return {
-        "vertices": [_vertex_to_json(v) for v in graph.elements[: graph.counts[0]]],
-        "edges": [_edge_to_json(e) for e in graph.elements[graph.counts[0] :]],
+        "vertices": list(map(list, graph.elements[: graph.counts[0]])),
+        "edges": [list(map(list, e)) for e in graph.elements[graph.counts[0] :]],
     }
 
 
@@ -318,11 +307,11 @@ def graph_from_json_dict(data: Any) -> Graph:
     if not isinstance(data, dict):
         raise FormatError(f"{where}: expected a JSON object")
     if "grid" in data:
-        shape = _keys([data["grid"]], False)  # [m, n] is vertex-shaped
-        if shape is None:
+        shape = _key(data["grid"], False)  # [m, n] is vertex-shaped
+        if type(shape) is str:
             raise FormatError(f"{where}: 'grid' must be [m, n] with positive integers")
         _no_other_fields(data, ("grid",), where)
-        return make_grid(GridSpec(*shape[0]))
+        return make_grid(GridSpec(*shape))
     if "vertices" not in data or "edges" not in data:
         raise FormatError(
             f"{where}: expected {{'grid': [m, n]}} or explicit "
@@ -382,16 +371,11 @@ def family_from_json_dict(data: Any) -> CoverFamily:
 
 
 def dump_family(family: CoverFamily, fp: IO[str]) -> None:
-    json.dump(family_to_json_dict(family), fp, indent=2)
-    fp.write("\n")
+    _write(family_to_json_dict(family), fp)
 
 
 def load_family(fp: IO[str]) -> CoverFamily:
-    try:
-        data = json.load(fp)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"not valid JSON: {exc}") from None
-    return family_from_json_dict(data)
+    return family_from_json_dict(_read(fp))
 
 
 def _node_id(v: Vertex) -> str:

@@ -7,6 +7,7 @@ import gridirr.cli
 from gridirr import LabelingKind
 from gridirr.cli import build_parser, main
 from gridirr.report import strength_report
+from test_io import UNPARSED
 
 
 def run(capsys, *argv):
@@ -491,6 +492,23 @@ def test_malformed_labeling_json_exits_1(tmp_path, capsys):
     )
     assert code == 1
     assert "JSON" in stderr or "json" in stderr
+
+
+@pytest.mark.parametrize("raw", UNPARSED)
+@pytest.mark.parametrize("command", ["verify --grid", "verify --family", "export"])
+def test_text_that_does_not_parse_exits_1(tmp_path, capsys, command, raw):
+    bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+    bad.write_bytes(raw)
+    assert run(capsys, "construct", "--kind", "vertex", "-m", "2", "-c", "2",
+               "-n", "5", "--out", str(good))[0] == 0
+    argv = {
+        "verify --grid": ["verify", "--labeling", str(bad), "--grid", "2,2,5"],
+        "verify --family": ["verify", "--labeling", str(good), "--family", str(bad)],
+        "export": ["export", "--grid", "2,5", "--labeling", str(bad), "--format", "json"],
+    }[command]
+    code, stdout, stderr = run(capsys, *argv)
+    assert (code, stdout) == (1, "")
+    assert stderr.startswith("error: not valid JSON: ") and stderr.count("\n") == 1
 
 
 def test_bool_grid_size_in_family_file_exits_1(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import io as stdio
 import json
 import random
+import sys
 from enum import IntEnum
 from itertools import cycle, product
 
@@ -30,7 +31,7 @@ from gridirr import (
 )
 from gridirr.io import (
     _decode,
-    _keys,
+    _key,
     _positions,
     dot_export,
     dump_family,
@@ -145,6 +146,27 @@ def test_load_labeling_rejects_invalid_json():
 def test_load_family_rejects_invalid_json():
     with pytest.raises(FormatError, match="^not valid JSON: "):
         load_family(stdio.StringIO("{not json"))
+
+
+UNPARSED = [  # file bytes that are no JSON value, each once an uncaught error
+    pytest.param(b"\xff\xfe{}", id="not-utf-8"),
+    pytest.param(
+        b'{"kind": "vertex", "k": ' + b"1" * 5001 + b', "m": 2, "n": 5, "labels": []}',
+        id="long-integer",
+        marks=pytest.mark.skipif(
+            not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() <= 5000,
+            reason="this Python parses a 5,001-digit integer",
+        ),
+    ),
+    pytest.param(b"[" * 200_000, id="deep"),
+]
+
+
+@pytest.mark.parametrize("raw", UNPARSED)
+@pytest.mark.parametrize("load", [load_labeling, load_family])
+def test_text_that_does_not_parse_is_a_format_error(load, raw):
+    with pytest.raises(FormatError, match="^not valid JSON: "):
+        load(stdio.TextIOWrapper(stdio.BytesIO(raw), encoding="utf-8"))
 
 
 def test_family_roundtrip_window_family():
@@ -543,8 +565,8 @@ def test_the_position_pass_places_items_as_the_host_index_does(m, n, edges, data
     """On the m-by-n grid, the position pass gives a list of vertices, or
     of edges (adjacent or not, ends in either order), on and off the grid
     and with at most one arbitrary value, the positions the grid's index
-    gives the keys :func:`_keys` reads; it hands back only a list with an
-    item that ``_keys`` rejects or that the index lacks."""
+    gives the keys :func:`_key` reads; it hands back only a list with an
+    item that ``_key`` rejects or that the index lacks."""
     grid = make_grid(GridSpec(m, n))
     split = grid.counts[0]
     pool = grid.elements[split:] if edges else grid.elements[:split]
@@ -565,7 +587,8 @@ def test_the_position_pass_places_items_as_the_host_index_does(m, n, edges, data
     if extra is not None:
         items.insert(data.draw(st.integers(0, len(items))), data.draw(extra))
     index = grid.index
-    keys = _keys(items, edges)
+    keys = [_key(item, edges) for item in items]
+    keys = None if str in map(type, keys) else keys
     places = _positions(items, edges, m, n)
     if places is None:
         assert keys is None or None in map(index.get, keys)
@@ -583,8 +606,8 @@ def test_the_position_pass_places_every_item_of_a_small_grid_as_the_host_index_d
             ends = [[i, j] for i in (*range(m + 2), True, False) for j in (*range(n + 2), True, False)]
             for edges, items in ((False, ends), (True, [[a, b] for a in ends for b in ends])):
                 for item in items:
-                    keys = _keys([item], edges)
-                    places = [index.get(keys[0])] if keys else None
+                    key = _key(item, edges)
+                    places = None if type(key) is str else [index.get(key)]
                     assert _positions([item], edges, m, n) == (None if places == [None] else places)
 
 
