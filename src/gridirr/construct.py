@@ -18,12 +18,13 @@ constructions optimal witnesses.
 
 The labels are written at the rows' positions into one tuple in the
 order of the elements of a :func:`~gridirr.grid.make_grid` host, held
-with that host by :class:`GridLabels`; no element object is made.
+with that host by :class:`GridLabels`; no element object is made.  Rows
+are cut from stairs of labels, built one run of equal labels at a time.
 
 All ceiling arithmetic is exact integer math.  The numerators are
 frequently negative (j - offset with small j), where truncating division
 would silently round the wrong way; :func:`ceil_div` is the single audited
-primitive every formula goes through.
+primitive every formula, and every run of a stair, goes through.
 """
 
 from __future__ import annotations
@@ -142,6 +143,16 @@ def kind_range(kind: LabelingKind, host: Graph) -> tuple[int, int]:
     return lo, lo + kind_element_count(kind, vertices, edges)
 
 
+def kind_rows(kind: LabelingKind, m: int, n: int) -> tuple[list, list]:
+    """The rows of :func:`~gridirr.grid.column_slices` that the kind
+    labels, as (column rows, gap rows): the m vertex rows, the m - 1
+    vertical-edge rows and the m gap rows, or all of them."""
+    columns, gaps = column_slices(m, n)
+    if kind is LabelingKind.VERTEX:
+        return columns[:m], []
+    return (columns[m:] if kind is LabelingKind.EDGE else columns), gaps
+
+
 def window_denominator(kind: LabelingKind, m: int, c: int) -> int:
     """Relevant element count of one m-by-c window for the given kind."""
     return kind_element_count(kind, m * c, 2 * m * c - m - c)
@@ -202,25 +213,19 @@ def _construct(
     """The one formula: label = 1 + ceil((j - offset) / D) on every row."""
     require_window_scope(m, c, n)
     d = window_denominator(kind, m, c)
-    d_gap = (
-        window_denominator(LabelingKind.EDGE, m, c)
-        if variant is TotalVariant.AS_PRINTED
-        else d
-    )
-    columns, gaps = column_slices(m, n)
-    # per row: its two slices, the window elements it adds, D; the kind
-    # labels the m vertex rows, the edge rows after them, or all rows
+    printed = variant is TotalVariant.AS_PRINTED  # its gap rows divide by the edge D
+    d_gap = window_denominator(LabelingKind.EDGE, m, c) if printed else d
+    columns, gaps = kind_rows(kind, m, n)
+    # per row: its two slices, the window elements it adds, D
     rows = [(row, c, d) for row in columns] + [(row, c - 1, d_gap) for row in gaps]
-    first = m if kind is LabelingKind.EDGE else 0
-    last = m if kind is LabelingKind.VERTEX else None
     # j - offset runs from low (j = 1 on the last row) up to n - c: stairs[D]
     # holds 1 + ceil((j - offset) / D) at j - offset - low
-    low = 1 - sum(added for _, added, _ in rows[first:last])
-    stairs = {den: [1 + ceil_div(p, den) for p in range(low, n)] for den in {d, d_gap}}
+    low = 1 - c * len(columns) - (c - 1) * len(gaps)
+    stairs = {den: _stair(low, n, den) for den in {d, d_gap}}
     layout = [0] * (3 * m * n - m - n)
     positions = range(len(layout))
     start = 1 - low  # the stair of j = 1 at offset 0
-    for (a, b), added, denominator in rows[first:last]:
+    for (a, b), added, denominator in rows:
         start -= added
         split = len(positions[a])
         row = stairs[denominator][start : start + split + len(positions[b])]
@@ -230,3 +235,13 @@ def _construct(
     labels = GridLabels(host, lo, tuple(layout[lo:hi]))
     k = 1 + ceil_div(n - c, d)
     return Labeling(kind=kind, k=k, labels=labels, m=m, n=n)
+
+
+def _stair(low: int, high: int, den: int) -> list[int]:
+    """``[1 + ceil_div(p, den) for p in range(low, high)]``, one run of
+    equal labels at a time."""
+    stair: list[int] = []
+    while len(stair) < high - low:  # the run of q = ceil(p / den): p up to q * den
+        q = ceil_div(low + len(stair), den)
+        stair += [1 + q] * (min(q * den + 1, high) - low - len(stair))
+    return stair

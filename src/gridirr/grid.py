@@ -86,7 +86,7 @@ def require_integers(**values: object) -> None:
     """The one type check of the integer parameters: a bool or another
     non-integer value raises :class:`InvalidParameterError`."""
     for what, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, int):
+        if type(value) is not int and (isinstance(value, bool) or not isinstance(value, int)):
             raise InvalidParameterError(f"{what} must be an integer, got {value!r}")
 
 

@@ -19,31 +19,32 @@ an equal-spec :func:`gridirr.grid.make_grid` grid; any other is looked
 up element by element.  The verdict's range violation and weights both
 come from the layout, by position: only the element a range violation
 names is made.  A label the layout leaves out is stray (see
-:func:`verify_irregular`), and :func:`weight_profile` ignores it.  A window
-family (see :attr:`gridirr.covering.CoverFamily.window`) is weighed
-from column sums (vertex and vertical-edge labels) and gap sums
-(horizontal-edge labels), taken from slices of the layout
-(:func:`gridirr.grid.column_slices`); a window's weight is then c
-consecutive column sums and the c - 1 gap sums between them.  Every other family is weighed by index: each member sums
-its index tuple (:attr:`gridirr.covering.CoverFamily.indices`).
+:func:`verify_irregular`), and :func:`weight_profile` ignores it.
+
+A window family (see :attr:`gridirr.covering.CoverFamily.window`) is
+weighed from the column sums (vertex and vertical-edge labels) and gap
+sums (horizontal-edge labels) of the rows the kind labels
+(:func:`gridirr.construct.kind_rows`: m vertex rows for the vertex kind,
+m - 1 vertical-edge and m gap rows for the edge kind, all 3m - 1 for the
+total kind); a window's weight is c consecutive column sums and the
+c - 1 gap sums between them.  Any other family is weighed by index, each
+member summing its index tuple (:attr:`gridirr.covering.CoverFamily.indices`).
+A profile of distinct weights, as every accepted one is, skips the
+collision scan.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Optional, Union
 
-from .construct import GridLabels, Labeling, LabelingKind, kind_range
+from .construct import GridLabels, Labeling, LabelingKind, kind_range, kind_rows
 from .covering import CoverFamily, require_covering
 from .errors import IncompleteLabelingError, StrayLabelError
-from .grid import (
-    Element,
-    Graph,
-    canonical_order,
-    column_slices,
-    format_element,
-    require_integers,
-)
+from .grid import Element, Graph, canonical_order, format_element, require_integers
 
 WeightProfile = list[int]
 
@@ -109,7 +110,9 @@ def weight_profile(labeling: Labeling, family: CoverFamily) -> WeightProfile:
     first, in host order, whose label is not an int (a labeling read by
     lookup; a layout holds ints).  Stray labels are ignored.
     """
-    return _profile(_label_layout(labeling, family.host), labeling.kind, family)
+    host = family.host
+    values = _label_layout(labeling, host, *kind_range(labeling.kind, host))
+    return _profile(values, labeling.kind, family)
 
 
 def _profile(values: list, kind: LabelingKind, family: CoverFamily) -> WeightProfile:
@@ -117,7 +120,7 @@ def _profile(values: list, kind: LabelingKind, family: CoverFamily) -> WeightPro
     window = family.window
     try:
         if window is not None:
-            return _window_profile(values, *window)
+            return _window_profile(values, kind, *window)
         return [sum(map(values.__getitem__, member)) for member in family.indices]
     except TypeError:  # None marks an unlabeled element the kind weighs
         for member in family.indices:
@@ -136,10 +139,10 @@ def _with_article(kind: LabelingKind) -> str:
     return f"{'an' if kind is LabelingKind.EDGE else 'a'} {kind.value}"
 
 
-def _label_layout(labeling: Labeling, host: Graph) -> list:
+def _label_layout(labeling: Labeling, host: Graph, lo: int, hi: int) -> list:
     """Per element of ``host.elements``: its label if the kind weighs it,
-    None if the kind weighs it but it has no label, else 0."""
-    lo, hi = kind_range(labeling.kind, host)
+    None if the kind weighs it but it has no label, else 0; ``lo:hi`` is
+    the kind's :func:`kind_range` on ``host``."""
     labels = labeling.labels
     if type(labels) is GridLabels and (labels.lo, len(labels)) == (lo, hi - lo) and (
         labels.host is host or host.spec is not None and labels.host.spec == host.spec
@@ -157,8 +160,12 @@ def _label_layout(labeling: Labeling, host: Graph) -> list:
 def require_no_stray_labels(labeling: Labeling, host: Graph) -> list:
     """The label layout of ``host``, once no label is stray: raises
     :class:`StrayLabelError` naming the least element labeled but not weighed."""
-    values = _label_layout(labeling, host)
-    lo, hi = kind_range(labeling.kind, host)
+    return _weighed_layout(labeling, host, *kind_range(labeling.kind, host))
+
+
+def _weighed_layout(labeling: Labeling, host: Graph, lo: int, hi: int) -> list:
+    """:func:`require_no_stray_labels`, given the kind's range ``lo:hi``."""
+    values = _label_layout(labeling, host, lo, hi)
     if len(labeling.labels) + values.count(None) > hi - lo:  # a layout may hold None
         stray = labeling.labels.keys() - host.elements[lo:hi]
         if stray:
@@ -169,11 +176,13 @@ def require_no_stray_labels(labeling: Labeling, host: Graph) -> list:
     return values
 
 
-def _window_profile(values: list, m: int, c: int, n: int) -> WeightProfile:
-    """Window weights of the m-by-n grid from its column and gap sums."""
+def _window_profile(values: list, kind: LabelingKind, m: int, c: int, n: int) -> WeightProfile:
+    """Window weights of the m-by-n grid from the column and gap sums of
+    the rows the kind labels."""
     columns, gaps = (  # [j - 1]: the sum of the j-th positions of the rows
-        list(map(sum, zip(*[values[a] + values[b] for a, b in rows])))
-        for rows in column_slices(m, n)
+        reduce(lambda x, y: list(map(add, x, y)), [values[a] + values[b] for a, b in rows])
+        if rows else [0] * n  # the vertex kind labels no gap row
+        for rows in kind_rows(kind, m, n)
     )
     weight = sum(columns[:c]) + sum(gaps[: c - 1])
     profile = [weight]
@@ -184,20 +193,13 @@ def _window_profile(values: list, m: int, c: int, n: int) -> WeightProfile:
 
 
 def _first_collision(profile: WeightProfile) -> Optional[WeightCollision]:
-    seen: dict[int, int] = {}
-    best: Optional[tuple[int, int]] = None
-    for idx, weight in enumerate(profile, start=1):
-        if weight in seen:
-            pair = (seen[weight], idx)
-            if best is None or pair < best:
-                best = pair
-        else:
-            seen[weight] = idx
-    if best is None:
+    """The lexicographically least pair of members of equal weight, if any."""
+    if len(set(profile)) == len(profile):
         return None
-    return WeightCollision(
-        first=best[0], second=best[1], weight=profile[best[0] - 1]
-    )
+    counts = Counter(profile)
+    first = next(idx for idx, weight in enumerate(profile) if counts[weight] > 1)
+    second = profile.index(profile[first], first + 1)
+    return WeightCollision(first=first + 1, second=second + 1, weight=profile[first])
 
 
 def verify_irregular(labeling: Labeling, family: CoverFamily) -> Verdict:
@@ -211,14 +213,14 @@ def verify_irregular(labeling: Labeling, family: CoverFamily) -> Verdict:
     """
     host = family.host
     require_covering(family)
-    values = require_no_stray_labels(labeling, host)
     lo, hi = kind_range(labeling.kind, host)
+    values = _weighed_layout(labeling, host, lo, hi)
     k = labeling.k
     require_integers(k=k)
     labels = values[lo:hi]
     outside = {label for label in set(labels) if label is not None and not 1 <= label <= k}
     if outside:  # the violation is at the first position holding one
-        pos = next(pos for pos, label in enumerate(labels, lo) if label in outside)
+        pos = lo + min(map(labels.index, outside))
         violation = RangeViolation(host.element(pos), values[pos], k)
         return Verdict(accepted=False, violation=violation)
     collision = _first_collision(_profile(values, labeling.kind, family))

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gridirr import (
     Edge,
@@ -23,7 +23,7 @@ from gridirr import (
     verify_irregular,
     window_denominator,
 )
-from gridirr.construct import kind_element_count
+from gridirr.construct import _stair, kind_element_count
 from gridirr.grid import canonical_order
 from gridirr.verify import kind_range
 import reference
@@ -59,6 +59,15 @@ def test_ceil_div_matches_exact_rational_ceiling(p, q):
 def test_ceil_div_rejects_nonpositive_divisor(q):
     with pytest.raises(InvalidParameterError):
         ceil_div(3, q)
+
+
+@given(st.integers(min_value=-300, max_value=5), st.integers(min_value=0, max_value=120),
+       st.integers(min_value=1, max_value=80))
+@example(low=-3, length=2, den=80)  # one run, longer than the range
+@example(low=5, length=0, den=1)
+def test_run_built_stair_equals_the_ceiling_of_each_value(low, length, den):
+    high = low + length
+    assert _stair(low, high, den) == [1 + ceil_div(p, den) for p in range(low, high)]
 
 
 # --- vertex construction ----------------------------------------------------

@@ -1,3 +1,4 @@
+import enum
 import re
 
 import pytest
@@ -22,7 +23,7 @@ from gridirr import (
     require_window_scope,
     strength_report,
 )
-from gridirr.grid import canonical_order, column_slices, window_positions
+from gridirr.grid import canonical_order, column_slices, require_integers, window_positions
 
 dims = st.integers(min_value=1, max_value=9)
 
@@ -208,6 +209,18 @@ def test_integer_parameters_reject_bools_and_non_integers(entry, bad):
     message = f"{what} must be an integer, got {bad!r}"
     with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
         call(bad)
+
+
+class Size(enum.IntEnum):
+    TWO = 2
+
+
+def test_require_integers_accepts_an_int_subclass_and_rejects_a_bool():
+    """Exact ints take a shortcut; a subclass still passes and a bool fails."""
+    require_integers(m=Size.TWO, n=3)
+    GridSpec(Size.TWO, 3)
+    with pytest.raises(InvalidParameterError, match="^m must be an integer, got True$"):
+        require_integers(n=3, m=True)
 
 
 def test_integers_out_of_range_keep_their_errors():

@@ -1,7 +1,7 @@
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from gridirr import (
     CoverFamily,
@@ -31,7 +31,7 @@ from gridirr import (
     window_denominator,
 )
 from gridirr.construct import GridLabels
-from gridirr.verify import kind_range
+from gridirr.verify import _first_collision, kind_range
 from strategies import scope_params
 
 A_KIND = {LabelingKind.VERTEX: "a vertex", LabelingKind.EDGE: "an edge", LabelingKind.TOTAL: "a total"}
@@ -192,6 +192,23 @@ def test_collision_pair_is_lexicographically_least():
     assert weight_profile(lab, fam) == [5, 6, 5, 6]
     verdict = verify_irregular(lab, fam)
     assert verdict.violation == WeightCollision(first=1, second=3, weight=5)
+
+
+def brute_first_collision(profile):
+    """The least (i, j), i < j, with equal weights, over all pairs."""
+    pairs = [(i, j) for j in range(len(profile)) for i in range(j) if profile[i] == profile[j]]
+    if not pairs:
+        return None
+    i, j = min(pairs)
+    return WeightCollision(first=i + 1, second=j + 1, weight=profile[i])
+
+
+@given(st.one_of(
+    st.lists(st.integers(min_value=0, max_value=4), max_size=30),  # few distinct weights
+    st.lists(st.integers(min_value=-50, max_value=50), unique=True, max_size=30),
+))
+def test_first_collision_matches_brute_force(profile):
+    assert _first_collision(profile) == brute_first_collision(profile)
 
 
 def test_incomplete_labeling_raises():
