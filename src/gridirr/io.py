@@ -43,8 +43,9 @@ Family files::
     The host is either a grid shorthand {"grid": [m, n]} or an explicit
     graph {"vertices": [...], "edges": [...]}.  Non-grid hosts embed their
     vertex ids in the same (i, j) scheme, conventionally in a single row
-    (i = 1, j = ordinal).  A host or member holding any other field is
-    rejected, as a label entry with a third field is.
+    (i = 1, j = ordinal).  A host, a member or either file's top level
+    holding any other field is rejected, as a label entry with a third
+    field is.
 
 Coordinates follow one rule everywhere, in labels, members and explicit
 hosts: a vertex is [i, j] with positive integer indices (not bools), an
@@ -188,9 +189,11 @@ def labeling_to_json_dict(labeling: Labeling) -> dict[str, Any]:
 def labeling_from_json_dict(data: Any) -> Labeling:
     if not isinstance(data, dict):
         raise FormatError("labeling file must contain a JSON object")
-    for field in ("kind", "k", "m", "n", "labels"):
+    fields = ("kind", "k", "m", "n", "labels")
+    for field in fields:
         if field not in data:
             raise FormatError(f"labeling file is missing the {field!r} field")
+    _no_other_fields(data, fields, "labeling file")
     try:
         kind = LabelingKind(data["kind"])
     except ValueError:
@@ -340,6 +343,7 @@ def family_from_json_dict(data: Any) -> CoverFamily:
         raise FormatError("family file must contain a JSON object")
     if "host" not in data or "members" not in data:
         raise FormatError("family file needs 'host' and 'members' fields")
+    _no_other_fields(data, ("host", "members"), "family file")
     host = graph_from_json_dict(data["host"])
     if not isinstance(data["members"], list) or not data["members"]:
         raise FormatError("'members' must be a nonempty list")

@@ -292,6 +292,27 @@ def test_unknown_family_fields_are_named():
         assert str(excinfo.value) == message
 
 
+def test_unknown_top_level_fields_are_named():
+    """Checked after the missing fields, before any field is read."""
+    labels = labeling_to_json_dict(construct_vertex_labeling(2, 5, 2))
+    family = {"host": {"grid": [2, 3]}, "members": [{"vertices": [[1, 1]], "edges": []}]}
+    for load, data, message in (
+        (labeling_from_json_dict, {**labels, "extra": 1}, "labeling file: unknown field 'extra'"),
+        (labeling_from_json_dict, {**labels, "kind": "bogus", "extra": 1},
+         "labeling file: unknown field 'extra'"),
+        (labeling_from_json_dict, {"extra": 1, "kind": "vertex"},
+         "labeling file is missing the 'k' field"),
+        (family_from_json_dict, {**family, "extra": 1}, "family file: unknown field 'extra'"),
+        (family_from_json_dict, {**family, "host": [2, 3], "b": 1, "a": 2},
+         "family file: unknown field 'a'"),
+        (family_from_json_dict, {"members": [], "extra": 1},
+         "family file needs 'host' and 'members' fields"),
+    ):
+        with pytest.raises(FormatError) as excinfo:
+            load(data)
+        assert str(excinfo.value) == message
+
+
 def test_dot_export_plain_grid():
     text = dot_export(make_grid(GridSpec(2, 2)))
     assert text.startswith("graph grid_2x2 {")
