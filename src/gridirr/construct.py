@@ -1,9 +1,9 @@
 """Constructive labelings whose window weights form a consecutive run.
 
 All three constructors share one formula, over the rows of the grid's
-elements that :func:`~gridirr.grid.column_slices` gives: vertex rows
-(i = 1..m), vertical-edge rows (i = 1..m-1), then horizontal-edge gap
-rows (i = 1..m), as the kind labels them; the j-th element of a row gets
+elements that its host's :attr:`~gridirr.grid.Graph.slices` give: vertex
+rows (i = 1..m), vertical-edge rows (i = 1..m-1), then horizontal-edge
+gap rows (i = 1..m), as the kind labels them; the j-th element of a row gets
 
     label = 1 + ceil((j - offset) / D)
 
@@ -16,10 +16,10 @@ the budget k = 1 + ceil((n - c) / D) equals the closed-form strength for
 the kind (see :mod:`gridirr.bounds`), which is what makes the
 constructions optimal witnesses.
 
-The labels are written at the rows' positions into one tuple in the
-order of the elements of a :func:`~gridirr.grid.make_grid` host, held
-with that host by :class:`GridLabels`; no element object is made.  Rows
-are cut from stairs of labels, built one run of equal labels at a time.
+Each construction makes its :func:`~gridirr.grid.make_grid` host first
+and writes the labels at the rows' positions into one tuple in the order
+of the host's elements, held with that host by :class:`GridLabels`; no
+element object is made.  Rows are cut from stairs built run by run.
 
 All ceiling arithmetic is exact integer math.  The numerators are
 frequently negative (j - offset with small j), where truncating division
@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .errors import InvalidParameterError
-from .grid import Element, Graph, GridSpec, column_slices, make_grid, require_window_scope
+from .grid import Element, Graph, GridSpec, make_grid, require_window_scope
 
 
 class LabelingKind(enum.Enum):
@@ -143,11 +143,11 @@ def kind_range(kind: LabelingKind, host: Graph) -> tuple[int, int]:
     return lo, lo + kind_element_count(kind, vertices, edges)
 
 
-def kind_rows(kind: LabelingKind, m: int, n: int) -> tuple[list, list]:
-    """The rows of :func:`~gridirr.grid.column_slices` that the kind
-    labels, as (column rows, gap rows): the m vertex rows, the m - 1
-    vertical-edge rows and the m gap rows, or all of them."""
-    columns, gaps = column_slices(m, n)
+def kind_rows(kind: LabelingKind, host: Graph) -> tuple[list, list]:
+    """The rows of the m-by-n grid ``host``'s :attr:`~gridirr.grid.Graph.slices`
+    that the kind labels, as (column rows, gap rows): the m vertex rows,
+    the m - 1 vertical-edge rows and the m gap rows, or all of them."""
+    (columns, gaps), m = host.slices, host.spec.m
     if kind is LabelingKind.VERTEX:
         return columns[:m], []
     return (columns[m:] if kind is LabelingKind.EDGE else columns), gaps
@@ -215,7 +215,8 @@ def _construct(
     d = window_denominator(kind, m, c)
     printed = variant is TotalVariant.AS_PRINTED  # its gap rows divide by the edge D
     d_gap = window_denominator(LabelingKind.EDGE, m, c) if printed else d
-    columns, gaps = kind_rows(kind, m, n)
+    host = make_grid(GridSpec(m, n))
+    columns, gaps = kind_rows(kind, host)
     # per row: its two slices, the window elements it adds, D
     rows = [(row, c, d) for row in columns] + [(row, c - 1, d_gap) for row in gaps]
     # j - offset runs from low (j = 1 on the last row) up to n - c: stairs[D]
@@ -230,7 +231,6 @@ def _construct(
         split = len(positions[a])
         row = stairs[denominator][start : start + split + len(positions[b])]
         layout[a], layout[b] = row[:split], row[split:]
-    host = make_grid(GridSpec(m, n))
     lo, hi = kind_range(kind, host)
     labels = GridLabels(host, lo, tuple(layout[lo:hi]))
     k = 1 + ceil_div(n - c, d)

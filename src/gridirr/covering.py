@@ -184,6 +184,9 @@ class CoveringCheck:
     uncovered: tuple[Edge, ...]
 
 
+_COVERED = CoveringCheck(covers=True, uncovered=())  # frozen, so one serves every window family
+
+
 def is_edge_covering(family: CoverFamily) -> CoveringCheck:
     """Decide whether the family's edge sets jointly cover its host's.
 
@@ -191,7 +194,7 @@ def is_edge_covering(family: CoverFamily) -> CoveringCheck:
     without making its index tuples.
     """
     if family.window is not None:
-        return CoveringCheck(covers=True, uncovered=())
+        return _COVERED
     host = family.host
     first_edge, edges = host.counts
     missed = {*range(first_edge, first_edge + edges)}.difference(*family.indices)

@@ -10,8 +10,9 @@ as (i, j), an :class:`Edge` as ((i, j), (p, q)) with endpoints in order.
 :func:`make_grid` graph holds only its spec until its elements are read;
 it makes them in that order, without sorting, and :meth:`Graph.element`
 gives one from its position alone.  Through the rows of
-:func:`column_slices` the constructions write labels at those positions
-and :func:`window_positions` reads a window's positions.
+:func:`column_slices`, made once per such graph as :attr:`Graph.slices`,
+the constructions write labels at those positions, the verifier sums
+window weights and :func:`window_positions` reads a window's positions.
 
 The same ``Graph`` container also serves arbitrary simple graphs: vertex
 identities stay (i, j) pairs, with non-grid inputs conventionally embedded
@@ -175,6 +176,11 @@ class Graph:
             return len(self.vertices), len(self.edges)
         m, n = self.spec.m, self.spec.n
         return m * n, 2 * m * n - m - n
+
+    @cached_property
+    def slices(self) -> tuple[list, list]:
+        """:func:`column_slices` of a grid with a spec, made once; not to be mutated."""
+        return column_slices(self.spec.m, self.spec.n)
 
     def element(self, pos: int) -> Element:
         """``elements[pos]``, of a spec from a formula, making no other element."""

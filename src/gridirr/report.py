@@ -10,10 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from .bounds import closed_form_strength, grid_bound_report
+from .bounds import closed_form_strength, lower_bound
 from .construct import LabelingKind, TotalVariant, construct_for_kind
 from .covering import enumerate_windows
-from .grid import GridSpec, make_grid
 from .search import min_strength
 from .verify import verify_irregular
 
@@ -89,7 +88,8 @@ def strength_report(
     oracle: bool = False,
 ) -> StrengthReport:
     """Compute bounds and closed form, verify the construction, optionally
-    confirm minimality by exhaustive search up to the closed form.
+    confirm minimality by exhaustive search up to the closed form.  The
+    windows, the verdicts and the oracle read the first construction's grid.
 
     For the total kind the as-printed variant is verified too, and always
     fails: its horizontal edge (1,1)-(1,2) gets a label of at most 0.
@@ -98,9 +98,8 @@ def strength_report(
     (``GRIDIRR_ORACLE_MAX_ELEMENTS``, see :func:`gridirr.search.min_strength`).
     """
     cf = closed_form_strength(kind, m, n, c)  # checks the scope first
-    host = make_grid(GridSpec(m, n))
-    family = enumerate_windows(host, c)
     labeling = construct_for_kind(kind, m, n, c)
+    family = enumerate_windows(labeling.labels.host, c)  # the row's one grid
     verdict = verify_irregular(labeling, family)
     as_printed_verified: Optional[bool] = None
     note: Optional[str] = None
@@ -113,14 +112,14 @@ def strength_report(
             f"verification: {printed_verdict.violation}; the corrected "
             f"variant uses 3mc-m-c and verifies"
         )
-    oracle_k = min_strength(host, family, kind, cf).minimal_k if oracle else None
+    oracle_k = min_strength(family.host, family, kind, cf).minimal_k if oracle else None
     return StrengthReport(
         kind=kind,
         m=m,
         c=c,
         n=n,
         t=n - c + 1,
-        lower_bound=grid_bound_report(kind, m, c, n).lower,
+        lower_bound=lower_bound(kind, family.t, m * c, 2 * m * c - m - c),
         closed_form=cf,
         construction_verified=verdict.accepted and labeling.max_label() == cf,
         oracle_ran=oracle,

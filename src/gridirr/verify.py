@@ -23,14 +23,14 @@ names is made.  A label the layout leaves out is stray (see
 
 A window family (see :attr:`gridirr.covering.CoverFamily.window`) is
 weighed from the column sums (vertex and vertical-edge labels) and gap
-sums (horizontal-edge labels) of the rows the kind labels
-(:func:`gridirr.construct.kind_rows`: m vertex rows for the vertex kind,
-m - 1 vertical-edge and m gap rows for the edge kind, all 3m - 1 for the
-total kind); a window's weight is c consecutive column sums and the
-c - 1 gap sums between them.  Any other family is weighed by index, each
-member summing its index tuple (:attr:`gridirr.covering.CoverFamily.indices`).
-A profile of distinct weights, as every accepted one is, skips the
-collision scan.
+sums (horizontal-edge labels) of the rows the kind labels, cut from the
+slices its host makes once (:func:`gridirr.construct.kind_rows`: m
+vertex rows for the vertex kind, m - 1 vertical-edge and m gap rows for
+the edge kind, all 3m - 1 for the total kind); a window's weight is c
+consecutive column sums and the c - 1 gap sums between them.  Any other
+family is weighed by index, each member summing its index tuple
+(:attr:`gridirr.covering.CoverFamily.indices`).  A profile of distinct
+weights, as every accepted one is, skips the collision scan.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ def _profile(values: list, kind: LabelingKind, family: CoverFamily) -> WeightPro
     window = family.window
     try:
         if window is not None:
-            return _window_profile(values, kind, *window)
+            return _window_profile(values, kind, family.host, *window[1:])
         return [sum(map(values.__getitem__, member)) for member in family.indices]
     except TypeError:  # None marks an unlabeled element the kind weighs
         for member in family.indices:
@@ -176,13 +176,13 @@ def _weighed_layout(labeling: Labeling, host: Graph, lo: int, hi: int) -> list:
     return values
 
 
-def _window_profile(values: list, kind: LabelingKind, m: int, c: int, n: int) -> WeightProfile:
-    """Window weights of the m-by-n grid from the column and gap sums of
-    the rows the kind labels."""
+def _window_profile(values: list, kind: LabelingKind, host: Graph, c: int, n: int) -> WeightProfile:
+    """Window weights of the m-by-n grid ``host`` from the column and gap
+    sums of the rows the kind labels."""
     columns, gaps = (  # [j - 1]: the sum of the j-th positions of the rows
         reduce(lambda x, y: list(map(add, x, y)), [values[a] + values[b] for a, b in rows])
         if rows else [0] * n  # the vertex kind labels no gap row
-        for rows in kind_rows(kind, m, n)
+        for rows in kind_rows(kind, host)
     )
     weight = sum(columns[:c]) + sum(gaps[: c - 1])
     profile = [weight]

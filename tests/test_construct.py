@@ -23,8 +23,8 @@ from gridirr import (
     verify_irregular,
     window_denominator,
 )
-from gridirr.construct import _stair, kind_element_count
-from gridirr.grid import canonical_order
+from gridirr.construct import _stair, kind_element_count, kind_rows
+from gridirr.grid import canonical_order, column_slices
 from gridirr.verify import kind_range
 import reference
 from strategies import scope_params
@@ -211,6 +211,22 @@ def test_one_element_count_rule_per_kind():
         lo, hi = kind_range(kind, host)
         assert hi - lo == count
         assert window_denominator(kind, 2, 3) == count
+
+
+def test_kind_rows_of_a_host_are_the_rows_of_its_column_slices():
+    """The rows a kind labels, cut from its host's slices, are the rows of
+    ``column_slices(m, n)`` they replace: the vertex rows, the vertical-edge
+    and gap rows, or all of them."""
+    for m in range(1, 7):
+        for n in range(1, 13):
+            columns, gaps = column_slices(m, n)
+            expected = {
+                LabelingKind.VERTEX: (columns[:m], []),
+                LabelingKind.EDGE: (columns[m:], gaps),
+                LabelingKind.TOTAL: (columns, gaps),
+            }
+            for kind, rows in expected.items():
+                assert kind_rows(kind, make_grid(GridSpec(m, n))) == rows, (kind, m, n)
 
 
 def test_domain_matches_kind():

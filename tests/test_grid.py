@@ -252,6 +252,8 @@ def test_make_grid_makes_its_elements_when_first_read():
                 hand.elements
             )
             assert vars(grid) == {"spec": spec, "counts": hand.counts}, (m, n)
+            assert grid.slices == column_slices(m, n) and grid.slices is grid.slices
+            assert vars(grid) == {"spec": spec, "counts": hand.counts, "slices": grid.slices}
             assert grid.elements == hand.elements
             assert grid.elements == tuple(sorted(grid.elements, key=canonical_order))
             assert [grid.element(pos) for pos in range(len(hand.elements))] == list(

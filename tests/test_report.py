@@ -1,4 +1,6 @@
 import json
+import sys
+from collections import Counter
 
 import pytest
 
@@ -16,6 +18,7 @@ from gridirr import (
     min_strength,
     verify_irregular,
 )
+import gridirr.grid
 from gridirr.cli import main
 from gridirr.construct import kind_element_count
 from gridirr.io import family_to_json_dict, labeling_to_json_dict
@@ -88,6 +91,36 @@ def test_a_report_row_makes_no_element_but_the_one_it_names(made, m, c, n):
     assert report.construction_verified and report.as_printed_verified is False
     assert "label 0 at (1,1)-(1,2)" in report.erratum_note
     assert made == [Vertex, Vertex, Edge]
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Calls of ``grid.make_grid`` and ``grid.column_slices``, counted under
+    every name a gridirr module holds them by."""
+    calls = Counter()
+    modules = [module for name, module in sys.modules.items() if name.split(".")[0] == "gridirr"]
+    for name in ("make_grid", "column_slices"):
+        original = getattr(gridirr.grid, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("kind,constructions", [
+    (LabelingKind.VERTEX, 1), (LabelingKind.EDGE, 1), (LabelingKind.TOTAL, 2),
+])
+def test_a_report_row_makes_one_grid_and_one_slice_set_per_construction(calls, kind, constructions):
+    # the as-printed total variant builds its own grid, and is verified on the row's
+    for m, c, n in [(2, 2, 2), (3, 4, 12), (4, 6, 40)]:
+        calls.clear()
+        assert strength_report(kind, m, c, n).construction_verified
+        assert calls == {"make_grid": constructions, "column_slices": constructions}
 
 
 def certify_instances():
