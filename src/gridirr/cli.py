@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import sys
+from itertools import product
 from typing import Optional
 
 from . import io as gio
@@ -153,13 +154,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     m_lo, m_hi = _parse_range(args.m_range, "--m-range")
     c_lo, c_hi = _parse_range(args.c_range, "--c-range")
     n_lo, n_hi = _parse_range(args.n_range, "--n-range")
-    rows = []
-    for m in range(m_lo, m_hi + 1):
-        for c in range(c_lo, c_hi + 1):
-            for n in range(n_lo, n_hi + 1):
-                if 2 <= m <= c <= n:
-                    rows.append(strength_report(kind, m, c, n).to_row())
-    with open(args.csv, "w", encoding="utf-8", newline="") as fp:
+    with open(args.csv, "w", encoding="utf-8", newline="") as fp:  # before any row is built
+        cube = product(range(m_lo, m_hi + 1), range(c_lo, c_hi + 1), range(n_lo, n_hi + 1))
+        rows = [strength_report(kind, m, c, n).to_row() for m, c, n in cube if 2 <= m <= c <= n]
         writer = csv.writer(fp, lineterminator="\n")
         writer.writerow(ROW_FIELDS)
         writer.writerows(rows)

@@ -368,6 +368,18 @@ def test_sweep_total_records_as_printed_outcome(tmp_path, capsys):
         assert row[8] == "false"
 
 
+def test_sweep_opens_its_csv_before_building_a_row(tmp_path, capsys, monkeypatch):
+    def no_row(*args, **kwargs):
+        raise AssertionError("a row was built before the CSV was opened")
+
+    monkeypatch.setattr(gridirr.cli, "strength_report", no_row)
+    out = tmp_path / "missing" / "sweep.csv"
+    code, stdout, stderr = run(capsys, "sweep", "--kind", "total", "--m-range", "2..4",
+                               "--c-range", "2..6", "--n-range", "2..200", "--csv", str(out))
+    assert (code, stdout) == (1, "")
+    assert stderr == f"error: [Errno 2] No such file or directory: '{out}'\n"
+
+
 def test_export_dot_contract(capsys):
     code, stdout, _ = run(capsys, "export", "--grid", "2,2", "--format", "dot")
     assert code == 0

@@ -173,6 +173,8 @@ CALLS = [
     "sweep --kind vertex --m-range 2..3 --c-range 2..4 --n-range 2..6 --csv <tmp>/vertex.csv",
     "sweep --kind edge --m-range 2..3 --c-range 2..3 --n-range 3..5 --csv <tmp>/edge.csv",
     "sweep --kind total --m-range 2..3 --c-range 2..3 --n-range 3..5 --csv <tmp>/total.csv",
+    # a CSV in a missing directory fails before any row is built
+    "sweep --kind total --m-range 2..4 --c-range 2..6 --n-range 2..200 --csv <tmp>/missing/total.csv",
     # export, both formats, with and without a labeling
     "export --grid 2,3 --format dot",
     "export --grid 2,3 --format json",
