@@ -21,11 +21,10 @@ itself.  A member graph is built only when a caller reads
 The family :func:`enumerate_windows` returns over a :func:`make_grid`
 host is implicit: it holds (m, c, n) as :attr:`CoverFamily.window`, its
 covering check is answered from that, :mod:`gridirr.verify` weighs it
-from column sums, and its index tuples (window l's is
-:func:`~gridirr.grid.window_positions` of (m, c, n, l)) are made only
-when read.  The covering check of every other family takes the members'
-index tuples from the set of the host's edge positions, making an
-element only to name a missed edge.
+from column sums, and its index tuples are cut from the host's row
+slices (:attr:`~gridirr.grid.Graph.slices`) only when read.  The covering
+check of every other family takes the members' index tuples from the set
+of the host's edge positions, making an element only to name a missed edge.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ from .grid import (
     grid_dims,
     make_grid,
     require_window_scope,
-    window_positions,
 )
 
 
@@ -101,11 +99,9 @@ class CoverFamily:
 
     @cached_property
     def indices(self) -> tuple[tuple[int, ...], ...]:
-        """Each member's elements as sorted indices into ``host.elements``;
-        set when the family is built, and for a window family made from
-        :func:`~gridirr.grid.window_positions` on first read."""
-        m, c, n = self.window
-        return tuple(window_positions(m, c, n, l) for l in range(1, n - c + 2))
+        """Each member's elements as sorted indices into ``host.elements``; set
+        when the family is built, or cut from ``host.slices`` on first read."""
+        return _window_indices(self.host, self.window[1])
 
     @property
     def members(self) -> Sequence[Graph]:
@@ -139,6 +135,14 @@ class _MemberGraphs(Sequence):
             vertices=frozenset(map(elements.__getitem__, at[:split])),
             edges=frozenset(map(elements.__getitem__, at[split:])),
         )
+
+
+def _window_indices(host: Graph, c: int) -> tuple[tuple[int, ...], ...]:
+    """Window l (0-based) takes items l .. l+c-1 of each column row, l .. l+c-2 of each gap row."""
+    at = range(sum(host.counts))  # each row joins the positions of its two slices
+    rows = [([*at[a], *at[b]], w) for part, w in zip(host.slices, (c, c - 1)) for a, b in part]
+    return tuple(tuple(sorted([p for row, w in rows for p in row[l : l + w]]))
+                 for l in range(host.spec.n - c + 1))
 
 
 def _outside_the_host(pos: int, elements: Iterable[Element]) -> MalformedFamilyError:

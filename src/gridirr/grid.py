@@ -12,7 +12,7 @@ it makes them in that order, without sorting, and :meth:`Graph.element`
 gives one from its position alone.  Through the rows of
 :func:`column_slices`, made once per such graph as :attr:`Graph.slices`,
 the constructions write labels at those positions, the verifier sums
-window weights and :func:`window_positions` reads a window's positions.
+window weights and :mod:`gridirr.covering` cuts each window's positions.
 
 The same ``Graph`` container also serves arbitrary simple graphs: vertex
 identities stay (i, j) pairs, with non-grid inputs conventionally embedded
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import chain, count, islice, repeat
+from itertools import chain, count, repeat
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from .errors import InvalidEdgeError, InvalidParameterError, ScopeError
@@ -261,20 +261,6 @@ def column_slices(m: int, n: int) -> tuple[list, list]:
     gaps = [(slice(s, s + row - 1, 2), empty) for s in starts]
     gaps.append((slice(last, last + n - 1), empty))
     return columns, gaps
-
-
-def window_positions(m: int, c: int, n: int, l: int) -> tuple[int, ...]:
-    """The sorted positions, in the :attr:`Graph.elements` of
-    :func:`make_grid`, of the window spanning columns l .. l+c-1 of the
-    m-by-n grid: from each row of :func:`column_slices`, the positions of
-    columns l .. l+c-1, or of gaps l .. l+c-2."""
-    positions = range(3 * m * n - m - n)  # vertices, then edges
-    columns, gaps = column_slices(m, n)
-    window: list[int] = []
-    for rows, width in ((columns, c), (gaps, c - 1)):
-        for a, b in rows:
-            window += islice(chain(positions[a], positions[b]), l - 1, l - 1 + width)
-    return tuple(sorted(window))
 
 
 def grid_dims(graph: Graph) -> tuple[int, int]:

@@ -15,6 +15,7 @@ from gridirr import (
     ScopeError,
     Vertex,
     closed_form_strength,
+    enumerate_windows,
     graph_from_elements,
     grid_bound_report,
     grid_dims,
@@ -23,7 +24,7 @@ from gridirr import (
     require_window_scope,
     strength_report,
 )
-from gridirr.grid import canonical_order, column_slices, require_integers, window_positions
+from gridirr.grid import canonical_order, column_slices, require_integers
 
 dims = st.integers(min_value=1, max_value=9)
 
@@ -166,13 +167,15 @@ def _check_column_slices(m, n):
     assert sorted(seen) == list(positions)  # each position exactly once
 
 
-def test_window_positions_select_the_reference_window():
+def test_window_indices_select_the_reference_windows():
     for m in range(2, 13):
         for n in range(m, 13):
-            elements = make_grid(GridSpec(m, n)).elements
+            grid = make_grid(GridSpec(m, n))
+            elements = grid.elements
             for c in range(m, n + 1):
-                for l in range(1, n - c + 2):
-                    positions = window_positions(m, c, n, l)
+                indices = enumerate_windows(grid, c).indices
+                assert len(indices) == n - c + 1
+                for l, positions in enumerate(indices, start=1):
                     assert positions == tuple(sorted(set(positions)))
                     window = reference.window_subgraph(m, c, l)
                     assert {elements[pos] for pos in positions} == {

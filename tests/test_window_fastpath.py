@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gridirr.covering
+import gridirr.grid
 import reference
 from gridirr import (
     CoverFamily,
@@ -197,17 +198,17 @@ def test_covering_is_checked_generically_against_another_host():
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Count the windows whose positions the covering module makes: every
-    window member, and every window index tuple, is made through
-    ``covering.window_positions``."""
+    """Record (m, c, n) for each window family whose index tuples the
+    covering module cuts: every window member, and every window index
+    tuple, comes from ``covering._window_indices``."""
     count = []
-    window_positions = gridirr.covering.window_positions
+    window_indices = gridirr.covering._window_indices
 
-    def counting(*window):
-        count.append(window)
-        return window_positions(*window)
+    def counting(host, c):
+        count.append((host.spec.m, c, host.spec.n))
+        return window_indices(host, c)
 
-    monkeypatch.setattr(gridirr.covering, "window_positions", counting)
+    monkeypatch.setattr(gridirr.covering, "_window_indices", counting)
     return count
 
 
@@ -222,21 +223,20 @@ def test_counting_and_verifying_build_no_member(builds):
 
 
 def test_default_start_search_makes_each_window_once(builds):
-    # a built member graph would make its window's positions a second time
+    # a built member graph would cut the family's windows a second time
     m, c, n = 2, 3, 7
     grid = make_grid(GridSpec(m, n))
     family = enumerate_windows(grid, c)
     result = min_strength(grid, family, LabelingKind.VERTEX, k_max=3)
     assert result.minimal_k == 2
-    assert builds == [(m, c, n, l) for l in range(1, n - c + 2)]
+    assert builds == [(m, c, n)]
 
 
-def test_equal_hosts_reuse_the_window_positions(builds):
+def test_equal_hosts_index_the_windows_once(builds):
     # the windows of make_grid are indexed against the host when the family
     # is built; the search and the member graphs make no window again
     m, c, n = 2, 3, 7
     grid = make_grid(GridSpec(m, n))
-    windows = [(m, c, n, l) for l in range(1, n - c + 2)]
     for host in (
         graph_from_elements(grid.vertices, grid.edges),
         Graph(vertices=grid.vertices, edges=grid.edges),
@@ -244,11 +244,28 @@ def test_equal_hosts_reuse_the_window_positions(builds):
         builds.clear()
         family = enumerate_windows(host, c)
         assert family.window is None and family.host is host
-        assert builds == windows
+        assert builds == [(m, c, n)]
         result = min_strength(host, family, LabelingKind.VERTEX, k_max=3)
         assert result.minimal_k == 2
         list(family.members)
-        assert builds == windows
+        assert builds == [(m, c, n)]
+
+
+def test_window_indices_read_the_slices_of_their_host_once(monkeypatch):
+    calls = []
+    column_slices = gridirr.grid.column_slices
+
+    def counting(m, n):
+        calls.append((m, n))
+        return column_slices(m, n)
+
+    monkeypatch.setattr(gridirr.grid, "column_slices", counting)
+    for m, c, n in [(2, 2, 2), (2, 3, 7), (4, 6, 40)]:
+        calls.clear()
+        family = enumerate_windows(make_grid(GridSpec(m, n)), c)
+        assert calls == []
+        assert len(family.indices) == n - c + 1
+        assert calls == [(m, n)]
 
 
 def test_windows_over_a_partial_grid_name_the_missing_edge():
@@ -277,8 +294,7 @@ def test_members_behave_as_their_tuple_and_build_once(builds):
     with pytest.raises(IndexError):
         members[len(expected)]
     list(members)
-    ours = sorted(window for window in builds if window[:3] == (m, c, n))
-    assert ours == [(m, c, n, l) for l in range(1, n - c + 2)]
+    assert [window for window in builds if window == (m, c, n)] == [(m, c, n)]
 
 
 def test_make_grid_records_its_spec_outside_equality():
