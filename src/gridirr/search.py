@@ -178,7 +178,8 @@ def min_strength(
     :func:`family_lower_bound` fail the root check and are skipped; an
     explicit ``start_k`` searches them anyway, at no node each.  A
     ``start_k`` above ``k_max`` leaves nothing to search and is rejected,
-    so that None keeps meaning "searched and infeasible".
+    so that None keeps meaning "searched and infeasible".  Two members
+    weighing the same elements (none, say) give None at once, with no node.
     """
     require_positive(**{"budget cap": k_max})
     for what, value in (("start budget", start_k), ("element cap", max_elements)):
@@ -194,6 +195,9 @@ def min_strength(
     require_covering(family)
     lo, hi = kind_range(kind, host)
     _check_size(hi - lo, max_elements)
+    members = () if family.window else family.indices  # window members differ in every kind
+    if len({m[bisect_left(m, lo) : bisect_left(m, hi)] for m in members}) < len(members):
+        return SearchResult(minimal_k=None, witness=None, nodes_explored=0, k_max=k_max)
     tables = _prepare(family, kind)
     start = _root_bound(tables[1]) if start_k is None else start_k
     total_nodes = 0

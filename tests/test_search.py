@@ -29,8 +29,9 @@ from gridirr import (
     subgraph_weight,
     verify_irregular,
 )
-from gridirr.construct import GridLabels, kind_element_count
-from gridirr.search import _feasible
+import gridirr.search
+from gridirr.construct import GridLabels, kind_element_count, kind_range
+from gridirr.search import SearchResult, _feasible
 from gridirr.verify import Verdict, WeightCollision
 from strategies import scope_params
 
@@ -347,6 +348,55 @@ def test_two_members_without_relevant_elements_collide_at_every_budget():
     result = min_strength(host, family, kind, k_max=3, start_k=1)
     assert (result.minimal_k, result.nodes_explored) == (None, 0)
     assert brute_force_exists(host, family, kind, 2) is None
+
+
+def twin_cases():
+    """Families with two members that weigh the same elements, with a
+    k_max: the c = 2 windows of a 2x4 grid and the last one less its
+    largest edge (vertex kind), and a path with two one-vertex members,
+    which weigh no edge (edge kind)."""
+    grid = make_grid(GridSpec(2, 4))
+    windows = tuple(enumerate_windows(grid, 2).members)
+    last = windows[-1]
+    twin = Graph(vertices=last.vertices, edges=last.edges - {max(last.edges)})
+    yield CoverFamily(host=grid, members=windows + (twin,)), LabelingKind.VERTEX, 4
+    a, b, c = Vertex(1, 1), Vertex(1, 2), Vertex(1, 3)
+    path = graph_from_elements([a, b, c], [Edge(a, b), Edge(b, c)])
+    ends = [Graph(vertices=frozenset([v]), edges=frozenset()) for v in (a, b)]
+    yield CoverFamily(host=path, members=(path, *ends)), LabelingKind.EDGE, 1000
+
+
+def test_members_weighing_the_same_elements_give_none_without_a_search(monkeypatch):
+    searched = []
+    search = gridirr.search._search
+
+    def counting(tables, k):
+        searched.append(k)
+        return search(tables, k)
+
+    monkeypatch.setattr(gridirr.search, "_search", counting)
+    for family, kind, k_max in twin_cases():
+        assert is_edge_covering(family).covers
+        for start_k in (None, 1):
+            result = min_strength(family.host, family, kind, k_max=k_max, start_k=start_k)
+            assert result == SearchResult(
+                minimal_k=None, witness=None, nodes_explored=0, k_max=k_max
+            )
+    assert searched == []
+    # the root check keeps its meaning: t + 1 for the two members with no edge
+    assert family_lower_bound(LabelingKind.EDGE, family) == 4
+
+
+def test_window_members_differ_in_every_kind():
+    # why min_strength skips the twin check on a window family
+    for m in range(2, 7):
+        for c in range(m, 8):
+            for n in range(c, 9):
+                family = enumerate_windows(make_grid(GridSpec(m, n)), c)
+                for kind in LabelingKind:
+                    lo, hi = kind_range(kind, family.host)
+                    cut = {tuple(p for p in member if lo <= p < hi) for member in family.indices}
+                    assert len(cut) == family.t, (m, c, n, kind)
 
 
 def differential_cases():
