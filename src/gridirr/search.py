@@ -12,7 +12,7 @@ is the lexicographically smallest label vector and identical inputs
 always yield identical results.  One rule cuts a branch, at the root
 and after every label (:func:`_feasible`): no pairwise distinct member
 weights remain reachable.  It is exact, so the walk meets the same first
-witness as an uncut one; at the root it gives the start budget.
+witness as an uncut one; at the root it gives :func:`family_lower_bound`.
 
 The search runs on integer tables made in one pass over the member
 index tuples (:func:`_prepare`), with no element object and no member
@@ -46,8 +46,8 @@ class SearchResult:
     """Outcome of :func:`min_strength`.
 
     ``minimal_k`` is the least feasible budget in ``start_k .. k_max``
-    (``start_k`` defaults to :func:`family_lower_bound`, below which no
-    budget is feasible).  It is None when no labeling exists in that range
+    (``start_k`` defaults to 1; no budget below :func:`family_lower_bound`
+    is feasible).  It is None when no labeling exists in that range
     (a bounded negative, never a claim about larger budgets).  A reported
     ``minimal_k`` comes with a verifier-accepted ``witness`` and a
     completed exhaustive search at every smaller searched budget.
@@ -82,22 +82,21 @@ def _check_size(count: int, max_elements: Optional[int]) -> None:
 
 def _prepare(family: CoverFamily, kind: LabelingKind) -> tuple:
     """Integer tables of one instance, shared by every budget k:
-    (touch, counts).
+    (touch, counts, cuts).
 
     Position p stands for ``family.host.elements[lo + p]``, in the kind's slice
     ``lo:hi`` (:func:`gridirr.construct.kind_range`).  ``touch[p]`` holds the
-    members containing it, in member order.  ``counts[mi]`` is how many
-    elements of the kind member mi has.
+    members containing it, in member order.  ``cuts[mi]`` is member mi's index
+    tuple cut to ``lo:hi``, and ``counts[mi]`` its length.
     """
     lo, hi = kind_range(kind, family.host)
     touch = [[] for _ in range(hi - lo)]
-    counts = []
+    cuts = []
     for mi, member in enumerate(family.indices):
-        positions = member[bisect_left(member, lo) : bisect_left(member, hi)]
-        counts.append(len(positions))
-        for pos in positions:
+        cuts.append(member[bisect_left(member, lo) : bisect_left(member, hi)])
+        for pos in cuts[mi]:
             touch[pos - lo].append(mi)
-    return [tuple(mis) for mis in touch], counts
+    return [tuple(mis) for mis in touch], list(map(len, cuts)), cuts
 
 
 def _feasible(weight: list[int], left: list[int], k: int) -> bool:
@@ -115,16 +114,9 @@ def _feasible(weight: list[int], left: list[int], k: int) -> bool:
     return True
 
 
-def _root_bound(counts: list[int]) -> int:
-    """Least k passing :func:`_feasible` with no label placed.  Every k >= t
-    passes unless two members have no element of the kind; then it is t + 1."""
-    zero, t = [0] * len(counts), len(counts)
-    return next((k for k in range(1, t + 1) if _feasible(zero, counts, k)), t + 1)
-
-
 def _search(tables: tuple, k: int) -> tuple[Optional[list[int]], int]:
     """Backtracking core: (lex-least valid label vector or None, node count)."""
-    touch, counts = tables
+    touch, counts, _ = tables
     weight, left = [0] * len(counts), list(counts)
     if not _feasible(weight, left, k):
         return None, 0
@@ -154,13 +146,16 @@ def _search(tables: tuple, k: int) -> tuple[Optional[list[int]], int]:
 
 
 def family_lower_bound(kind: LabelingKind, family: CoverFamily) -> int:
-    """Least budget passing the root check, for arbitrary families: the
-    default start of :func:`min_strength`, from :func:`_prepare`'s member
-    element counts.  Never below counting's (d_min + t - 1) / d_max; with
-    equal-sized members it is exactly the :func:`gridirr.bounds.lower_bound`
-    value.
+    """Least budget passing the root check (:func:`_feasible` with no label
+    placed), for arbitrary families, from :func:`_prepare`'s member element
+    counts; every budget below it costs :func:`min_strength` no node.  Never
+    below counting's (d_min + t - 1) / d_max; with equal-sized members it is
+    exactly the :func:`gridirr.bounds.lower_bound` value.  Every k >= t passes
+    unless two members have no element of the kind; then it is t + 1.
     """
-    return _root_bound(_prepare(family, kind)[1])
+    counts = _prepare(family, kind)[1]
+    zero, t = [0] * len(counts), len(counts)
+    return next((k for k in range(1, t + 1) if _feasible(zero, counts, k)), t + 1)
 
 
 def min_strength(
@@ -174,12 +169,12 @@ def min_strength(
     """Exact minimum budget admitting an irregular labeling, up to k_max.
 
     ``host`` must be the family's own host or equal to it, else
-    :class:`InvalidParameterError` is raised.  Budgets below
-    :func:`family_lower_bound` fail the root check and are skipped; an
-    explicit ``start_k`` searches them anyway, at no node each.  A
-    ``start_k`` above ``k_max`` leaves nothing to search and is rejected,
-    so that None keeps meaning "searched and infeasible".  Two members
-    weighing the same elements (none, say) give None at once, with no node.
+    :class:`InvalidParameterError` is raised.  The walk starts at
+    ``start_k``, by default 1; budgets below :func:`family_lower_bound`
+    fail the root check at no node each.  A ``start_k`` above ``k_max``
+    leaves nothing to search and is rejected, so that None keeps meaning
+    "searched and infeasible".  Two members weighing the same elements
+    (none, say) give None at once, with no node.
     """
     require_positive(**{"budget cap": k_max})
     for what, value in (("start budget", start_k), ("element cap", max_elements)):
@@ -195,13 +190,11 @@ def min_strength(
     require_covering(family)
     lo, hi = kind_range(kind, host)
     _check_size(hi - lo, max_elements)
-    members = () if family.window else family.indices  # window members differ in every kind
-    if len({m[bisect_left(m, lo) : bisect_left(m, hi)] for m in members}) < len(members):
-        return SearchResult(minimal_k=None, witness=None, nodes_explored=0, k_max=k_max)
     tables = _prepare(family, kind)
-    start = _root_bound(tables[1]) if start_k is None else start_k
+    cuts = tables[2]  # window members differ in every kind
+    twins = not family.window and len(set(cuts)) < len(cuts)
     total_nodes = 0
-    for k in range(start, k_max + 1):
+    for k in range(start_k or 1, 0 if twins else k_max + 1):
         vector, nodes = _search(tables, k)
         total_nodes += nodes
         if vector is not None:
@@ -220,6 +213,4 @@ def min_strength(
                 nodes_explored=total_nodes,
                 k_max=k_max,
             )
-    return SearchResult(
-        minimal_k=None, witness=None, nodes_explored=total_nodes, k_max=k_max
-    )
+    return SearchResult(minimal_k=None, witness=None, nodes_explored=total_nodes, k_max=k_max)

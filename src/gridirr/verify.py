@@ -160,11 +160,7 @@ def _label_layout(labeling: Labeling, host: Graph, lo: int, hi: int) -> list:
 def require_no_stray_labels(labeling: Labeling, host: Graph) -> list:
     """The label layout of ``host``, once no label is stray: raises
     :class:`StrayLabelError` naming the least element labeled but not weighed."""
-    return _weighed_layout(labeling, host, *kind_range(labeling.kind, host))
-
-
-def _weighed_layout(labeling: Labeling, host: Graph, lo: int, hi: int) -> list:
-    """:func:`require_no_stray_labels`, given the kind's range ``lo:hi``."""
+    lo, hi = kind_range(labeling.kind, host)
     values = _label_layout(labeling, host, lo, hi)
     if len(labeling.labels) + values.count(None) > hi - lo:  # a layout may hold None
         stray = labeling.labels.keys() - host.elements[lo:hi]
@@ -213,8 +209,8 @@ def verify_irregular(labeling: Labeling, family: CoverFamily) -> Verdict:
     """
     host = family.host
     require_covering(family)
+    values = require_no_stray_labels(labeling, host)
     lo, hi = kind_range(labeling.kind, host)
-    values = _weighed_layout(labeling, host, lo, hi)
     k = labeling.k
     require_integers(k=k)
     labels = values[lo:hi]
