@@ -450,6 +450,9 @@ USAGE_ERRORS = [  # argv, and the first words stderr must print
     (["sweep", "--kind", "vertex", "--m-range", "1..2..3",
       "--c-range", "2..2", "--n-range", "2..2", "--csv", "x.csv"],
      "usage error: --m-range must look like A..B"),
+    ([], "usage error: the following arguments are required: command"),
+    (["verify", "--labeling", "x.json", "--grid", "3,2,3"],
+     "error: window parameters must satisfy"),
 ]
 
 

@@ -280,6 +280,7 @@ def test_grids_with_a_spec_compare_their_specs():
     assert grid == same and not grid != same
     assert grid != other and grid != make_grid(GridSpec(4, 41))
     for g in (grid, same, other):
+        assert not hasattr(g, "foo")  # only vertices and edges are made on first read
         assert "elements" not in g.__dict__ and vars(g) == {"spec": g.spec}
     hand = _hand_built_grid(4, 40)  # sets compared, and hashed alike
     assert grid == hand and hand == grid and hash(grid) == hash(hand) == hash(same)

@@ -113,6 +113,7 @@ def test_load_preserves_out_of_range_labels():
         lambda d: d["labels"].append(
             {"element": {"v": [1, 1], "e": [[1, 1], [1, 2]]}, "label": 1}
         ),
+        lambda d: d.update(labels=5),
     ],
 )
 def test_malformed_labeling_files_rejected(mutate):
@@ -268,6 +269,9 @@ def test_only_a_graph_equal_to_a_grid_takes_the_shorthand():
          "members": [{"vertices": [[1, 1]], "edges": [], "junk": 1}]},
         {"host": {"grid": [2, 3], "vertices": [[9, 9]], "edges": []},
          "members": [{"vertices": [[1, 1]], "edges": []}]},
+        # data that is not an object, as the family or as its host
+        5,
+        {"host": 5, "members": [{"vertices": [[1, 1]], "edges": []}]},
     ],
 )
 def test_malformed_family_files_rejected(data):

@@ -192,8 +192,10 @@ def test_non_covering_family_rejected():
     host = make_grid(GridSpec(2, 4))
     fam = enumerate_windows(host, 2)
     truncated = CoverFamily(host=host, members=fam.members[:-1])
-    with pytest.raises(MalformedFamilyError):
-        min_strength(host, truncated, LabelingKind.VERTEX, k_max=2, start_k=2)
+    # k_max = 1 finds no witness, so the verifier's own check is never reached
+    for k_max, start_k in ((2, 2), (1, None)):
+        with pytest.raises(MalformedFamilyError):
+            min_strength(host, truncated, LabelingKind.VERTEX, k_max=k_max, start_k=start_k)
 
 
 def test_nodes_explored_accumulates():
