@@ -23,7 +23,9 @@ from gridirr import (
     verify_irregular,
     window_denominator,
 )
+import gridirr.construct
 from gridirr.construct import _stair, kind_element_count, kind_rows
+from gridirr.covering import _window_indices
 from gridirr.grid import canonical_order, column_slices
 from gridirr.verify import kind_range
 import reference
@@ -279,3 +281,31 @@ def test_one_formula_matches_the_reference_constructors():
                 assert list(got.labels) == order, (kind, variant, m, c, n)
                 assert got.k == expected.k, (kind, variant, m, c, n)
                 assert (got.kind, got.m, got.n) == (kind, m, n)
+
+
+def test_one_period_certifies_the_formula_for_every_n(monkeypatch):
+    """Each row's offset does not depend on n, so the labeling for n is the
+    first n columns of the labeling for any larger n, and along a row the
+    label rises by exactly 1 every D columns.  A window step W(l+1) - W(l)
+    takes, on each row, the label entering minus the label leaving, so the
+    steps repeat with period D in l.  The D steps of n = c + D are
+    therefore every step of every n >= c: if each is 1, the weights run
+    base, base + 1, ... for every n.  The least label sits at j = 1 and the
+    greatest, k = 1 + ceil((n - c) / D), at j = n of the first row.  The
+    range takes m > c too, with the scope check bypassed; window weights
+    are sums over the index tuples, since ``enumerate_windows`` checks the
+    scope."""
+    monkeypatch.setattr(gridirr.construct, "require_window_scope", lambda m, c, n: None)
+    for kind in LabelingKind:
+        for m in range(2, 13):
+            for c in range(2, 13):
+                n = c + window_denominator(kind, m, c)
+                labeling = gridirr.construct._construct(kind, m, n, c, TotalVariant.CORRECTED)
+                host, lo = labeling.labels.host, labeling.labels.lo
+                values = [0] * lo + list(labeling.labels.layout)
+                values += [0] * (sum(host.counts) - len(values))
+                weights = [sum(map(values.__getitem__, w)) for w in _window_indices(host, c)]
+                steps = {b - a for a, b in zip(weights, weights[1:])}
+                assert steps == {1}, (kind, m, c)
+                layout = labeling.labels.layout
+                assert (min(layout), max(layout), labeling.k) == (1, 2, 2), (kind, m, c)
