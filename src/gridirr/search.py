@@ -191,8 +191,8 @@ def min_strength(
     lo, hi = kind_range(kind, host)
     _check_size(hi - lo, max_elements)
     tables = _prepare(family, kind)
-    cuts = tables[2]  # window members differ in every kind
-    twins = not family.window and len(set(cuts)) < len(cuts)
+    cuts = tables[2]
+    twins = not family.window and len(set(cuts)) < len(cuts)  # window members differ in every kind
     total_nodes = 0
     for k in range(start_k or 1, 0 if twins else k_max + 1):
         vector, nodes = _search(tables, k)
