@@ -40,7 +40,7 @@ MODULE_TESTS = {
     "cli": ["test_cli", "test_transcript"],
     "bounds": ["test_bounds"],
 }
-TIME_LIMIT_S = 300  # per pytest process; tier-1 takes about 30 s
+TIME_LIMIT_S = 120  # per pytest process: tier-1 takes about 30 s, a module's tests at most 15 s
 
 
 def statements(source: str) -> list[ast.stmt]:
