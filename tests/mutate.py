@@ -23,6 +23,7 @@ from __future__ import annotations
 import ast
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -115,6 +116,8 @@ def run_module(copy: Path, module: str) -> tuple[int, int, int]:
 
 
 def main(modules: list[str]) -> int:
+    # a stopped run still kills its pytest process and removes its copy
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(1))
     unknown = sorted(set(modules) - set(MODULE_TESTS))
     if unknown:
         print(f"no tests listed for {', '.join(unknown)}; known: {', '.join(MODULE_TESTS)}")
