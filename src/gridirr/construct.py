@@ -12,8 +12,8 @@ labels in one m-by-c window, and ``offset`` counts the window elements in
 the labeled rows up to and including this one (c for a vertex or
 vertical-edge row, c - 1 for a horizontal-edge row).  When a window moves
 from column l to l + 1, a row of offset o adds ceil((l - o')/D) -
-ceil((l - o)/D) to its weight, o' being the offset of the row before (0
-for the first row, and the last row's offset is D); the sum over the rows
+ceil((l - o)/D) to its weight, o' being the previous row's offset (0 for
+the first row, and the last row's offset is D); the sum over the rows
 telescopes to ceil(l/D) - ceil((l - D)/D) = 1, for every m, c and n.  So
 the t = n - c + 1 window weights are base, base+1, ..., base + (n - c),
 and the budget k = 1 + ceil((n - c) / D) equals the closed-form strength

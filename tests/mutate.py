@@ -14,7 +14,7 @@ The run works on a copy of the checkout (without ``.git``) in a temporary
 directory, because tier-1 rewrites ``erratum_report.csv``; it writes
 nothing in the checkout.  One pytest process runs at a time, each with a
 time limit; a mutant that overruns it counts as caught.  With no module
-named it runs all of ``MODULE_TESTS`` (about 80 minutes on 2 CPUs).  It
+named it runs all of ``MODULE_TESTS`` (about 40 minutes on 2 CPUs).  It
 exits 1 if the unmutated copy fails its tests.
 """
 
