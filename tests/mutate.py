@@ -66,14 +66,12 @@ def deleted(source: str, stmt: ast.stmt) -> str:
     """``source`` with ``stmt`` replaced by ``pass``, padded with blank lines
     so that every other line keeps its number."""
     lines = source.splitlines(keepends=True)
-    decorators = getattr(stmt, "decorator_list", [])
-    first = decorators[0].lineno if decorators else stmt.lineno
-    col = decorators[0].col_offset - 1 if decorators else stmt.col_offset  # "@" or the statement
-    head = lines[first - 1][:col]
-    tail = lines[stmt.end_lineno - 1][stmt.end_col_offset :]
-    text = head + ("else: pass" if head.endswith("elif") else "pass") + tail
-    padding = ["\n"] * (stmt.end_lineno - first)
-    return "".join(lines[: first - 1] + [text] + padding + lines[stmt.end_lineno :])
+    first = lines[stmt.lineno - 1]
+    is_elif = first[stmt.col_offset :].startswith("elif")
+    text = first[: stmt.col_offset] + ("else: pass" if is_elif else "pass")
+    text += lines[stmt.end_lineno - 1][stmt.end_col_offset :]
+    padding = ["\n"] * (stmt.end_lineno - stmt.lineno)
+    return "".join(lines[: stmt.lineno - 1] + [text] + padding + lines[stmt.end_lineno :])
 
 
 def passes(copy: Path, tests: list[str]) -> bool:
