@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from itertools import product
 from typing import Optional
@@ -177,13 +176,10 @@ def _cmd_export(args: argparse.Namespace) -> int:
         require_no_stray_labels(labeling, host)
     if args.format == "dot":
         sys.stdout.write(gio.dot_export(host, labeling))
+    elif labeling is not None:
+        gio.dump_labeling(labeling, sys.stdout)
     else:
-        if labeling is not None:
-            payload = gio.labeling_to_json_dict(labeling)
-        else:
-            payload = {"grid": [m, n], **gio.elements_to_json_dict(host)}
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        gio._write({"grid": [m, n], **gio.elements_to_json_dict(host)}, sys.stdout)
     return EXIT_OK
 
 

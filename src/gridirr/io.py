@@ -356,9 +356,7 @@ def family_from_json_dict(data: Any) -> CoverFamily:
         vertices, edges = raw["vertices"], raw["edges"]
         found = grid and (_positions(vertices, False, *grid), _positions(edges, True, *grid))
         if found and None not in found:
-            found = found[0] + found[1]
-            if len({*found}) < len(found):  # an element named twice
-                found = {*found}
+            found = {*found[0], *found[1]}  # an element may be named twice
         else:  # an explicit host, or a list the pass hands back
             vertices = _decode(vertices, False, f"members[{pos}].vertices")
             edges = _decode(edges, True, f"members[{pos}].edges")

@@ -80,7 +80,7 @@ def _check_size(count: int, max_elements: Optional[int]) -> None:
         )
 
 
-def _prepare(family: CoverFamily, kind: LabelingKind) -> tuple:
+def _prepare(family: CoverFamily, lo: int, hi: int) -> tuple:
     """Integer tables of one instance, shared by every budget k:
     (touch, counts, cuts).
 
@@ -89,7 +89,6 @@ def _prepare(family: CoverFamily, kind: LabelingKind) -> tuple:
     members containing it, in member order.  ``cuts[mi]`` is member mi's index
     tuple cut to ``lo:hi``, and ``counts[mi]`` its length.
     """
-    lo, hi = kind_range(kind, family.host)
     touch = [[] for _ in range(hi - lo)]
     cuts = []
     for mi, member in enumerate(family.indices):
@@ -153,7 +152,7 @@ def family_lower_bound(kind: LabelingKind, family: CoverFamily) -> int:
     exactly the :func:`gridirr.bounds.lower_bound` value.  Every k >= t passes
     unless two members have no element of the kind; then it is t + 1.
     """
-    counts = _prepare(family, kind)[1]
+    counts = _prepare(family, *kind_range(kind, family.host))[1]
     zero, t = [0] * len(counts), len(counts)
     return next((k for k in range(1, t + 1) if _feasible(zero, counts, k)), t + 1)
 
@@ -190,7 +189,7 @@ def min_strength(
     require_covering(family)
     lo, hi = kind_range(kind, host)
     _check_size(hi - lo, max_elements)
-    tables = _prepare(family, kind)
+    tables = _prepare(family, lo, hi)
     cuts = tables[2]
     twins = not family.window and len(set(cuts)) < len(cuts)  # window members differ in every kind
     total_nodes = 0

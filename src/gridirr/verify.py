@@ -110,8 +110,7 @@ def weight_profile(labeling: Labeling, family: CoverFamily) -> WeightProfile:
     first, in host order, whose label is not an int (a labeling read by
     lookup; a layout holds ints).  Stray labels are ignored.
     """
-    host = family.host
-    values = _label_layout(labeling, host, *kind_range(labeling.kind, host))
+    values = _label_layout(labeling, family.host)[0]
     return _profile(values, labeling.kind, family)
 
 
@@ -139,10 +138,11 @@ def _with_article(kind: LabelingKind) -> str:
     return f"{'an' if kind is LabelingKind.EDGE else 'a'} {kind.value}"
 
 
-def _label_layout(labeling: Labeling, host: Graph, lo: int, hi: int) -> list:
-    """Per element of ``host.elements``: its label if the kind weighs it,
-    None if the kind weighs it but it has no label, else 0; ``lo:hi`` is
-    the kind's :func:`kind_range` on ``host``."""
+def _label_layout(labeling: Labeling, host: Graph) -> tuple[list, int, int]:
+    """(layout, lo, hi): per element of ``host.elements``, its label if the
+    kind weighs it, None if the kind weighs it but it has no label, else 0;
+    ``lo:hi`` is the kind's :func:`kind_range` on ``host``."""
+    lo, hi = kind_range(labeling.kind, host)
     labels = labeling.labels
     if type(labels) is GridLabels and (labels.lo, len(labels)) == (lo, hi - lo) and (
         labels.host is host or host.spec is not None and labels.host.spec == host.spec
@@ -154,14 +154,14 @@ def _label_layout(labeling: Labeling, host: Graph, lo: int, hi: int) -> list:
             for element, label in zip(host.elements[lo:hi], values):
                 if label is not None:
                     require_integers(**{f"label at {format_element(element)}": label})
-    return [0] * lo + values + [0] * (sum(host.counts) - hi)
+    return [0] * lo + values + [0] * (sum(host.counts) - hi), lo, hi
 
 
-def require_no_stray_labels(labeling: Labeling, host: Graph) -> list:
-    """The label layout of ``host``, once no label is stray: raises
-    :class:`StrayLabelError` naming the least element labeled but not weighed."""
-    lo, hi = kind_range(labeling.kind, host)
-    values = _label_layout(labeling, host, lo, hi)
+def require_no_stray_labels(labeling: Labeling, host: Graph) -> tuple[list, int, int]:
+    """The label layout of ``host`` with the kind's range, as :func:`_label_layout`
+    gives them, once no label is stray: raises :class:`StrayLabelError` naming
+    the least element labeled but not weighed."""
+    values, lo, hi = _label_layout(labeling, host)
     if len(labeling.labels) + values.count(None) > hi - lo:  # a layout may hold None
         stray = labeling.labels.keys() - host.elements[lo:hi]
         if stray:
@@ -169,7 +169,7 @@ def require_no_stray_labels(labeling: Labeling, host: Graph) -> list:
                 f"label on {format_element(min(stray, key=canonical_order))}, which "
                 f"{_with_article(labeling.kind)} labeling of this host does not weigh"
             )
-    return values
+    return values, lo, hi
 
 
 def _window_profile(values: list, kind: LabelingKind, host: Graph, c: int, n: int) -> WeightProfile:
@@ -209,8 +209,7 @@ def verify_irregular(labeling: Labeling, family: CoverFamily) -> Verdict:
     """
     host = family.host
     require_covering(family)
-    values = require_no_stray_labels(labeling, host)
-    lo, hi = kind_range(labeling.kind, host)
+    values, lo, hi = require_no_stray_labels(labeling, host)
     k = labeling.k
     require_integers(k=k)
     labels = values[lo:hi]
