@@ -25,12 +25,12 @@ for kind in LabelingKind:
     print(f"  {kind.value:6s}: lower={report.lower}  closed_form={cf}  "
           f"upper=2^{report.upper_exponent}")
 
-print("\nexhaustive certificates (searching from k=1, skip disabled):")
+print("\nexhaustive certificates (every budget from k=1):")
 host = make_grid(GridSpec(m, n))
 family = enumerate_windows(host, c)
 for kind in (LabelingKind.VERTEX, LabelingKind.EDGE):
     cf = closed_form_strength(kind, m, n, c)
-    result = min_strength(host, family, kind, k_max=cf, start_k=1)
+    result = min_strength(host, family, kind, k_max=cf)
     print(f"  {kind.value:6s}: minimal k = {result.minimal_k} "
           f"({result.nodes_explored} nodes explored; every k < "
           f"{result.minimal_k} exhausted with no witness)")

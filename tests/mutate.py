@@ -6,9 +6,11 @@ Each mutant replaces one statement in a function body of ``src/gridirr``
 with ``pass`` (an ``elif`` with ``else: pass``); docstrings are skipped.
 A mutant first runs its module's own tests (``MODULE_TESTS``) with
 ``-x``; one that survives them runs all of tier-1.  A mutant that survives
-both is printed as its module, line and statement, and the totals close
-the run.  A survivor is either a missing test or code that no output
-depends on.
+its module's tests is printed as its module, line and statement, after
+"caught late" if the rest of tier-1 catches it and "survived" if not, and
+the totals close the run.  A survivor is either a missing test or code
+that no output depends on; a late catch is a test its module's own file
+lacks.
 
 The run works on a copy of the checkout (without ``.git``) in a temporary
 directory, because tier-1 rewrites ``erratum_report.csv``; it writes
@@ -104,10 +106,12 @@ def run_module(copy: Path, module: str) -> tuple[int, int, int]:
                 continue
             if not passes(copy, []):
                 late += 1
-                continue
-            survivors += 1
+                outcome = "caught late"
+            else:
+                survivors += 1
+                outcome = "survived"
             text = ast.get_source_segment(source, stmt).splitlines()[0].strip()
-            print(f"  survived  {module}.py:{stmt.lineno}  {text}", flush=True)
+            print(f"  {outcome}  {module}.py:{stmt.lineno}  {text}", flush=True)
     finally:
         path.write_text(source)
     return mutants, late, survivors

@@ -19,6 +19,7 @@ from strategies import scope_params
 def test_lower_bound_values():
     assert lower_bound(LabelingKind.VERTEX, 2, 4, 4) == 2
     assert lower_bound(LabelingKind.EDGE, 4, 4, 4) == 2
+    assert lower_bound(LabelingKind.VERTEX, 3, 1, 0) == 3  # d = 1, the least accepted
     for kind in LabelingKind:
         assert lower_bound(kind, 1, 5, 7) == 1
 

@@ -240,13 +240,14 @@ def test_strength_oracle_respects_size_cap(capsys, monkeypatch):
 
 
 def test_size_cap_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("GRIDIRR_ORACLE_MAX_ELEMENTS", "5")
-    code, _, stderr = run(
-        capsys, "strength", "--kind", "vertex", "-m", "2", "-c", "2",
-        "-n", "3", "--oracle",
-    )
-    assert code == 3
-    assert "cap" in stderr
+    for cap in ("5", "1"):  # 1 is the least cap accepted
+        monkeypatch.setenv("GRIDIRR_ORACLE_MAX_ELEMENTS", cap)
+        code, _, stderr = run(
+            capsys, "strength", "--kind", "vertex", "-m", "2", "-c", "2",
+            "-n", "3", "--oracle",
+        )
+        assert code == 3
+        assert f"cap of {cap};" in stderr
 
 
 @pytest.mark.parametrize("raw,message", [

@@ -79,6 +79,30 @@ def test_report_lines_are_stable():
         "closed_form=2",
         "construction_verified=true",
     ]
+    assert report.to_row() == ["vertex", "2", "3", "4", "2", "2", "2", "true", ""]
+    report = strength_report(LabelingKind.TOTAL, 2, 2, 3, oracle=True)
+    assert report.to_lines() == [
+        "kind=total m=2 c=2 n=3 t=2",
+        "lower_bound=2",
+        "closed_form=2",
+        "construction_verified=true",
+        "oracle_k=2",
+        "erratum_note=as-printed horizontal-edge denominator (2mc-m-c) fails "
+        "verification: label 0 at (1,1)-(1,2) outside 1..2; the corrected "
+        "variant uses 3mc-m-c and verifies",
+    ]
+    assert report.to_row() == ["total", "2", "2", "3", "2", "2", "2", "true", "false"]
+
+
+def test_report_lower_bound_where_the_windows_outnumber_a_members_elements():
+    # n - c = 38 exceeds every kind's member element count d, so a wrong
+    # count gives a wrong 1 + ceil((n - c)/d)
+    m, c, n = 2, 2, 40
+    vertices, edges = m * c, 2 * m * c - m - c  # one window's
+    counts = [vertices, edges, vertices + edges]  # vertex, edge, total
+    expected = [1 + -(-(n - c) // d) for d in counts]
+    assert expected == [11, 11, 6]
+    assert [strength_report(kind, m, c, n).lower_bound for kind in LabelingKind] == expected
 
 
 @pytest.mark.parametrize("m,c,n", [(2, 2, 2), (3, 4, 12), (4, 6, 40)])
