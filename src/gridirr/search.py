@@ -13,6 +13,8 @@ always yield identical results.  One rule cuts a branch, at the root
 and after every label (:func:`_feasible`): no pairwise distinct member
 weights remain reachable.  It is exact, so the walk meets the same first
 witness as an uncut one; at the root it gives :func:`family_lower_bound`.
+After a label it runs in full only when a moved member's value, kept from
+the last run that passed, no longer fits (:func:`_search`).
 
 The search runs on integer tables made in one pass over the member
 index tuples (:func:`_prepare`), with no element object and no member
@@ -27,6 +29,7 @@ the constructors hold theirs (:class:`gridirr.construct.GridLabels`).
 from __future__ import annotations
 
 import os
+from itertools import count
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
@@ -98,26 +101,33 @@ def _prepare(family: CoverFamily, lo: int, hi: int) -> tuple:
     return [tuple(mis) for mis in touch], list(map(len, cuts)), cuts
 
 
-def _feasible(weight: list[int], left: list[int], k: int) -> bool:
+def _feasible(weight: list[int], left: list[int], k: int) -> Optional[list[int]]:
     """Hall's theorem for intervals: a member with weight w and r unlabeled
     positions ends in [w + r, w + r*k].  Taken by right end, each interval
     gets the least value at or above its left end that no earlier one took;
-    distinct final weights exist exactly when every value fits."""
-    given = set()
-    for high, low in sorted([(w + r * k, w + r) for w, r in zip(weight, left)]):
+    distinct final weights exist exactly when every value fits.  Returns the
+    value each member got (pairwise distinct), or None when one does not fit."""
+    given, values = set(), list(weight)
+    for high, low, mi in sorted([(w + r * k, w + r, mi) for w, r, mi in zip(weight, left, count())]):
         while low in given:
             low += 1
         if low > high:
-            return False
+            return None
         given.add(low)
-    return True
+        values[mi] = low
+    return values
 
 
 def _search(tables: tuple, k: int) -> tuple[Optional[list[int]], int]:
-    """Backtracking core: (lex-least valid label vector or None, node count)."""
+    """Backtracking core: (lex-least valid label vector or None, node count).
+    ``values``, from the last Hall check that passed, fit every member at
+    the node's parent, since an undo widens a label's point [L, L] back to
+    [1, k].  So a node passes with no full check when each member in
+    ``touch[pos]``, the members its label moves, keeps its value in range."""
     touch, counts, _ = tables
     weight, left = [0] * len(counts), list(counts)
-    if not _feasible(weight, left, k):
+    values = _feasible(weight, left, k)
+    if values is None:
         return None, 0
     size = len(touch)
     labels = [0] * size  # labels[pos]: the label tried last, 0 for none
@@ -135,11 +145,15 @@ def _search(tables: tuple, k: int) -> tuple[Optional[list[int]], int]:
             continue
         labels[pos] = label + 1
         nodes += 1
+        fits = True
         for mi in touch[pos]:
             weight[mi] += 1
             if not label:  # its first label: the position is now labeled
                 left[mi] -= 1
-        if _feasible(weight, left, k):
+            fits = fits and weight[mi] + left[mi] <= values[mi] <= weight[mi] + left[mi] * k
+        fresh = values if fits else _feasible(weight, left, k)  # the full check decides
+        if fresh is not None:
+            values = fresh
             pos += 1
     return labels, nodes
 
@@ -154,7 +168,7 @@ def family_lower_bound(kind: LabelingKind, family: CoverFamily) -> int:
     """
     counts = _prepare(family, *kind_range(kind, family.host))[1]
     zero, t = [0] * len(counts), len(counts)
-    return next((k for k in range(1, t + 1) if _feasible(zero, counts, k)), t + 1)
+    return next((k for k in range(1, t + 1) if _feasible(zero, counts, k) is not None), t + 1)
 
 
 def min_strength(

@@ -21,6 +21,11 @@ The search is the walk the oracle used before it checked Hall's rule at
 every node: it cuts a branch only when two completed members share a
 weight, and starts at the counting bound.
 
+The Hall check is the bool probe the oracle used before it kept a check's
+values between nodes, and the Hall walk is the walk that ran it in full
+at every node: the package walk must give the same label vector and node
+count.
+
 The coordinate readers are the per-item checks the file loader used
 before every JSON list went through one decoder: one function per vertex
 and per edge, raising at the first malformed item.
@@ -149,6 +154,53 @@ def min_strength(host, family, kind, k_max, start_k=None):
             witness = Labeling(kind=kind, k=k, labels=assignment, m=m, n=n)
             return SearchResult(k, witness, total, k_max)
     return SearchResult(None, None, total, k_max)
+
+
+def feasible(weight, left, k):
+    """Hall's theorem for intervals: a member with weight w and r unlabeled
+    positions ends in [w + r, w + r*k].  Taken by right end, each interval
+    gets the least value at or above its left end that no earlier one took;
+    distinct final weights exist exactly when every value fits."""
+    given = set()
+    for high, low in sorted([(w + r * k, w + r) for w, r in zip(weight, left)]):
+        while low in given:
+            low += 1
+        if low > high:
+            return False
+        given.add(low)
+    return True
+
+
+def hall_search(tables, k):
+    """The walk with the full Hall check at every node, on the package's
+    tables (``gridirr.search._prepare``): (label vector or None, nodes)."""
+    touch, counts, _ = tables
+    weight, left = [0] * len(counts), list(counts)
+    if not feasible(weight, left, k):
+        return None, 0
+    size = len(touch)
+    labels = [0] * size
+    nodes = pos = 0
+    while pos < size:
+        label = labels[pos]
+        if label == k:
+            labels[pos] = 0
+            for mi in touch[pos]:
+                weight[mi] -= k
+                left[mi] += 1
+            pos -= 1
+            if pos < 0:
+                return None, nodes
+            continue
+        labels[pos] = label + 1
+        nodes += 1
+        for mi in touch[pos]:
+            weight[mi] += 1
+            if not label:
+                left[mi] -= 1
+        if feasible(weight, left, k):
+            pos += 1
+    return labels, nodes
 
 
 def window_subgraph(m, c, l):

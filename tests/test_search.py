@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -186,6 +187,25 @@ def test_resource_limit_is_an_error_not_a_negative():
         host, fam, LabelingKind.VERTEX, k_max=3, start_k=3, max_elements=100
     ).witness
     assert witness is not None
+
+
+@pytest.mark.parametrize(
+    "raw,error,message",
+    [
+        ("abc", InvalidParameterError, "GRIDIRR_ORACLE_MAX_ELEMENTS must be an integer, got 'abc'"),
+        ("0", InvalidParameterError, "GRIDIRR_ORACLE_MAX_ELEMENTS must be >= 1"),
+        ("1", ResourceLimitError, "instance has 6 labeled elements, above the cap of 1;"),
+    ],
+)
+def test_size_cap_is_read_from_the_environment_when_none_is_passed(monkeypatch, raw, error, message):
+    host = make_grid(GridSpec(2, 3))
+    family = enumerate_windows(host, 2)
+    monkeypatch.setenv("GRIDIRR_ORACLE_MAX_ELEMENTS", raw)
+    with pytest.raises(error, match=f"^{re.escape(message)}"):
+        min_strength(host, family, LabelingKind.VERTEX, k_max=2)
+    # a cap passed in reads no environment
+    result = min_strength(host, family, LabelingKind.VERTEX, k_max=2, max_elements=6)
+    assert result.minimal_k == 2
 
 
 def test_non_covering_family_rejected():
@@ -497,6 +517,64 @@ def test_walk_matches_the_reference_walk_at_every_budget():
     assert budgets > 400
 
 
+def full_check_walks(kind, family, k_max):
+    """The package walk at each budget 1 .. k_max, asserted equal, label
+    vector and node count, to the reference walk that runs the full Hall
+    check at every node: [(vector, nodes)] per budget."""
+    tables = gridirr.search._prepare(family, *kind_range(kind, family.host))
+    walks = []
+    for k in range(1, k_max + 1):
+        walks.append(gridirr.search._search(tables, k))
+        assert walks[-1] == reference.hall_search(tables, k), (kind, family, k)
+    return walks
+
+
+def test_walk_matches_the_full_check_walk_at_every_budget():
+    budgets = 0
+    for kind, family, k_max in walk_differential_cases():
+        budgets += len(full_check_walks(kind, family, k_max))
+    assert budgets > 400
+
+
+def full_copy_family(m, c, n):
+    """Every copy of P_m x P_c in the m x n grid for c < m <= n, from the
+    definition: each m-row, c-column subgrid (the windows, left to right),
+    then each c-row, m-column one (top to bottom, then left to right), as
+    the grid's vertices and edges inside its box."""
+    host = make_grid(GridSpec(m, n))
+
+    def box(top, left, rows, cols):
+        def inside(v):
+            return top <= v.i < top + rows and left <= v.j < left + cols
+
+        vertices = [v for v in host.vertices if inside(v)]
+        return graph_from_elements(vertices, [e for e in host.edges if all(map(inside, e))])
+
+    members = [
+        box(top, left, rows, cols)
+        for rows, cols in ((m, c), (c, m))
+        for top in range(1, m - rows + 2)
+        for left in range(1, n - cols + 2)
+    ]
+    return CoverFamily(host=host, members=tuple(members))
+
+
+# nodes from k = 1 to the minimum, which is above the root Hall bound on
+# both: the searches refute k = 3 and k = 2 in 62,334 and 5,634 nodes
+@pytest.mark.parametrize("m,c,n,minimal_k,nodes", [(3, 2, 6, 4, 62_535), (4, 3, 7, 3, 13_262)])
+def test_full_copy_families_walk_as_the_full_check_walk(m, c, n, minimal_k, nodes):
+    family = full_copy_family(m, c, n)
+    assert family.t == n - c + 1 + (m - c + 1) * (n - m + 1)
+    walks = full_check_walks(LabelingKind.VERTEX, family, minimal_k)
+    assert [vector is not None for vector, _ in walks] == [False] * (minimal_k - 1) + [True]
+    assert sum(count for _, count in walks) == nodes
+    result = min_strength(
+        family.host, family, LabelingKind.VERTEX, k_max=minimal_k, max_elements=m * n
+    )
+    assert (result.minimal_k, result.nodes_explored) == (minimal_k, nodes)
+    assert list(result.witness.labels.values()) == walks[-1][0]
+
+
 @settings(max_examples=40, deadline=None)
 @given(scope_params(max_m=3, max_c=5, max_n=8), st.sampled_from(LabelingKind), st.randoms())
 def test_drawn_window_families_give_the_reference_witness(params, kind, rnd):
@@ -523,6 +601,16 @@ def test_certify_search_tree_is_pinned():
         assert result.minimal_k == cf
         budgets, nodes = budgets + cf, nodes + result.nodes_explored
     assert (budgets, nodes) == (203, 2_230)
+
+
+def test_certify_runs_the_full_check_only_when_a_kept_value_no_longer_fits(monkeypatch):
+    # the same pass: one full Hall check at each root and node would be
+    # 2,433; the walk keeps the values of the last check that passed
+    full, calls = gridirr.search._feasible, []
+    monkeypatch.setattr(gridirr.search, "_feasible", lambda *args: calls.append(1) or full(*args))
+    for kind, host, family, cf, _ in certify_instances():
+        min_strength(host, family, kind, k_max=cf, start_k=1, max_elements=CERTIFY_MAX_ELEMENTS)
+    assert len(calls) == 589
 
 
 def test_a_witness_the_verifier_rejects_is_an_error(monkeypatch):
@@ -736,5 +824,13 @@ def distinct_weights_exist(weight, left, k):
     st.integers(1, 4),
 )
 def test_hall_check_equals_brute_force_over_small_interval_sets(members, k):
+    # the package check returns the value each member gets, the reference
+    # check a bool
     weight, left = [w for w, _ in members], [r for _, r in members]
-    assert _feasible(weight, left, k) == distinct_weights_exist(weight, left, k)
+    exists = distinct_weights_exist(weight, left, k)
+    assert reference.feasible(weight, left, k) == exists
+    values = _feasible(weight, left, k)
+    assert (values is not None) == exists
+    if values is not None:
+        assert len(set(values)) == len(values)
+        assert all(w + r <= v <= w + r * k for v, w, r in zip(values, weight, left))
