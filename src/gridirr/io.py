@@ -356,7 +356,8 @@ def family_from_json_dict(data: Any) -> CoverFamily:
         vertices, edges = raw["vertices"], raw["edges"]
         found = grid and (_positions(vertices, False, *grid), _positions(edges, True, *grid))
         if found and None not in found:
-            found = {*found[0], *found[1]}  # an element may be named twice
+            found = found[0] + found[1]  # ascending as written; a set if an element is named twice
+            found = found if len(set(found)) == len(found) else set(found)
         else:  # an explicit host, or a list the pass hands back
             vertices = _decode(vertices, False, f"members[{pos}].vertices")
             edges = _decode(edges, True, f"members[{pos}].edges")

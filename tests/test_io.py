@@ -202,6 +202,16 @@ def test_non_grid_host_roundtrips_explicitly():
     assert restored == family
 
 
+def test_grid_members_load_as_ascending_position_sets():
+    # one position per element, ascending, whether a member names an
+    # element twice or lists it out of order
+    once = {"vertices": [[1, 1], [1, 2]], "edges": [[[1, 1], [1, 2]]]}
+    twice = {"vertices": [[1, 2], [1, 1], [1, 2]], "edges": [[[1, 2], [1, 1]], [[1, 1], [1, 2]]]}
+    for member in (once, twice):
+        family = family_from_json_dict({"host": {"grid": [1, 2]}, "members": [member]})
+        assert family.indices == ((0, 1, 2),)
+
+
 def test_graph_shorthand_parses():
     g = graph_from_json_dict({"grid": [2, 4]})
     assert g == make_grid(GridSpec(2, 4))
