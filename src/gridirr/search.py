@@ -29,9 +29,9 @@ the constructors hold theirs (:class:`gridirr.construct.GridLabels`).
 from __future__ import annotations
 
 import os
-from itertools import count
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import count
 from typing import Optional
 
 from .construct import GridLabels, Labeling, LabelingKind, kind_range
@@ -120,10 +120,11 @@ def _feasible(weight: list[int], left: list[int], k: int) -> Optional[list[int]]
 
 def _search(tables: tuple, k: int) -> tuple[Optional[list[int]], int]:
     """Backtracking core: (lex-least valid label vector or None, node count).
-    ``values``, from the last Hall check that passed, fit every member at
-    the node's parent, since an undo widens a label's point [L, L] back to
-    [1, k].  So a node passes with no full check when each member in
-    ``touch[pos]``, the members its label moves, keeps its value in range."""
+
+    ``values`` are those of the last Hall check that passed, at the node's
+    parent or below it.  An undo widens a label's point [L, L] back to
+    [1, k], so they fit every member at the parent: a node passes with no
+    full check when each member its label moves has its value in range."""
     touch, counts, _ = tables
     weight, left = [0] * len(counts), list(counts)
     values = _feasible(weight, left, k)
