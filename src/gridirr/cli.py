@@ -131,21 +131,15 @@ def _cmd_strength(args: argparse.Namespace) -> int:
     report = strength_report(kind, args.m, args.c, args.n, oracle=args.oracle)
     for line in report.to_lines():
         print(line)
-    if report.oracle_ran and not report.oracle_agrees:
-        print(
-            f"DISCREPANCY: oracle found minimal k="
-            f"{report.oracle_k if report.oracle_k is not None else 'none'} "
-            f"but the closed form gives {report.closed_form}",
-            file=sys.stderr,
-        )
-        return EXIT_REJECTED
-    if not report.construction_verified:
-        print(
-            "DISCREPANCY: constructed labeling failed verification",
-            file=sys.stderr,
-        )
-        return EXIT_REJECTED
-    return EXIT_OK
+    if report.oracle_agrees is False:  # the oracle's reason comes first
+        shown = "none" if report.oracle_k is None else report.oracle_k
+        why = f"oracle found minimal k={shown} but the closed form gives {report.closed_form}"
+    elif not report.construction_verified:
+        why = "constructed labeling failed verification"
+    else:
+        return EXIT_OK
+    print(f"DISCREPANCY: {why}", file=sys.stderr)
+    return EXIT_REJECTED
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

@@ -394,16 +394,11 @@ def dot_export(graph: Graph, labeling: Optional[Labeling] = None) -> str:
         lines.append(
             f"  // {labeling.kind.value} labeling, budget k={labeling.k}"
         )
-    split = graph.counts[0]
-    for v in graph.elements[:split]:
-        if labeling is not None and v in labeling.labels:
-            lines.append(f"  {_node_id(v)} [label={labeling.labels[v]}];")
-        else:
-            lines.append(f"  {_node_id(v)};")
-    for e in graph.elements[split:]:
-        stmt = f"  {_node_id(e.a)} -- {_node_id(e.b)}"
-        if labeling is not None and e in labeling.labels:
-            stmt += f" [label={labeling.labels[e]}]"
-        lines.append(stmt + ";")
+    labels = {} if labeling is None else labeling.labels
+    for x in graph.elements:
+        stmt = f"{_node_id(x.a)} -- {_node_id(x.b)}" if isinstance(x, Edge) else _node_id(x)
+        if x in labels:
+            stmt += f" [label={labels[x]}]"
+        lines.append(f"  {stmt};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,8 +1,9 @@
 """Aggregated strength reports for one (kind, m, c, n) query.
 
-:func:`strength_report` is the one report pipeline: ``gridirr strength``
-prints :meth:`StrengthReport.to_lines` and ``gridirr sweep`` writes
-:meth:`StrengthReport.to_row` under the header :data:`ROW_FIELDS`.
+:func:`strength_report` is the one report pipeline and :data:`ROW_FIELDS`
+its one field table: ``gridirr strength`` prints the fields as ``name=cell``
+lines (:meth:`StrengthReport.to_lines`) and ``gridirr sweep`` as CSV rows
+(:meth:`StrengthReport.to_row`, under that header), cell for cell the same.
 """
 
 from __future__ import annotations
@@ -61,12 +62,9 @@ class StrengthReport:
         return self.oracle_k == self.closed_form
 
     def to_lines(self) -> list[str]:
-        lines = [
-            f"kind={self.kind.value} m={self.m} c={self.c} n={self.n} t={self.t}",
-            f"lower_bound={self.lower_bound}",
-            f"closed_form={self.closed_form}",
-            f"construction_verified={_cell(self.construction_verified)}",
-        ]
+        """``name=cell`` for each row cell but the last, the first five on one line."""
+        pairs = [f"{name}={cell}" for name, cell in zip(ROW_FIELDS[:-1], self.to_row())]
+        lines = [" ".join(pairs[:5]), *pairs[5:]]
         if self.oracle_ran:
             shown = "none" if self.oracle_k is None else str(self.oracle_k)
             lines.append(f"oracle_k={shown}")

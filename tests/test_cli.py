@@ -191,6 +191,9 @@ def test_strength_with_oracle(capsys):
      "DISCREPANCY: oracle found minimal k=none but the closed form gives 2\n"),
     ({"construction_verified": False},
      "DISCREPANCY: constructed labeling failed verification\n"),
+    # both at once: the oracle's line alone
+    ({"oracle_ran": True, "oracle_k": 3, "construction_verified": False},
+     "DISCREPANCY: oracle found minimal k=3 but the closed form gives 2\n"),
 ])
 def test_strength_discrepancy_exits_2(capsys, monkeypatch, changes, stderr):
     report = dataclasses.replace(
@@ -358,6 +361,16 @@ def test_sweep_rows_lexicographic_with_header(tmp_path, capsys):
     assert all(2 <= m <= c <= n for (m, c, n) in triples)
 
 
+def test_sweep_skips_the_triples_out_of_scope(tmp_path, capsys):
+    # m = 1 and c < m lie in the ranges but not in scope: no row, no error
+    out = tmp_path / "sweep.csv"
+    code, stdout, _ = run(capsys, "sweep", "--kind", "edge", "--m-range", "1..2",
+                          "--c-range", "1..3", "--n-range", "1..3", "--csv", str(out))
+    assert (code, stdout) == (0, f"wrote 3 rows to {out}\n")
+    rows = [l.split(",")[1:4] for l in out.read_text().splitlines()[1:]]
+    assert rows == [["2", "2", "2"], ["2", "2", "3"], ["2", "3", "3"]]
+
+
 def test_sweep_total_records_as_printed_outcome(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     run(capsys, "sweep", "--kind", "total", "--m-range", "2..2",
@@ -388,6 +401,21 @@ def test_export_dot_contract(capsys):
     body = stdout.splitlines()
     assert sum(1 for l in body if "--" in l) == 4
     assert sum(1 for l in body if l.strip().endswith(";") and "--" not in l) == 4
+
+
+def test_export_accepts_a_grid_of_one_row_or_one_column(capsys):
+    assert run(capsys, "export", "--grid", "1,2", "--format", "dot") == (0, (
+        "graph grid_1x2 {\n"
+        "  // 1 rows x 2 columns\n"
+        "  v1_1;\n"
+        "  v1_2;\n"
+        "  v1_1 -- v1_2;\n"
+        "}\n"
+    ), "")
+    code, stdout, _ = run(capsys, "export", "--grid", "2,1", "--format", "json")
+    assert code == 0
+    assert json.loads(stdout) == {"grid": [2, 1], "vertices": [[1, 1], [2, 1]],
+                                  "edges": [[[1, 1], [2, 1]]]}
 
 
 def test_export_json_roundtrip_verifies(tmp_path, capsys):

@@ -15,6 +15,7 @@ from gridirr import (
     FormatError,
     Graph,
     GridSpec,
+    Labeling,
     LabelingKind,
     MalformedFamilyError,
     TotalVariant,
@@ -343,6 +344,21 @@ def test_dot_export_with_labels():
     text = dot_export(make_grid(GridSpec(2, 2)), lab)
     assert "v1_1 [label=1];" in text
     assert "v1_1 -- v1_2 [label=1];" in text
+    # the edge kind: the vertices bare, every edge labeled
+    assert dot_export(make_grid(GridSpec(2, 2)), construct_edge_labeling(2, 2, 2)) == (
+        "graph grid_2x2 {\n"
+        "  // 2 rows x 2 columns\n"
+        "  // edge labeling, budget k=1\n"
+        "  v1_1;\n"
+        "  v1_2;\n"
+        "  v2_1;\n"
+        "  v2_2;\n"
+        "  v1_1 -- v1_2 [label=1];\n"
+        "  v1_1 -- v2_1 [label=1];\n"
+        "  v1_2 -- v2_2 [label=1];\n"
+        "  v2_1 -- v2_2 [label=1];\n"
+        "}\n"
+    )
 
 
 def test_dot_export_vertex_labeling_leaves_edges_bare():
@@ -350,6 +366,14 @@ def test_dot_export_vertex_labeling_leaves_edges_bare():
     text = dot_export(make_grid(GridSpec(2, 3)), lab)
     assert "v1_3 [label=2];" in text
     assert "v1_1 -- v1_2;" in text
+    # a dict labeling missing one vertex label and one edge label: both bare
+    total = construct_total_labeling(2, 2, 2)
+    gone = (Vertex(1, 2), Edge(Vertex(1, 2), Vertex(2, 2)))
+    labels = {x: label for x, label in total.labels.items() if x not in gone}
+    partial = Labeling(kind=LabelingKind.TOTAL, k=total.k, labels=labels, m=2, n=2)
+    text = dot_export(make_grid(GridSpec(2, 2)), partial)
+    assert "  v1_2;\n" in text and "  v1_2 -- v2_2;\n" in text
+    assert text.count("[label=") == 6
 
 
 def test_exported_labeling_verifies_after_reload():

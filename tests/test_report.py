@@ -1,6 +1,7 @@
 import json
 import sys
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -22,7 +23,7 @@ import gridirr.grid
 from gridirr.cli import main
 from gridirr.construct import kind_element_count
 from gridirr.io import family_to_json_dict, labeling_to_json_dict
-from gridirr.report import strength_report
+from gridirr.report import ROW_FIELDS, strength_report
 
 
 @pytest.fixture
@@ -92,6 +93,18 @@ def test_report_lines_are_stable():
         "variant uses 3mc-m-c and verifies",
     ]
     assert report.to_row() == ["total", "2", "2", "3", "2", "2", "2", "true", "false"]
+
+
+def test_text_lines_and_csv_row_show_the_same_fields():
+    # the first four text lines hold the row's first eight cells, by name
+    reports = 0
+    for kind, m, c, n in product(LabelingKind, range(2, 4), range(2, 5), range(2, 13)):
+        if m <= c <= n:
+            report = strength_report(kind, m, c, n)
+            pairs = [pair.split("=") for pair in " ".join(report.to_lines()[:4]).split(" ")]
+            assert pairs == [list(cell) for cell in zip(ROW_FIELDS[:8], report.to_row()[:8])]
+            reports += 1
+    assert reports == 3 * 49
 
 
 def test_report_lower_bound_where_the_windows_outnumber_a_members_elements():
