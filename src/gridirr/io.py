@@ -243,8 +243,10 @@ def _layout(entries: list, lo: int, hi: int, m: int, n: int) -> Optional[tuple]:
         return None
     placed = dict(zip(vertices, compress(labels, map(not_, is_edge))))
     placed.update(zip(edges, compress(labels, is_edge)))
-    layout = tuple(map(placed.get, range(lo, hi)))
-    return None if None in layout else layout
+    try:
+        return tuple(map(placed.__getitem__, range(lo, hi)))
+    except KeyError:  # a position no entry places
+        return None
 
 
 def _entry(entry: Any) -> Union[tuple[Element, int], str]:
@@ -389,7 +391,7 @@ def dot_export(graph: Graph, labeling: Optional[Labeling] = None) -> str:
     """Render the graph in DOT, labels (when given) as element attributes."""
     m, n = grid_dims(graph)
     lines = [f"graph grid_{m}x{n} {{"]
-    lines.append(f"  // {m} rows x {n} columns")
+    lines.append(f"  // {m} row{'s' * (m != 1)} x {n} column{'s' * (n != 1)}")
     if labeling is not None:
         lines.append(
             f"  // {labeling.kind.value} labeling, budget k={labeling.k}"

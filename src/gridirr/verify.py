@@ -19,7 +19,8 @@ an equal-spec :func:`gridirr.grid.make_grid` grid; any other is looked
 up element by element.  The verdict's range violation and weights both
 come from the layout, by position: only the element a range violation
 names is made.  A label the layout leaves out is stray (see
-:func:`verify_irregular`), and :func:`weight_profile` ignores it.
+:func:`verify_irregular`), and :func:`weight_profile` ignores it; the
+stray test reads the count of unlabeled elements, 0 for a layout.
 
 A window family (see :attr:`gridirr.covering.CoverFamily.window`) is
 weighed from the column sums (vertex and vertical-edge labels) and gap
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from operator import add
 from typing import Optional, Union
 
@@ -96,6 +97,9 @@ class Verdict:
     violation: Optional[Violation] = None
 
 
+_ACCEPTED = Verdict(accepted=True)  # frozen, so one serves every accepted verdict
+
+
 def subgraph_weight(labeling: Labeling, member: Graph) -> int:
     """Sum of the member's labels relevant to the labeling's kind."""
     return weight_profile(labeling, CoverFamily(host=member, members=(member,)))[0]
@@ -138,31 +142,36 @@ def _with_article(kind: LabelingKind) -> str:
     return f"{'an' if kind is LabelingKind.EDGE else 'a'} {kind.value}"
 
 
-def _label_layout(labeling: Labeling, host: Graph) -> tuple[list, int, int]:
-    """(layout, lo, hi): per element of ``host.elements``, its label if the
-    kind weighs it, None if the kind weighs it but it has no label, else 0;
-    ``lo:hi`` is the kind's :func:`kind_range` on ``host``."""
+def _label_layout(labeling: Labeling, host: Graph) -> tuple[list, int, int, int]:
+    """(layout, lo, hi, unlabeled): per element of ``host.elements``, its label if the kind
+    weighs it, None if it weighs it but it has no label, else 0; ``lo:hi`` is the kind's
+    :func:`kind_range` on ``host``; ``unlabeled`` counts the Nones (0 for a layout)."""
     lo, hi = kind_range(labeling.kind, host)
     labels = labeling.labels
+    values, unlabeled = [0] * lo, 0
     if type(labels) is GridLabels and (labels.lo, len(labels)) == (lo, hi - lo) and (
         labels.host is host or host.spec is not None and labels.host.spec == host.spec
     ):
-        values = list(labels.layout)
+        values += labels.layout
     else:
-        values = list(map(labels.get, host.elements[lo:hi]))
-        if not set(map(type, values)) <= {int, type(None)}:
-            for element, label in zip(host.elements[lo:hi], values):
+        weighed = list(map(labels.get, host.elements[lo:hi]))
+        types = set(map(type, weighed))
+        unlabeled = weighed.count(None) if type(None) in types else 0
+        if not types <= {int, type(None)}:
+            for element, label in zip(host.elements[lo:hi], weighed):
                 if label is not None:
                     require_integers(**{f"label at {format_element(element)}": label})
-    return [0] * lo + values + [0] * (sum(host.counts) - hi), lo, hi
+        values += weighed
+    values += [0] * (sum(host.counts) - hi)
+    return values, lo, hi, unlabeled
 
 
 def require_no_stray_labels(labeling: Labeling, host: Graph) -> tuple[list, int, int]:
-    """The label layout of ``host`` with the kind's range, as :func:`_label_layout`
-    gives them, once no label is stray: raises :class:`StrayLabelError` naming
-    the least element labeled but not weighed."""
-    values, lo, hi = _label_layout(labeling, host)
-    if len(labeling.labels) + values.count(None) > hi - lo:  # a layout may hold None
+    """The label layout of ``host`` with the kind's range, as :func:`_label_layout` gives
+    them, once no label is stray: raises :class:`StrayLabelError` naming the least element
+    labeled but not weighed; the test reads the unlabeled count, 0 for a layout."""
+    values, lo, hi, unlabeled = _label_layout(labeling, host)
+    if len(labeling.labels) + unlabeled > hi - lo:
         stray = labeling.labels.keys() - host.elements[lo:hi]
         if stray:
             raise StrayLabelError(
@@ -176,7 +185,7 @@ def _window_profile(values: list, kind: LabelingKind, host: Graph, c: int, n: in
     """Window weights of the m-by-n grid ``host`` from the column and gap
     sums of the rows the kind labels."""
     columns, gaps = (  # [j - 1]: the sum of the j-th positions of the rows
-        reduce(lambda x, y: list(map(add, x, y)), [values[a] + values[b] for a, b in rows])
+        list(reduce(partial(map, add), [values[a] + values[b] for a, b in rows]))
         if rows else [0] * n  # the vertex kind labels no gap row
         for rows in kind_rows(kind, host)
     )
@@ -216,9 +225,6 @@ def verify_irregular(labeling: Labeling, family: CoverFamily) -> Verdict:
     outside = {label for label in set(labels) if label is not None and not 1 <= label <= k}
     if outside:  # the violation is at the first position holding one
         pos = lo + min(map(labels.index, outside))
-        violation = RangeViolation(host.element(pos), values[pos], k)
-        return Verdict(accepted=False, violation=violation)
+        return Verdict(accepted=False, violation=RangeViolation(host.element(pos), values[pos], k))
     collision = _first_collision(_profile(values, labeling.kind, family))
-    if collision is not None:
-        return Verdict(accepted=False, violation=collision)
-    return Verdict(accepted=True)
+    return _ACCEPTED if collision is None else Verdict(accepted=False, violation=collision)

@@ -406,7 +406,7 @@ def test_export_dot_contract(capsys):
 def test_export_accepts_a_grid_of_one_row_or_one_column(capsys):
     assert run(capsys, "export", "--grid", "1,2", "--format", "dot") == (0, (
         "graph grid_1x2 {\n"
-        "  // 1 rows x 2 columns\n"
+        "  // 1 row x 2 columns\n"
         "  v1_1;\n"
         "  v1_2;\n"
         "  v1_1 -- v1_2;\n"

@@ -337,6 +337,15 @@ def test_dot_export_plain_grid():
     edge_stmts = [l for l in lines if "--" in l]
     assert len(node_stmts) == 4
     assert len(edge_stmts) == 4
+    # one column: the count of 1 in the singular
+    assert dot_export(make_grid(GridSpec(2, 1))) == (
+        "graph grid_2x1 {\n"
+        "  // 2 rows x 1 column\n"
+        "  v1_1;\n"
+        "  v2_1;\n"
+        "  v1_1 -- v2_1;\n"
+        "}\n"
+    )
 
 
 def test_dot_export_with_labels():

@@ -380,6 +380,51 @@ def test_layout_fast_path_matches_the_lookup_path():
                     assert fast[0][1].accepted is (variant is TotalVariant.CORRECTED)
 
 
+def test_a_mutated_layout_matches_its_dict_form():
+    """Over the acceptance range, a constructed layout with one label raised
+    by one, or one label set to k + 1, still read through the layout, gets
+    the verdict, first violation and profile of its dict form."""
+    for m in range(2, 5):
+        for c in range(m, 7):
+            for n in range(c, 41):
+                fam = enumerate_windows(make_grid(GridSpec(m, n)), c)
+                for kind, variant in VARIANTS:
+                    lab = construct_for_kind(kind, m, n, c, variant)
+                    grid_labels, k = lab.labels, lab.k
+                    layout = list(grid_labels.layout)
+                    for pos, label in ((0, layout[0] + 1), (len(layout) // 2, k + 1)):
+                        mutated = GridLabels(grid_labels.host, grid_labels.lo,
+                                             tuple(layout[:pos] + [label] + layout[pos + 1:]))
+                        edited = Labeling(kind=kind, k=k, labels=mutated, m=m, n=n)
+                        fast = [outcome(fn, edited, fam) for fn in (verify_irregular, weight_profile)]
+                        assert "_labels" not in vars(mutated)  # no key was read
+                        slow = [outcome(fn, as_dict(edited), fam)
+                                for fn in (verify_irregular, weight_profile)]
+                        assert fast == slow, (kind, variant, m, c, n, pos, label)
+                        if label == k + 1:  # the first label outside 1..k is named
+                            first = next(p for p, x in enumerate(mutated.layout) if not 1 <= x <= k)
+                            assert fast[0][1].violation == RangeViolation(
+                                grid_labels.host.element(grid_labels.lo + first),
+                                mutated.layout[first], k)
+
+
+@pytest.mark.parametrize("kind, variant", VARIANTS)
+@pytest.mark.parametrize("family", ["window", "explicit"])
+@pytest.mark.parametrize("m_on, n_on, error", [
+    (0, 1, IncompleteLabelingError),  # a wider host: its last column unlabeled
+    (1, -1, StrayLabelError),  # a taller, narrower host: a row unlabeled, a column stray
+    (0, -1, StrayLabelError),  # a narrower host: a column stray
+])
+def test_a_layout_on_a_host_of_another_spec_is_looked_up(kind, variant, family, m_on, n_on, error):
+    m, c, n = 3, 4, 9
+    lab = construct_for_kind(kind, m, n, c, variant)
+    fam = window_or_explicit(make_grid(GridSpec(m + m_on, n + n_on)), c, family)
+    got = [outcome(fn, lab, fam) for fn in (verify_irregular, weight_profile)]
+    assert got == [outcome(fn, as_dict(lab), fam) for fn in (verify_irregular, weight_profile)]
+    # the verdict names a stray label first; the profile ignores it
+    assert got[0 if error is StrayLabelError else 1][:2] == ("raised", error)
+
+
 @pytest.mark.parametrize("kind, variant", VARIANTS)
 @pytest.mark.parametrize("family", ["window", "explicit"])
 def test_with_label_on_a_constructed_labeling_matches_the_dict_form(kind, variant, family):

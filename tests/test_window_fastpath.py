@@ -34,6 +34,7 @@ from gridirr import (
     verify_irregular,
     weight_profile,
 )
+from gridirr.construct import kind_rows
 from gridirr.search import min_strength
 from strategies import scope_params
 
@@ -118,6 +119,21 @@ def test_window_family_matches_explicit_family(params, variant, change, rnd):
     assert implicit.window == (m, c, n)
     explicit = CoverFamily(host=grid, members=tuple(implicit.members))
     assert_same_results(labeling, implicit, explicit)
+
+
+def test_column_sums_of_29_rows_match_the_indexed_path():
+    # the top of the ladder's m = 10: the total kind sums 19 column rows
+    # and 10 gap rows, exactly, raised label included
+    m, c, n = 10, 12, 30
+    grid = make_grid(GridSpec(m, n))
+    implicit = enumerate_windows(grid, c)
+    explicit = CoverFamily(host=grid, members=tuple(implicit.members))
+    assert sum(map(len, kind_rows(LabelingKind.TOTAL, grid))) == 29
+    labeling = construct_total_labeling(m, n, c)
+    raised = labeling.with_label(Vertex(m, 1), labeling.labels[Vertex(m, 1)] + 1)
+    for lab in (labeling, raised):
+        assert weight_profile(lab, implicit) == weight_profile(lab, explicit)
+    assert_same_results(raised, implicit, explicit)
 
 
 @settings(max_examples=60, deadline=None)
