@@ -227,7 +227,7 @@ def _construct(
     # holds 1 + ceil((j - offset) / D) at j - offset - low
     low = 1 - c * len(columns) - (c - 1) * len(gaps)
     stairs = {den: _stair(low, n, den) for den in {d, d_gap}}
-    layout = [0] * (3 * m * n - m - n)
+    layout = [0] * sum(host.counts)
     positions = range(len(layout))
     start = 1 - low  # the stair of j = 1 at offset 0
     for (a, b), added, denominator in rows:

@@ -7,12 +7,12 @@ vertical edges (i, j)-(i+1, j) and horizontal edges (i, j)-(i, j+1).
 Elements are their coordinate keys: a :class:`Vertex` equals and hashes
 as (i, j), an :class:`Edge` as ((i, j), (p, q)) with endpoints in order.
 :func:`canonical_order` sorts vertices row-major, then edges.  A
-:func:`make_grid` graph holds only its spec until its elements are read;
-it makes them in that order, without sorting, and :meth:`Graph.element`
-gives one from its position alone.  Through the rows of
-:func:`column_slices`, made once per such graph as :attr:`Graph.slices`,
-the constructions write labels at those positions, the verifier sums
-window weights and :mod:`gridirr.covering` cuts each window's positions.
+:func:`make_grid` graph holds only its spec until its elements are read,
+then makes them in that order.  :meth:`Graph.element` gives one from its
+position, :func:`_positions` the positions of JSON coordinates.  Through
+the rows of :func:`column_slices`, made once as :attr:`Graph.slices`, the
+constructions write labels at those positions, the verifier sums window
+weights and :mod:`gridirr.covering` cuts each window's positions.
 
 The same ``Graph`` container also serves arbitrary simple graphs: vertex
 identities stay (i, j) pairs, with non-grid inputs conventionally embedded
@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain, count, repeat
-from typing import Callable, Iterable, NamedTuple, Optional, Union
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Union
 
 from .errors import InvalidEdgeError, InvalidParameterError, ScopeError
 
@@ -124,9 +124,9 @@ class Graph:
 
     ``spec`` is set only by :func:`make_grid`, so a graph that carries one
     is exactly that full grid; hand-built graphs carry None even when they
-    equal a grid.  Two graphs with a spec compare their specs, other pairs
-    (and hashes) their sets.  Such a graph holds only the spec until its
-    elements are first read.
+    equal a grid.  Graphs compare and hash by their vertex and edge sets.
+    A graph with a spec holds only the spec until its elements are first
+    read.
 
     Every element has one integer index, its position in :attr:`elements`
     (in :func:`canonical_order`); :attr:`index` maps elements, or their
@@ -147,13 +147,6 @@ class Graph:
         object.__setattr__(self, "vertices", frozenset(self.elements[:split]))
         object.__setattr__(self, "edges", frozenset(self.elements[split:]))
         return getattr(self, name)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        if self.spec is not None and other.spec is not None:
-            return self.spec == other.spec
-        return (self.vertices, self.edges) == (other.vertices, other.edges)
 
     @cached_property
     def elements(self) -> tuple[Element, ...]:
@@ -195,6 +188,32 @@ class Graph:
         j, down = (q, 0) if i == m - 1 else divmod(q, 2)
         down = down or j == n - 1
         return Edge(Vertex(i + 1, j + 1), Vertex(i + 1 + down, j + 2 - down))
+
+
+def _positions(items: Any, edges: bool, m: int, n: int) -> Optional[list]:
+    """The position pass: each item's position in the m-by-n grid's
+    elements, inverting :meth:`Graph.element`; None hands back a non-list,
+    or a list with an item :func:`gridirr.io._key` rejects or the grid lacks."""
+    if type(items) is not list:
+        return None
+    row, two_m, two_n = 2 * n - 1, 2 * m, 2 * n  # row: the edges from one grid row
+    first = m * n - row  # the edges from row i start at first + i * row
+    try:
+        if edges:  # horizontal from column (j + q - 1) / 2, vertical from row (i + p - 1) / 2
+            places = [
+                first + i * row + (j + q - 3 if i < m else j + q - 3 >> 1) if i == p
+                else first + (i + p - 1 >> 1) * row + (2 * j - 1 if j < n else row - 1)
+                for (i, j), (p, q) in items
+                if type(i) is type(j) is type(p) is type(q) is int
+                and (j - q in (1, -1) if i == p else j == q and i - p in (1, -1))
+                and 1 < i + p <= two_m and 1 < j + q <= two_n  # so adjacent ends lie on the grid
+            ]
+        else:
+            places = [i * n + j - n - 1 for i, j in items
+                      if type(i) is type(j) is int and 0 < i <= m and 0 < j <= n]
+    except (TypeError, ValueError):  # an item that does not unpack into coordinates
+        return None
+    return places if len(places) == len(items) else None
 
 
 def _grid_order(spec: GridSpec, vertex: Callable, pairs: Callable) -> list:

@@ -55,7 +55,7 @@ that rule: it reads one item into its plain key, (i, j) or
 ((i, j), (p, q)) with the lower end first, or says why the item is
 malformed.  A list is read item by item up to its first malformed item,
 which is named.  On an m-by-n grid the position pass,
-:func:`_positions`, maps a whole list by formula to positions in the
+:func:`gridirr.grid._positions`, maps a whole list by formula to positions in the
 grid's canonical element order, making no key and reading no index; it
 hands back, for the rule above, any list with an item off the grid or
 that the rule rejects.  Members become sorted index tuples into
@@ -87,6 +87,7 @@ from .grid import (
     GridSpec,
     Vertex,
     _grid_order,
+    _positions,
     canonical_order,
     format_element,
     graph_from_elements,
@@ -112,32 +113,6 @@ def _key(item: Any, edges: bool) -> Union[tuple, str]:
             return tuple(item)
         return f"vertex indices must be >= 1, got {item!r}"
     return f"expected a vertex as [i, j], got {item!r}"
-
-
-def _positions(items: Any, edges: bool, m: int, n: int) -> Optional[list]:
-    """The position pass: each item's position in the m-by-n grid's
-    elements, inverting :meth:`Graph.element`; None hands back a non-list,
-    or a list with an item :func:`_key` rejects or the grid lacks."""
-    if type(items) is not list:
-        return None
-    row, two_m, two_n = 2 * n - 1, 2 * m, 2 * n  # row: the edges from one grid row
-    first = m * n - row  # the edges from row i start at first + i * row
-    try:
-        if edges:  # horizontal from column (j + q - 1) / 2, vertical from row (i + p - 1) / 2
-            places = [
-                first + i * row + (j + q - 3 if i < m else j + q - 3 >> 1) if i == p
-                else first + (i + p - 1 >> 1) * row + (2 * j - 1 if j < n else row - 1)
-                for (i, j), (p, q) in items
-                if type(i) is type(j) is type(p) is type(q) is int
-                and (j - q in (1, -1) if i == p else j == q and i - p in (1, -1))
-                and 1 < i + p <= two_m and 1 < j + q <= two_n  # so adjacent ends lie on the grid
-            ]
-        else:
-            places = [i * n + j - n - 1 for i, j in items
-                      if type(i) is type(j) is int and 0 < i <= m and 0 < j <= n]
-    except (TypeError, ValueError):  # an item that does not unpack into coordinates
-        return None
-    return places if len(places) == len(items) else None
 
 
 def _decode(items: Any, edges: bool, where: str) -> list:

@@ -116,7 +116,7 @@ def strength_report(
         m=m,
         c=c,
         n=n,
-        t=n - c + 1,
+        t=family.t,
         lower_bound=lower_bound(kind, family.t, m * c, 2 * m * c - m - c),
         closed_form=cf,
         construction_verified=verdict.accepted and labeling.max_label() == cf,

@@ -42,7 +42,7 @@ MODULE_TESTS = {
     "verify": ["test_verify"],
     "covering": ["test_covering", "test_indexed_families", "test_window_fastpath"],
     "construct": ["test_construct"],
-    "grid": ["test_grid"],
+    "grid": ["test_grid", "test_io"],
     "io": ["test_io"],
     "report": ["test_report"],
     "cli": ["test_cli", "test_transcript"],

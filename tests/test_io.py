@@ -33,7 +33,6 @@ from gridirr import (
 from gridirr.io import (
     _decode,
     _key,
-    _positions,
     dot_export,
     dump_family,
     dump_labeling,
@@ -48,6 +47,7 @@ from gridirr.io import (
     load_labeling,
 )
 from gridirr.construct import GridLabels
+from gridirr.grid import _positions
 from strategies import hand_built_cases
 
 
