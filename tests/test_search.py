@@ -372,6 +372,17 @@ def test_two_members_without_relevant_elements_collide_at_every_budget():
     assert brute_force_exists(host, family, kind, 2) is None
 
 
+def test_one_member_without_relevant_elements_needs_budget_1():
+    """Budget 0 would pass the root check on a member that weighs nothing
+    (its interval is [0, 0]), so the budget walk must start at 1."""
+    host = graph_from_elements([Vertex(1, 1)], [])
+    family = CoverFamily(host=host, members=(host,))
+    kind = LabelingKind.EDGE
+    assert family_lower_bound(kind, family) == 1
+    result = min_strength(host, family, kind, k_max=3)
+    assert (result.minimal_k, result.nodes_explored) == (1, 0)
+
+
 def twin_cases():
     """Families with two members that weigh the same elements, with a
     k_max: the c = 2 windows of a 2x4 grid and the last one less its
