@@ -15,8 +15,8 @@ either a missing test or code that no output depends on; a late catch is
 a test its module's own file lacks.
 
 The run works on a copy of the checkout (without ``.git``) in a temporary
-directory, because tier-1 rewrites ``erratum_report.csv``; it writes
-nothing in the checkout.  One pytest process runs at a time, each with a
+directory, because each mutant edits a source file; it writes nothing in
+the checkout.  One pytest process runs at a time, each with a
 time limit; a mutant that overruns it counts as caught.  With no module
 named it runs all of ``MODULE_TESTS``: the statement deletions alone
 took about 40 minutes on 2 CPUs, and the other edits add three fourths

@@ -6,6 +6,7 @@ tolerances to tune.
 """
 
 import csv
+import io
 import json
 import random
 from pathlib import Path
@@ -55,13 +56,17 @@ def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
     print(f"ACCEPTANCE {number} {name}: {status}{suffix}")
 
 
-@pytest.fixture(scope="module")
-def sweep_families():
+def _sweep_families():
     cache = {}
     for m, c, n in SWEEP:
         host = make_grid(GridSpec(m, n))
         cache[(m, c, n)] = (host, enumerate_windows(host, c))
     return cache
+
+
+@pytest.fixture(scope="module")
+def sweep_families():
+    return _sweep_families()
 
 
 def brute_weights(labeling, family):
@@ -167,9 +172,11 @@ def test_criterion_3_oracle_optimality(sweep_families):
     assert ok, failures
 
 
-def test_criterion_4_erratum_adjudication(sweep_families):
+def erratum_report(sweep_families):
+    """The lines of ``erratum_report.csv``, and the triples whose corrected
+    total labeling fails."""
     corrected_failures = []
-    rows = []
+    rows = [["m", "c", "n", "as_printed_verified", "violation"]]
     for m, c, n in SWEEP:
         if n <= c:
             continue
@@ -183,20 +190,37 @@ def test_criterion_4_erratum_adjudication(sweep_families):
             [m, c, n, "true" if verdict.accepted else "false",
              "" if verdict.accepted else str(verdict.violation)]
         )
-    with open(REPORT_PATH, "w", encoding="utf-8", newline="") as fp:
-        writer = csv.writer(fp, lineterminator="\n")
-        writer.writerow(["m", "c", "n", "as_printed_verified", "violation"])
-        writer.writerows(rows)
-    ok = not corrected_failures
-    printed_pass = sum(1 for r in rows if r[3] == "true")
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    return text.getvalue().splitlines(keepends=True), corrected_failures
+
+
+def test_criterion_4_erratum_adjudication(sweep_families):
+    lines, corrected_failures = erratum_report(sweep_families)
+    with open(REPORT_PATH, encoding="utf-8", newline="") as fp:
+        committed = fp.readlines()
+    changed = next(
+        (f"line {pos}: committed {want!r}, computed {got!r}"
+         for pos, (want, got) in enumerate(zip(committed, lines), 1) if want != got),
+        None if len(committed) == len(lines)
+        else f"{len(committed)} lines committed, {len(lines)} computed",
+    )
+    ok = not corrected_failures and changed is None
+    triples = len(lines) - 1
+    printed_pass = sum(line.split(",")[3] == "true" for line in lines[1:])
     _report(
         4,
         "erratum adjudication",
         ok,
-        f"corrected 100% of {len(rows)} triples; as-printed passes "
-        f"{printed_pass}/{len(rows)}; report at {REPORT_PATH.name}",
+        f"corrected 100% of {triples} triples; as-printed passes "
+        f"{printed_pass}/{triples}; "
+        f"{REPORT_PATH.name} {'unchanged' if changed is None else 'differs'}",
     )
-    assert ok, corrected_failures[:10]
+    assert not corrected_failures, corrected_failures[:10]
+    assert changed is None, (
+        f"{REPORT_PATH.name} differs at {changed} "
+        f"(rewrite it with PYTHONPATH=src python tests/test_acceptance.py)"
+    )
 
 
 def test_criterion_5_verifier_mutation_soundness(sweep_families):
@@ -330,3 +354,8 @@ def test_criterion_6_cli_roundtrip_and_determinism(tmp_path, capsys):
     _report(6, "CLI round-trip and determinism", ok,
             f"{len(checks)} checks" + (f"; failed {bad_checks}" if bad_checks else ""))
     assert ok, bad_checks
+
+
+if __name__ == "__main__":
+    with open(REPORT_PATH, "w", encoding="utf-8", newline="") as fp:
+        fp.writelines(erratum_report(_sweep_families())[0])
