@@ -1,70 +1,30 @@
 """JSON file formats and DOT export.
 
-Labeling files::
+README's "File formats" gives the labeling and family files, the
+coordinate rule and the format errors.  :func:`_key` is that rule: it
+reads one item into its plain key, (i, j) or ((i, j), (p, q)) with the
+lower end first, or says why the item is malformed.
 
-    {
-      "kind": "vertex" | "edge" | "total",
-      "k": 2,
-      "m": 2,
-      "n": 3,
-      "labels": [
-        {"element": {"v": [1, 1]}, "label": 1},
-        {"element": {"e": [[1, 1], [1, 2]]}, "label": 1},
-        ...
-      ]
-    }
+Labels load by one of two readers.  A file whose entries label exactly
+the elements its kind weighs on the m-by-n grid, each once, loads in one
+pass into host order: one label tuple over
+:func:`gridirr.grid.make_grid`'s elements, held by
+:class:`gridirr.construct.GridLabels` as a constructed labeling is, and
+placed by the position pass, :func:`gridirr.grid._positions`.  Any other
+file (a missing, stray or other-kind label, or an element off the grid)
+is read entry by entry into a dict of elements, for the verifier to
+report or to read by lookup; that read stops at the first malformed or
+repeated entry, and names it.
 
-    Vertex entries come first in row-major order, then edges in canonical
-    order (for labels in host order, read off the grid's layout), though a
-    file may list them in any order.  Labels are not
-    range-checked on load, nor checked against a host: out-of-range and
-    stray labels are the verifier's to report.
-
-    A file whose entries label exactly the elements its kind weighs on the
-    m-by-n grid, each once, loads in one pass into host order: one label
-    tuple over :func:`gridirr.grid.make_grid`'s elements, held by
-    :class:`gridirr.construct.GridLabels`, as a constructed labeling is,
-    placed by the position pass (below).  Any other file (a missing,
-    stray or other-kind label, or an element off the grid, as on a non-grid
-    host) is read entry by entry into a dict of elements, for the verifier
-    to report or to read by lookup; the read stops at the first malformed
-    or repeated entry, and names it.
-
-Family files::
-
-    {
-      "host": {"grid": [2, 3]},
-      "members": [
-        {"vertices": [[1, 1], ...], "edges": [[[1, 1], [1, 2]], ...]},
-        ...
-      ]
-    }
-
-    The host is either a grid shorthand {"grid": [m, n]} or an explicit
-    graph {"vertices": [...], "edges": [...]}.  Non-grid hosts embed their
-    vertex ids in the same (i, j) scheme, conventionally in a single row
-    (i = 1, j = ordinal).  A host, a member or either file's top level
-    holding any other field is rejected, as a label entry with a third
-    field is.
-
-Coordinates follow one rule everywhere, in labels, members and explicit
-hosts: a vertex is [i, j] with positive integer indices (not bools), an
-edge [[i, j], [p, q]] of two different vertices, ends in either order.
-The grid shorthand's [m, n] follows the vertex rule.  :func:`_key` is
-that rule: it reads one item into its plain key, (i, j) or
-((i, j), (p, q)) with the lower end first, or says why the item is
-malformed.  A list is read item by item up to its first malformed item,
-which is named.  On an m-by-n grid the position pass,
-:func:`gridirr.grid._positions`, maps a whole list by formula to positions in the
-grid's canonical element order, making no key and reading no index; it
-hands back, for the rule above, any list with an item off the grid or
-that the rule rejects.  Members become sorted index tuples into
-that order (:attr:`gridirr.covering.CoverFamily.indices`), with no
-element object per occurrence: by the position pass on a {"grid": [m, n]}
-host, else through ``host.index``.  A file naming an element outside the
-host is rejected once every member has decoded, so a malformed item in a
-later member is named first: the error names the first such member and,
-in it, the least such vertex, or else the least such edge.
+Members become sorted index tuples into the host's canonical element
+order (:attr:`gridirr.covering.CoverFamily.indices`), with no element
+object per occurrence: by the position pass on a {"grid": [m, n]} host,
+else through ``host.index``.  A list the position pass hands back is
+read by :func:`_key` item by item up to its first malformed item, which
+is named.  A file naming an element outside the host is rejected once
+every member has decoded, so a malformed item in a later member is named
+first: the error names the first such member and, in it, the least such
+vertex, or else the least such edge.
 
 DOT output is export-only (never parsed back): element labels become
 ``label`` attributes; anything else rides in comments.
