@@ -3,6 +3,11 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as the
 criteria execute.  All checks are exact integer comparisons; there are no
 tolerances to tune.
+
+Criterion 4 compares its rows with the committed ``erratum_report.csv``.
+A change that alters them on purpose rewrites the file in the same diff::
+
+    PYTHONPATH=src python tests/test_acceptance.py
 """
 
 import csv
