@@ -18,7 +18,7 @@ from .construct import Labeling, LabelingKind, TotalVariant, construct_for_kind
 from .covering import CoverFamily, enumerate_windows
 from .errors import GridirrError, ResourceLimitError
 from .grid import Graph, GridSpec, grid_dims, make_grid, require_window_scope
-from .report import ROW_FIELDS, strength_report
+from .report import ROW_FIELDS, strength_report, strength_reports
 from .verify import require_no_stray_labels, verify_irregular
 
 EXIT_OK = 0
@@ -148,8 +148,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     c_lo, c_hi = _parse_range(args.c_range, "--c-range")
     n_lo, n_hi = _parse_range(args.n_range, "--n-range")
     with open(args.csv, "w", encoding="utf-8", newline="") as fp:  # before any row is built
-        cube = product(range(m_lo, m_hi + 1), range(c_lo, c_hi + 1), range(n_lo, n_hi + 1))
-        rows = [strength_report(kind, m, c, n).to_row() for m, c, n in cube if 2 <= m <= c <= n]
+        pairs, ns = product(range(m_lo, m_hi + 1), range(c_lo, c_hi + 1)), range(n_lo, n_hi + 1)
+        rows = [report.to_row() for m, c in pairs  # one call per (m, c), over its n in scope
+                for report in strength_reports(kind, m, c, [n for n in ns if 2 <= m <= c <= n])]
         writer = csv.writer(fp, lineterminator="\n")
         writer.writerow(ROW_FIELDS)
         writer.writerows(rows)

@@ -37,6 +37,10 @@ makes its element, and returns a dict of elements.
 The labeling writer is the body the package used before host-order labels
 were written from their layout: it makes every element, sorts them and
 writes each entry from its element.
+
+The strength report is the per-row body the package used before a range
+of n was read from one construction: it builds, enumerates and verifies
+a fresh labeling for its one n, and the as-printed one for the total kind.
 """
 
 from bisect import bisect_left
@@ -63,8 +67,11 @@ from gridirr import (
     format_element,
     require_window_scope,
 )
+from gridirr import closed_form_strength, construct_for_kind, enumerate_windows, lower_bound, min_strength
 from gridirr.grid import canonical_order, grid_dims
+from gridirr.report import StrengthReport
 from gridirr.verify import kind_range
+from gridirr.verify import verify_irregular as package_verify_irregular
 
 
 def family_lower_bound(kind, family):
@@ -499,3 +506,36 @@ def labeling_to_json_dict(labeling: Labeling) -> dict[str, Any]:
         "n": labeling.n,
         "labels": entries,
     }
+
+
+def strength_report(kind, m, c, n, oracle=False):
+    cf = closed_form_strength(kind, m, n, c)  # checks the scope first
+    labeling = construct_for_kind(kind, m, n, c)
+    family = enumerate_windows(labeling.labels.host, c)  # the row's one grid
+    verdict = package_verify_irregular(labeling, family)
+    as_printed_verified = None
+    note = None
+    if kind is LabelingKind.TOTAL:
+        printed = construct_for_kind(kind, m, n, c, TotalVariant.AS_PRINTED)
+        printed_verdict = package_verify_irregular(printed, family)
+        as_printed_verified = printed_verdict.accepted
+        note = (
+            f"as-printed horizontal-edge denominator (2mc-m-c) fails "
+            f"verification: {printed_verdict.violation}; the corrected "
+            f"variant uses 3mc-m-c and verifies"
+        )
+    oracle_k = min_strength(family.host, family, kind, cf).minimal_k if oracle else None
+    return StrengthReport(
+        kind=kind,
+        m=m,
+        c=c,
+        n=n,
+        t=family.t,
+        lower_bound=lower_bound(kind, family.t, m * c, 2 * m * c - m - c),
+        closed_form=cf,
+        construction_verified=verdict.accepted and labeling.max_label() == cf,
+        oracle_ran=oracle,
+        oracle_k=oracle_k,
+        erratum_note=note,
+        as_printed_verified=as_printed_verified,
+    )

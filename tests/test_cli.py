@@ -386,7 +386,7 @@ def test_sweep_opens_its_csv_before_building_a_row(tmp_path, capsys, monkeypatch
     def no_row(*args, **kwargs):
         raise AssertionError("a row was built before the CSV was opened")
 
-    monkeypatch.setattr(gridirr.cli, "strength_report", no_row)
+    monkeypatch.setattr(gridirr.cli, "strength_reports", no_row)  # the name sweep calls
     out = tmp_path / "missing" / "sweep.csv"
     code, stdout, stderr = run(capsys, "sweep", "--kind", "total", "--m-range", "2..4",
                                "--c-range", "2..6", "--n-range", "2..200", "--csv", str(out))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import sys
 from collections import Counter
@@ -11,6 +12,7 @@ from gridirr import (
     GridSpec,
     LabelingKind,
     ScopeError,
+    TotalVariant,
     Vertex,
     closed_form_strength,
     construct_for_kind,
@@ -20,10 +22,25 @@ from gridirr import (
     verify_irregular,
 )
 import gridirr.grid
+import gridirr.report
+import reference
 from gridirr.cli import main
-from gridirr.construct import kind_element_count
+from gridirr.construct import GridLabels, kind_element_count
 from gridirr.io import family_to_json_dict, labeling_to_json_dict
-from gridirr.report import ROW_FIELDS, strength_report
+from gridirr.report import ROW_FIELDS, strength_report, strength_reports
+
+ACCEPTANCE = [(m, c) for m in range(2, 5) for c in range(m, 7)]  # n from c up to 40
+
+
+def shown(reports):
+    """Every cell and line of each report: the CSV row and the text lines,
+    the note and the oracle's minimum among them."""
+    return [(report.to_row(), report.to_lines()) for report in reports]
+
+
+def per_row(kind, m, c, ns, oracle=False):
+    """The reports of the per-row pipeline in tests/reference.py."""
+    return shown(reference.strength_report(kind, m, c, n, oracle) for n in ns)
 
 
 @pytest.fixture
@@ -128,6 +145,12 @@ def test_a_report_row_makes_no_element_but_the_one_it_names(made, m, c, n):
     assert report.construction_verified and report.as_printed_verified is False
     assert "label 0 at (1,1)-(1,2)" in report.erratum_note
     assert made == [Vertex, Vertex, Edge]
+    # over a range, each total row makes the edge its own note names
+    for kind in LabelingKind:
+        made.clear()
+        reports = strength_reports(kind, m, c, range(c, n + 1))
+        assert all(report.construction_verified for report in reports)
+        assert made == ([Vertex, Vertex, Edge] * len(reports) if kind is LabelingKind.TOTAL else [])
 
 
 @pytest.fixture
@@ -230,3 +253,115 @@ def test_a_grid_index_maps_elements_and_plain_keys_to_positions():
         assert index == {e: pos for pos, e in enumerate(make_grid(GridSpec(m, n)).elements)}
         assert index[(1, 1)] == 0
         assert index[((1, 1), (1, 2))] == m * n  # the first edge
+
+
+@pytest.mark.parametrize("kind", list(LabelingKind))
+@pytest.mark.parametrize("top", [40, 200])  # the acceptance range, and CI's sweep to n = 200
+def test_a_range_reports_as_the_per_row_pipeline(kind, top):
+    for m, c in ACCEPTANCE:
+        ns = range(c, top + 1)
+        assert shown(strength_reports(kind, m, c, ns)) == per_row(kind, m, c, ns)
+
+
+@pytest.mark.parametrize("kind", list(LabelingKind))
+def test_a_range_above_c_or_out_of_order_reports_as_the_per_row_pipeline(kind):
+    for m, c in ACCEPTANCE:
+        for ns in (range(10, 41), [c + 7, c, 23, c + 1], [c + 2, c + 2]):
+            assert shown(strength_reports(kind, m, c, ns)) == per_row(kind, m, c, ns)
+
+
+@pytest.mark.parametrize("kind", list(LabelingKind))
+def test_a_range_with_the_oracle_reports_as_the_per_row_pipeline(kind):
+    for m, c, top in [(2, 2, 5), (2, 3, 5), (3, 3, 3)]:  # at most 24 elements, the search cap
+        ns = range(c, top + 1)
+        assert shown(strength_reports(kind, m, c, ns, oracle=True)) == per_row(kind, m, c, ns, True)
+
+
+def test_an_empty_range_builds_nothing(monkeypatch):
+    monkeypatch.setattr(gridirr.report, "construct_for_kind", None)
+    assert strength_reports(LabelingKind.TOTAL, 5, 4, []) == []  # no scope to check either
+    with pytest.raises(ScopeError):
+        strength_reports(LabelingKind.TOTAL, 2, 4, [5, 3])
+
+
+# Label edits made in every construction that holds the element, whatever
+# its n, so that the labeling for n stays the first n columns of a larger
+# one: a label below 1, a label above the budget of the small n, and a first
+# window made one heavier (a collision, or a label over a budget of 1).
+EDITS = {
+    "low": {Vertex(2, 3): lambda label: 0, Edge(Vertex(1, 3), Vertex(2, 3)): lambda label: 0},
+    "high": {Vertex(1, 4): lambda label: 4, Edge(Vertex(2, 4), Vertex(2, 5)): lambda label: 4},
+    "heavier": {Vertex(1, 1): lambda label: label + 1, Edge(Vertex(1, 1), Vertex(2, 1)): lambda label: label + 1},
+}
+
+
+def edited(edit, printed):
+    """``construct_for_kind`` with ``EDITS[edit]`` made in its labels; the
+    as-printed variant is built as ``printed`` ("as-printed", or
+    "corrected" to give a variant that verifies or collides)."""
+    def construct(kind, m, n, c, variant=TotalVariant.CORRECTED):
+        if variant is TotalVariant.AS_PRINTED and printed == "corrected":
+            variant = TotalVariant.CORRECTED
+        labeling = construct_for_kind(kind, m, n, c, variant)
+        labels = labeling.labels
+        layout = list(labels.layout)
+        for element, change in EDITS.get(edit, {}).items():
+            pos = labels.host.index.get(element, -1) - labels.lo
+            if 0 <= pos < len(layout):
+                layout[pos] = change(layout[pos])
+        return dataclasses.replace(labeling, labels=GridLabels(labels.host, labels.lo, tuple(layout)))
+
+    return construct
+
+
+def test_edited_labels_report_as_the_per_row_pipeline(monkeypatch):
+    notes = set()
+    for edit, printed in product(["none", *EDITS], ["as-printed", "corrected"]):
+        monkeypatch.setattr(gridirr.report, "construct_for_kind", edited(edit, printed))
+        monkeypatch.setattr(reference, "construct_for_kind", edited(edit, printed))
+        for kind, (m, c) in product(LabelingKind, [(2, 2), (2, 3), (3, 3)]):
+            ns = range(c, 41)
+            reports = strength_reports(kind, m, c, ns)
+            assert shown(reports) == per_row(kind, m, c, ns), (edit, printed, kind, m, c)
+            notes.update(report.erratum_note.split(": ")[1].split(" ")[0] for report in reports
+                         if report.erratum_note is not None)
+    # the edits reach each way a note is made: a range violation, a collision and none
+    assert notes == {"label", "members", "None;"}
+
+
+def test_a_sweep_builds_one_construction_per_kind_m_c(monkeypatch, tmp_path, capsys):
+    built = Counter()
+
+    def counting(kind, m, n, c, variant=TotalVariant.CORRECTED):
+        built[kind.value, variant.value] += 1
+        return construct_for_kind(kind, m, n, c, variant)
+
+    monkeypatch.setattr(gridirr.report, "construct_for_kind", counting)
+    for kind in LabelingKind:
+        assert main(["sweep", "--kind", kind.value, "--m-range", "2..4", "--c-range", "2..6",
+                     "--n-range", "2..40", "--csv", str(tmp_path / "sweep.csv")]) == 0
+    assert capsys.readouterr().out.count("wrote 439 rows") == 3
+    assert built == {
+        ("vertex", "corrected"): 12, ("edge", "corrected"): 12,
+        ("total", "corrected"): 12, ("total", "as_printed"): 12,
+    }
+
+
+@pytest.mark.parametrize("kind", list(LabelingKind))
+def test_a_sweep_past_the_top_of_some_c_builds_nothing_there(monkeypatch, tmp_path, capsys, kind):
+    built = Counter()
+
+    def counting(kind, m, n, c, variant=TotalVariant.CORRECTED):
+        built[m, c] += 1
+        return construct_for_kind(kind, m, n, c, variant)
+
+    monkeypatch.setattr(gridirr.report, "construct_for_kind", counting)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--kind", kind.value, "--m-range", "2..4", "--c-range", "2..6",
+                 "--n-range", "3..4", "--csv", str(out)]) == 0
+    triples = [(m, c, n) for m, c, n in product(range(2, 5), range(2, 7), range(3, 5)) if m <= c <= n]
+    rows = [report[0] for m, c, n in triples for report in per_row(kind, m, c, [n])]
+    assert out.read_text().splitlines()[1:] == [",".join(row) for row in rows]
+    per_construction = 2 if kind is LabelingKind.TOTAL else 1
+    assert built == {(m, c): per_construction for m, c, _ in triples}
+    assert {c for _, c in built} == {2, 3, 4}
