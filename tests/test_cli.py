@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import sys
 
 import pytest
 
@@ -392,6 +393,14 @@ def test_sweep_opens_its_csv_before_building_a_row(tmp_path, capsys, monkeypatch
                                "--c-range", "2..6", "--n-range", "2..200", "--csv", str(out))
     assert (code, stdout) == (1, "")
     assert stderr == f"error: [Errno 2] No such file or directory: '{out}'\n"
+
+
+def test_the_entry_point_exits_with_the_command_code(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["gridirr", "bound", "--kind", "vertex", "-m", "3", "-c", "2", "-n", "5"])
+    with pytest.raises(SystemExit) as exited:
+        gridirr.cli.entrypoint()
+    assert exited.value.code == 1
+    assert capsys.readouterr().err.startswith("error: window parameters must satisfy")
 
 
 def test_export_dot_contract(capsys):

@@ -290,7 +290,7 @@ def test_an_empty_range_builds_nothing(monkeypatch):
 # window made one heavier (a collision, or a label over a budget of 1).
 EDITS = {
     "low": {Vertex(2, 3): lambda label: 0, Edge(Vertex(1, 3), Vertex(2, 3)): lambda label: 0},
-    "high": {Vertex(1, 4): lambda label: 4, Edge(Vertex(2, 4), Vertex(2, 5)): lambda label: 4},
+    "high": {Vertex(1, 6): lambda label: 4, Edge(Vertex(2, 4), Vertex(2, 5)): lambda label: 4},
     "heavier": {Vertex(1, 1): lambda label: label + 1, Edge(Vertex(1, 1), Vertex(2, 1)): lambda label: label + 1},
 }
 
